@@ -63,11 +63,15 @@ _SCHEMAS = {
 }
 
 
-def _int_list(text: str) -> list[int]:
+def _int(text: str) -> int:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return int(text)
     except ValueError:
-        raise ParseError(f"expected integers, got {text!r}") from None
+        raise ParseError(f"expected an integer, got {text!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    return [_int(p) for p in text.split(",") if p.strip() != ""]
 
 
 def _add_io(sub, backend_default="exact"):
@@ -260,7 +264,9 @@ def _cmd_bounds(args):
             "lower_float": float(br.lower),
             "upper": _render_value(br.upper, backend),
             "upper_float": float(br.upper),
+            "midpoint": _render_value(br.midpoint, backend),
             "midpoint_float": float(br.midpoint),
+            "half_gap": _render_value(br.half_gap, backend),
             "half_gap_float": float(br.half_gap),
         })
     payload = {"command": "bounds", "backend": backend.tag, "rows": jrows}
@@ -405,7 +411,7 @@ def _cmd_scan(args):
 
 def _cmd_sample(args):
     model = load_model(args.model)
-    n = int(args.n)
+    n = _int(args.n)
     xs, ys = sample_path(model, n, args.seed)
     header = ["t", "x", "y"]
     rows = [[t, x, y] for t, (x, y) in enumerate(zip(xs, ys))]

@@ -12,6 +12,14 @@ convention.
 The traversal is generic over an accumulation domain, so the same walker
 serves exact scalars, floats, jets (see expansion) and multisite
 polynomials (see multisite).
+
+Exact scalars and jets walk on Python integers.  Each table (start vector,
+emission columns, transition columns) is scaled once by the lcm of its
+denominators, D_start, D_R and D_M, so a node at depth d carries integer
+numerators over Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply
+the factors of each depth).  One kernel, _JetExactDomain, accumulates
+-p log p for scalars (order 0) and jets alike and divides by Q_d only when
+it finishes.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import EXACT, FLOAT64
-from .errors import DepthCapExceeded, ZeroMarginal
-from .loglinear import _LLAccumulator
+from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
+from .loglinear import _LLAccumulator, LogLinearValue, factor_positive
 from .model import HmpModel
+from .series import TruncatedSeries
 
 DEFAULT_DEPTH_CAP = 14
 
@@ -60,22 +69,112 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
             _walk(nxt, emit_cols_at, trans_cols_at, depth + 1, n, sums, domain)
 
 
-class _ExactScalarDomain:
+class _ExactCells:
+    """Per-order sums of one depth, over that depth's denominator q."""
+
+    __slots__ = ("q", "q_primes", "cells")
+
+    def __init__(self, q_primes, order):
+        self.q = math.prod(p**e for p, e in q_primes)
+        self.q_primes = q_primes
+        self.cells = [_LLAccumulator() for _ in range(order + 1)]
+
+
+class _JetExactDomain:
+    """The exact -p log p kernel for jets of any order; a scalar is order 0.
+
+    A leaf at depth d carries integer numerators N_0..N_K over Q_d.  The log
+    tail is l_k = b_k / (k N_0^k) with the integer recurrence
+    b_k = k N_k N_0^(k-1) - sum_{0<j<k} N_j b_{k-j} N_0^(j-1), so each order
+    costs one Fraction per leaf; prime-log coefficients stay integers until
+    finish divides them by Q_d.
+    """
+
+    def __init__(self, order: int, scalar: bool = False):
+        self.order, self.scalar = order, scalar
+        self.lcm = math.lcm(*range(1, order + 1))
+
     @staticmethod
     def is_zero(p):
-        return not p
+        return not p if isinstance(p, int) else p.is_zero()
 
-    @staticmethod
-    def new_acc():
-        return _LLAccumulator()
+    def integer_tables(self, starts, emit_at, trans_at, n, record):
+        """The tables scaled to integers, and empty sums at each recorded depth.
 
-    @staticmethod
-    def add_term(acc, p):
-        acc.add_neg_plogp(p)
+        Each distinct table is scaled once by the lcm of its denominators;
+        Q_d is the product of the scale factors of the tables used to reach
+        depth d: the start vector, d emission and d - 1 transition tables.
+        """
+        scaled = {}
+        for rows in [starts, *emit_at, *trans_at]:
+            if id(rows) not in scaled:
+                d = math.lcm(*(c.denominator for row in rows for x in row
+                               for c in getattr(x, "coeffs", (x,))))
+                scaled[id(rows)] = [[_times(x, d) for x in row] for row in rows], d
+        q_primes, sums = {}, {}
 
-    @staticmethod
-    def finish(acc):
-        return acc.value()
+        def absorb(rows):
+            for p, e in factor_positive(scaled[id(rows)][1]):
+                q_primes[p] = q_primes.get(p, 0) + e
+
+        absorb(starts)
+        for depth in range(1, n + 1):
+            if depth > 1:
+                absorb(trans_at[depth - 2])
+            absorb(emit_at[depth - 1])
+            if depth in record:
+                sums[depth] = _ExactCells(tuple(q_primes.items()), self.order)
+        return (scaled[id(starts)][0], [scaled[id(c)][0] for c in emit_at],
+                [scaled[id(c)][0] for c in trans_at], sums)
+
+    def add_term(self, acc, p):
+        coeffs = (p,) if isinstance(p, int) else p.coeffs
+        n0 = rest = coeffs[0]
+        if n0 <= 0:
+            raise NonpositiveConstantTerm(
+                f"sequence probability jet has constant term {Fraction(n0, acc.q)}"
+            )
+        # log(N_0 / Q_d) over primes; Q_d's primes leave N_0 before it is factored
+        fac = []
+        for prime, v in acc.q_primes:
+            e = 0
+            while not rest % prime:
+                rest //= prime
+                e += 1
+            if e != v:
+                fac.append((prime, e - v))
+        if rest > 1:
+            fac.extend(factor_positive(rest))
+        for nk, cell in zip(coeffs, acc.cells):
+            if nk:
+                for prime, e in fac:
+                    cell.logs[prime] = cell.logs.get(prime, 0) - nk * e
+        pw = [1]
+        for _ in range(len(coeffs) - 1):
+            pw.append(pw[-1] * n0)
+        b, lam = [0], [0]  # lam_m = lcm * N_0^m * l_m
+        for k in range(1, len(coeffs)):
+            b.append(k * coeffs[k] * pw[k - 1]
+                     - sum(coeffs[j] * b[k - j] * pw[j - 1] for j in range(1, k)))
+            lam.append(b[k] * (self.lcm // k))
+            num = sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
+            if num:
+                acc.cells[k].rat += Fraction(num, self.lcm * pw[k])
+
+    def finish(self, acc):
+        q = acc.q
+        values = [
+            LogLinearValue(-c.rat / q, tuple((p, Fraction(v, q)) for p, v in c.logs.items()))
+            for c in acc.cells
+        ]
+        return values[0] if self.scalar else TruncatedSeries(values)
+
+
+def _times(x, d):
+    """Exact scalar or jet x times d, as integers."""
+    if isinstance(x, TruncatedSeries):
+        return TruncatedSeries([_times(c, d) for c in x.coeffs])
+    return x.numerator * (d // x.denominator)
 
 
 class _FloatScalarDomain:
@@ -119,7 +218,9 @@ class _SumDomain:
 
 
 def _scalar_domain(backend):
-    return _ExactScalarDomain() if backend.is_exact else _FloatScalarDomain(backend.log)
+    if backend.is_exact:
+        return _JetExactDomain(0, scalar=True)
+    return _FloatScalarDomain(backend.log)
 
 
 def _scalar_tables(model: HmpModel, backend):
@@ -131,19 +232,26 @@ def _scalar_tables(model: HmpModel, backend):
     return beta0, emit_cols, trans_cols
 
 
+def _traverse(starts, emit_at, trans_at, n, record, domain):
+    """Walk from each start vector into shared sums; {depth: finished value}."""
+    if isinstance(domain, _JetExactDomain):
+        starts, emit_at, trans_at, sums = domain.integer_tables(
+            starts, emit_at, trans_at, n, record)
+    else:
+        sums = {d: domain.new_acc() for d in record}
+    for beta in starts:
+        _walk(beta, emit_at, trans_at, 0, n, sums, domain)
+    return {d: domain.finish(a) for d, a in sums.items()}
+
+
 def _run(model, n, record, domain, backend, per_state=False):
     beta0, emit_cols, trans_cols = _scalar_tables(model, backend)
-    sums = {d: domain.new_acc() for d in record}
-    emit_at = [emit_cols] * n
-    trans_at = [trans_cols] * max(n - 1, 0)
+    starts = [beta0]
     if per_state:
         zero = backend.scalar(Fraction(0))
-        for i in range(model.size):
-            start = [beta0[i] if j == i else zero for j in range(model.size)]
-            _walk(start, emit_at, trans_at, 0, n, sums, domain)
-    else:
-        _walk(beta0, emit_at, trans_at, 0, n, sums, domain)
-    return {d: domain.finish(a) for d, a in sums.items()}
+        s = model.size
+        starts = [[beta0[i] if j == i else zero for j in range(s)] for i in range(s)]
+    return _traverse(starts, [emit_cols] * n, [trans_cols] * (n - 1), n, record, domain)
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):

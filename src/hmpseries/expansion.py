@@ -6,9 +6,14 @@ each emission factor is the jet (delta_{x,y} + eps*t_{x,y}); in the
 almost-memoryless regime each transition factor is (1/s + delta*t) and the
 starting distribution is the exact stationary jet of U + delta*T.
 
+On the exact backend the jets walk with integer coefficients over one
+denominator per depth, and entropy._JetExactDomain evaluates -p log p with an
+all-integer log-tail recurrence (see the entropy module).
+
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
-per order, and settling_check exhibits the onset directly.
+per order, and settling_check exhibits the onset directly, recording every
+window it needs in one walk.
 """
 
 from __future__ import annotations
@@ -17,9 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import EXACT
-from .entropy import DEFAULT_DEPTH_CAP, _check_depth, _SumDomain, _walk
+from .entropy import (
+    DEFAULT_DEPTH_CAP,
+    _check_depth,
+    _JetExactDomain,
+    _SumDomain,
+    _traverse,
+)
 from .errors import NonpositiveConstantTerm, OrderTooHigh, ValidationError
-from .loglinear import _LLAccumulator, LogLinearValue, factor_positive
+from .loglinear import LogLinearValue
 from .model import (
     AlmostMemoryless,
     HighSnr,
@@ -122,48 +133,6 @@ def _jet_tables(spec: RegimeSpec, order: int, backend):
     return beta0, emit_cols, trans_cols
 
 
-class _JetExactDomain:
-    """Accumulates -sum p*log(p) coefficientwise over exact jets."""
-
-    def __init__(self, order: int):
-        self.order = order
-
-    @staticmethod
-    def is_zero(p):
-        return p.is_zero()
-
-    def new_acc(self):
-        return [_LLAccumulator() for _ in range(self.order + 1)]
-
-    @staticmethod
-    def add_term(cells, p):
-        coeffs = p.coeffs
-        c0 = coeffs[0]
-        if c0 <= 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability jet has constant term {c0}"
-            )
-        fac = factor_positive(c0)
-        tail = _log_tail(coeffs)
-        for k, cell in enumerate(cells):
-            pk = coeffs[k]
-            if pk:
-                logs = cell.logs
-                for q, e in fac:
-                    logs[q] = logs.get(q, 0) - pk * e
-            rat = 0
-            for m in range(1, k + 1):
-                pj = coeffs[k - m]
-                if pj:
-                    rat += pj * tail[m - 1]
-            if rat:
-                cell.rat -= rat
-
-    @staticmethod
-    def finish(cells):
-        return TruncatedSeries([c.value() for c in cells])
-
-
 class _JetFloatDomain:
     def __init__(self, order: int, log):
         self.order = order
@@ -206,23 +175,26 @@ def _jet_domain(order, backend):
 
 def _jet_run(spec, n, order, record, domain, backend):
     beta0, emit_cols, trans_cols = _jet_tables(spec, order, backend)
-    sums = {d: domain.new_acc() for d in record}
-    _walk(beta0, [emit_cols] * n, [trans_cols] * (n - 1), 0, n, sums, domain)
-    return {d: domain.finish(a) for d, a in sums.items()}
+    return _traverse([beta0], [emit_cols] * n, [trans_cols] * (n - 1), n, record, domain)
+
+
+def _increment_jets(spec, ns, order, backend, depth_cap):
+    """Jets of C_n for every n in the sorted ns, from one walk at max(ns)."""
+    if ns[0] < 2:
+        raise ValueError("conditional increments need n >= 2")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    _check_depth(ns[-1], depth_cap)
+    record = {d for n in ns for d in (n - 1, n)}
+    with backend.ctx():
+        out = _jet_run(spec, ns[-1], order, record, _jet_domain(order, backend), backend)
+        return {n: out[n] - out[n - 1] for n in ns}
 
 
 def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT,
                   depth_cap: int = DEFAULT_DEPTH_CAP) -> TruncatedSeries:
     """Jet of C_n = H_n - H_{n-1} in the regime parameter, to the given order."""
-    if n < 2:
-        raise ValueError("conditional increments need n >= 2")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    _check_depth(n, depth_cap)
-    domain = _jet_domain(order, backend)
-    with backend.ctx():
-        out = _jet_run(spec, n, order, {n - 1, n}, domain, backend)
-        return out[n] - out[n - 1]
+    return _increment_jets(spec, (n,), order, backend, depth_cap)[n]
 
 
 def probability_jet_total(spec: RegimeSpec, n: int, order: int, backend=EXACT,
@@ -275,9 +247,8 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT,
     ns = tuple(sorted(set(int(n) for n in ns)))
     if not ns:
         raise ValueError("need at least one window size")
-    values = tuple(
-        increment_jet(spec, n, k, backend, depth_cap).coeffs[k] for n in ns
-    )
+    jets = _increment_jets(spec, ns, k, backend, depth_cap)
+    values = tuple(jets[n].coeffs[k] for n in ns)
     ref = values[-1]
     if backend.is_exact:
         settled = tuple(v == ref for v in values)

@@ -156,7 +156,8 @@ class _LLAccumulator:
 
     Summing immutable LogLinearValue objects over thousands of traversal
     leaves is quadratic in the number of distinct primes; this keeps one
-    dict and emits an immutable value at the end.
+    dict and emits an immutable value at the end.  The exact walk kernel
+    keeps one per order and depth, with integer log coefficients.
     """
 
     __slots__ = ("rat", "logs")
@@ -164,9 +165,6 @@ class _LLAccumulator:
     def __init__(self):
         self.rat = _ZERO
         self.logs: dict[int, Fraction] = {}
-
-    def add_rat(self, q):
-        self.rat += q
 
     def add_scaled_log(self, q, coeff):
         # coeff * log(q), q a positive rational

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .backends import EXACT
-from .entropy import _walk
+from .entropy import _scalar_domain, _traverse, _walk
 from .errors import NonpositiveConstantTerm, WeightCapExceeded
 from .loglinear import LogLinearValue, factor_positive
 from .model import (
@@ -338,8 +338,6 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
         raise ValueError("per-site increments need n >= 2")
     if n > site_cap:
         raise WeightCapExceeded(f"window length {n} exceeds cap {site_cap}")
-    from .entropy import _scalar_domain
-
     sc = backend.scalar
     if isinstance(spec, HighSnr):
         s = spec.M.size
@@ -361,7 +359,5 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
         trans_at = [
             [[sc(t.rows[j][k]) for j in range(s)] for k in range(s)] for t in transs
         ]
-        domain = _scalar_domain(backend)
-        sums = {n - 1: domain.new_acc(), n: domain.new_acc()}
-        _walk(beta0, emit_at, trans_at, 0, n, sums, domain)
-        return domain.finish(sums[n]) - domain.finish(sums[n - 1])
+        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _scalar_domain(backend))
+        return out[n] - out[n - 1]

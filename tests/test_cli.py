@@ -101,6 +101,21 @@ def test_bounds_columns(capsys, model_file):
         assert float(row[2]) <= float(row[4]) + 1e-12
 
 
+def test_bounds_json_carries_the_exact_columns_of_the_csv(capsys, model_file):
+    code, out, _ = run_cli(capsys, "bounds", "--model", model_file, "--n", "2,3")
+    assert code == 0
+    csv_rows = parse_csv(out)
+    code, out, _ = run_cli(capsys, "bounds", "--model", model_file, "--n", "2,3",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for head, row in zip(csv_rows[1:], rows):
+        by_name = dict(zip(csv_rows[0], head))
+        for name in ("lower", "upper", "midpoint", "half_gap"):
+            assert row[name] == by_name[name]
+            assert repr(row[name + "_float"]) == by_name[name + "_float"]
+
+
 def test_expand_reference_rows(capsys):
     code, out, _ = run_cli(capsys, "expand", "--regime", "am", "--mu", "1",
                            "--order", "13")
@@ -197,6 +212,13 @@ def test_sample_roundtrip(capsys, model_file, tmp_path):
     code, silent, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and silent == ""
     assert path.read_text() == out
+
+
+def test_sample_bad_length_exit_2(capsys, model_file):
+    code, out, err = run_cli(capsys, "sample", "--model", model_file,
+                             "--n", "abc", "--seed", "5")
+    assert code == 2 and out == ""
+    assert "'abc'" in err
 
 
 def test_builtin_family_requires_its_parameter(capsys):

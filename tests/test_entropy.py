@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
     EXACT,
@@ -27,9 +27,13 @@ from hmpseries import (
     lower_bound,
     sample_path,
     sequence_log_probability,
+    TruncatedSeries,
+    entropy_accumulate,
+    factor_positive,
     total_probability,
     validate_model,
 )
+from hmpseries.entropy import _ExactCells, _JetExactDomain
 
 from util import (
     brute_finite_entropy,
@@ -80,6 +84,41 @@ def test_traversal_matches_enumeration(model):
         assert conditional_increment(model, n) == brute_increment(model, n)
     for n in (2, 3):
         assert lower_bound(model, n) == brute_lower_bound(model, n)
+
+
+def test_prime_denominator_model_matches_enumeration():
+    m = StochasticMatrix(((F(97, 229), F(132, 229)), (F(61, 173), F(112, 173))))
+    r = StochasticMatrix(((F(139, 191), F(52, 191)), (F(41, 167), F(126, 167))))
+    model = validate_model(m, r)
+    assert finite_entropy(model, 3) == brute_finite_entropy(model, 3)
+    assert conditional_increment(model, 3) == brute_increment(model, 3)
+    assert lower_bound(model, 3) == brute_lower_bound(model, 3)
+
+
+def _integer_jets(order):
+    head = st.integers(min_value=1, max_value=10**6)
+    tail = st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                    min_size=order, max_size=order)
+    return st.tuples(head, tail).map(lambda t: [t[0]] + t[1])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_leaf_kernel_matches_series_log(data):
+    # leaves N/q with integer N: the kernel against -sum (N/q) log(N/q) from series.py
+    order = data.draw(st.integers(min_value=0, max_value=5))
+    q = data.draw(st.integers(min_value=1, max_value=10**5))
+    leaves = data.draw(st.lists(_integer_jets(order), min_size=1, max_size=4))
+    jet, scalar = _JetExactDomain(order), _JetExactDomain(0, scalar=True)
+    jet_acc = _ExactCells(factor_positive(q), order)
+    scalar_acc = _ExactCells(factor_positive(q), 0)
+    expect = TruncatedSeries([F(0)] * (order + 1))
+    for coeffs in leaves:
+        jet.add_term(jet_acc, TruncatedSeries(coeffs))
+        scalar.add_term(scalar_acc, coeffs[0])
+        expect = entropy_accumulate(TruncatedSeries([F(c, q) for c in coeffs]), expect)
+    assert jet.finish(jet_acc) == expect
+    assert scalar.finish(scalar_acc) == expect.coeffs[0]
 
 
 @given(hmp_models(3))

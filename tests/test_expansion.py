@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
+    EXACT,
     FLOAT64,
     HIGH_SNR_NOTE,
     AlmostMemoryless,
@@ -32,6 +33,7 @@ from hmpseries import (
 
 from util import (
     am_specs,
+    brute_increment_jet,
     emission_perturbations,
     high_snr_specs,
     stochastic_rows,
@@ -169,6 +171,20 @@ def test_settling_examples():
     assert report.threshold == 3
     assert report.observed_onset is not None
     assert report.observed_onset <= 3
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda s: st.one_of(am_specs(s), high_snr_specs(s))),
+       st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=4))
+@settings(max_examples=20, deadline=None)
+def test_exact_increment_jet_matches_word_enumeration(spec, n, order):
+    assert increment_jet(spec, n, order) == brute_increment_jet(spec, n, order)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64])
+def test_settling_values_equal_single_window_jets(backend):
+    spec, k, ns = am_binary(F(3, 5)), 4, (3, 4, 5, 6)
+    report = settling_check(spec, k, ns, backend)
+    assert report.values == tuple(increment_jet(spec, n, k, backend).coeffs[k] for n in ns)
 
 
 def test_settling_float_backend():

@@ -18,9 +18,12 @@ from hmpseries import (
     increment_jet,
     multisite_derivative,
     multisite_value,
+    perturbed_identity,
+    perturbed_uniform,
+    stationary_distribution,
 )
 
-from util import am_specs, high_snr_specs, ll_close
+from util import am_specs, entropy_exact, high_snr_specs, ll_close
 
 F = Fraction
 ZERO = LogLinearValue.make(0)
@@ -125,6 +128,39 @@ def test_blocking_reduces_to_the_suffix():
         full = multisite_value(spec, params_full)
         tail = multisite_value(spec, params_tail)
         assert full == tail
+
+
+def _per_site_entropy(pi, emits, transs, n):
+    """H of the first n symbols under per-site tables, summed over hidden paths."""
+    s = len(pi)
+    dist = {}
+    for ys in product(range(s), repeat=n):
+        total = F(0)
+        for xs in product(range(s), repeat=n):
+            p = pi[xs[0]]
+            for i in range(n):
+                p *= emits[i].rows[xs[i]][ys[i]]
+                if i + 1 < n:
+                    p *= transs[i].rows[xs[i]][xs[i + 1]]
+            total += p
+        dist[ys] = total
+    return entropy_exact(dist)
+
+
+def test_exact_per_site_value_matches_enumeration():
+    # distinct parameters give every site its own table denominators
+    params = (F(1, 7), F(2, 11), F(1, 13))
+    hs, am = high_snr_binary(F(1, 5)), am_binary(F(3, 5))
+    cases = [
+        (stationary_distribution(hs.M),
+         [perturbed_identity(hs.T, v) for v in params], [hs.M] * 2, hs),
+        (stationary_distribution(perturbed_uniform(am.T, params[0])),
+         [am.R] * 3, [perturbed_uniform(am.T, v) for v in params[1:]], am),
+    ]
+    for pi, emits, transs, spec in cases:
+        expect = (_per_site_entropy(pi, emits, transs, 3)
+                  - _per_site_entropy(pi, emits, transs, 2))
+        assert multisite_value(spec, params) == expect
 
 
 def test_blocking_float_backend_agrees():

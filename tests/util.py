@@ -19,6 +19,8 @@ from hmpseries import (
     LogLinearValue,
     PerturbationMatrix,
     StochasticMatrix,
+    TruncatedSeries,
+    entropy_accumulate,
     stationary_distribution,
 )
 
@@ -94,6 +96,57 @@ def brute_lower_bound(model: HmpModel, n: int) -> LogLinearValue:
     return entropy_exact(joint_distribution(model, n)) - entropy_exact(
         joint_distribution(model, n - 1)
     )
+
+
+def word_probability_jets(spec, n: int, order: int) -> dict:
+    """P([Y]_1^n = ys) as a jet in the regime parameter x, for every word ys.
+
+    One forward recursion per word over jets of Fractions:
+    alpha_1(j) = pi(j) R(j, y_1), alpha_{t+1}(j) = sum_i alpha_t(i) M(i, j) R(j, y_{t+1}).
+    High-SNR: R = I + x T around a fixed chain.  Almost-memoryless:
+    M = U + x T, whose stationary jet solves pi = u + x pi T.
+    """
+    zeros = [Fraction(0)] * order
+
+    def const(v):
+        return TruncatedSeries([Fraction(v)] + zeros)
+
+    x = TruncatedSeries([Fraction(0), Fraction(1)] + zeros[1:]) if order else const(0)
+    if isinstance(spec, HighSnr):
+        s = spec.M.size
+        pi = [const(p) for p in stationary_distribution(spec.M)]
+        m = [[const(v) for v in row] for row in spec.M.rows]
+        r = [[const(i == j) + x * spec.T.rows[i][j] for j in range(s)] for i in range(s)]
+    else:
+        s = spec.R.size
+        m = [[const(Fraction(1, s)) + x * spec.T.rows[i][j] for j in range(s)]
+             for i in range(s)]
+        r = [[const(v) for v in row] for row in spec.R.rows]
+        pi = [const(Fraction(1, s))] * s
+        for _ in range(order):
+            pi = [const(Fraction(1, s))
+                  + x * sum((pi[i] * spec.T.rows[i][j] for i in range(s)), const(0))
+                  for j in range(s)]
+    out = {}
+    for ys in product(range(s), repeat=n):
+        alpha = [pi[j] * r[j][ys[0]] for j in range(s)]
+        for y in ys[1:]:
+            alpha = [sum((alpha[i] * m[i][j] for i in range(s)), const(0)) * r[j][y]
+                     for j in range(s)]
+        out[ys] = sum(alpha, const(0))
+    return out
+
+
+def brute_increment_jet(spec, n: int, order: int) -> TruncatedSeries:
+    """Jet of C_n = H_n - H_{n-1}, accumulated word by word with entropy_accumulate."""
+
+    def entropy(m):
+        acc = TruncatedSeries([Fraction(0)] * (order + 1))
+        for p in word_probability_jets(spec, m, order).values():
+            acc = entropy_accumulate(p, acc)
+        return acc
+
+    return entropy(n) - entropy(n - 1)
 
 
 def ll_close(a, b, rel=1e-12) -> bool:
