@@ -9,17 +9,19 @@ from beta_0 = pi is valid uniformly because pi M = pi.  Subtrees with
 identically zero probability are pruned, which is exactly the 0*log(0)
 convention.
 
-The traversal is generic over an accumulation domain, so the same walker
-serves exact scalars, floats, jets (see expansion) and multisite
-polynomials (see multisite).
+The traversal is generic over an accumulation domain.  Each backend has
+one -p log p kernel, which treats a scalar as an order-0 jet: _JetExactDomain
+and _JetFloatDomain serve the window entropies here and the jets of the
+expansion module alike (_domain picks one).  The multisite module adds one
+domain that keeps a single mixed coefficient, and _SumDomain only adds up
+probabilities.  _traverse drives all of them.
 
 Exact scalars and jets walk on Python integers.  Each table (start vector,
 emission columns, transition columns) is scaled once by the lcm of its
 denominators, D_start, D_R and D_M, so a node at depth d carries integer
 numerators over Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply
-the factors of each depth).  One kernel, _JetExactDomain, accumulates
--p log p for scalars (order 0) and jets alike and divides by Q_d only when
-it finishes.
+the factors of each depth).  _JetExactDomain divides by Q_d only when it
+finishes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from fractions import Fraction
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
-from .loglinear import _LLAccumulator, LogLinearValue, factor_positive
+from .loglinear import LogLinearValue, factor_positive
 from .model import HmpModel
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _log_tail
 
 DEFAULT_DEPTH_CAP = 14
 
@@ -70,14 +72,16 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
 
 
 class _ExactCells:
-    """Per-order sums of one depth, over that depth's denominator q."""
+    """Per-order sums of one depth, over that depth's denominator q: a
+    rational part and integer coefficients of prime logs for each order."""
 
-    __slots__ = ("q", "q_primes", "cells")
+    __slots__ = ("q", "q_primes", "rat", "logs")
 
     def __init__(self, q_primes, order):
         self.q = math.prod(p**e for p, e in q_primes)
         self.q_primes = q_primes
-        self.cells = [_LLAccumulator() for _ in range(order + 1)]
+        self.rat = [Fraction(0)] * (order + 1)
+        self.logs = [{} for _ in range(order + 1)]
 
 
 class _JetExactDomain:
@@ -145,10 +149,10 @@ class _JetExactDomain:
                 fac.append((prime, e - v))
         if rest > 1:
             fac.extend(factor_positive(rest))
-        for nk, cell in zip(coeffs, acc.cells):
+        for nk, logs in zip(coeffs, acc.logs):
             if nk:
                 for prime, e in fac:
-                    cell.logs[prime] = cell.logs.get(prime, 0) - nk * e
+                    logs[prime] = logs.get(prime, 0) - nk * e
         pw = [1]
         for _ in range(len(coeffs) - 1):
             pw.append(pw[-1] * n0)
@@ -159,13 +163,13 @@ class _JetExactDomain:
             lam.append(b[k] * (self.lcm // k))
             num = sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
             if num:
-                acc.cells[k].rat += Fraction(num, self.lcm * pw[k])
+                acc.rat[k] += Fraction(num, self.lcm * pw[k])
 
     def finish(self, acc):
         q = acc.q
         values = [
-            LogLinearValue(-c.rat / q, tuple((p, Fraction(v, q)) for p, v in c.logs.items()))
-            for c in acc.cells
+            LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in logs.items()))
+            for rat, logs in zip(acc.rat, acc.logs)
         ]
         return values[0] if self.scalar else TruncatedSeries(values)
 
@@ -177,24 +181,45 @@ def _times(x, d):
     return x.numerator * (d // x.denominator)
 
 
-class _FloatScalarDomain:
-    def __init__(self, log):
+class _JetFloatDomain:
+    """The float -p log p kernel for jets of any order; a scalar is order 0.
+
+    The order-0 step is one log and one multiply; only jets of order >= 1
+    compute the log tail.
+    """
+
+    def __init__(self, order: int, log, scalar: bool = False):
+        self.order, self.scalar = order, scalar
         self._log = log
 
     @staticmethod
     def is_zero(p):
-        return not p
+        return p.is_zero() if isinstance(p, TruncatedSeries) else not p
 
-    @staticmethod
-    def new_acc():
-        return [0]
+    def new_acc(self):
+        return [0] * (self.order + 1)
 
-    def add_term(self, acc, p):
-        acc[0] = acc[0] - p * self._log(p)
+    def add_term(self, cells, p):
+        c0 = p if self.scalar else p.coeffs[0]
+        if not c0 > 0:
+            raise NonpositiveConstantTerm(
+                f"sequence probability jet has constant term {c0!r}"
+            )
+        lg0 = self._log(c0)
+        cells[0] = cells[0] - c0 * lg0
+        if self.order:
+            coeffs = p.coeffs
+            tail = _log_tail(coeffs)
+            for k in range(1, len(cells)):
+                term = coeffs[k] * lg0
+                for m in range(1, k + 1):
+                    pj = coeffs[k - m]
+                    if pj:
+                        term = term + pj * tail[m - 1]
+                cells[k] = cells[k] - term
 
-    @staticmethod
-    def finish(acc):
-        return acc[0]
+    def finish(self, cells):
+        return cells[0] if self.scalar else TruncatedSeries(list(cells))
 
 
 class _SumDomain:
@@ -217,10 +242,13 @@ class _SumDomain:
         return acc[0]
 
 
-def _scalar_domain(backend):
+def _domain(backend, order=None):
+    """The backend's -p log p kernel, for jets to the given order or, by
+    default, for scalars."""
+    scalar = order is None
     if backend.is_exact:
-        return _JetExactDomain(0, scalar=True)
-    return _FloatScalarDomain(backend.log)
+        return _JetExactDomain(order or 0, scalar)
+    return _JetFloatDomain(order or 0, backend.log, scalar)
 
 
 def _scalar_tables(model: HmpModel, backend):
@@ -257,7 +285,7 @@ def _run(model, n, record, domain, backend, per_state=False):
 def finite_entropy(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
     _check_depth(n, depth_cap)
-    domain = _scalar_domain(backend)
+    domain = _domain(backend)
     with backend.ctx():
         return _run(model, n, {n}, domain, backend)[n]
 
@@ -268,7 +296,7 @@ def conditional_increment(model: HmpModel, n: int, backend=EXACT, depth_cap: int
     Both entropies come from one traversal.  C_1 := H_1 by convention.
     """
     _check_depth(n, depth_cap)
-    domain = _scalar_domain(backend)
+    domain = _domain(backend)
     with backend.ctx():
         if n == 1:
             return _run(model, 1, {1}, domain, backend)[1]
@@ -285,7 +313,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT
     _check_depth(n, depth_cap)
     if n < 2:
         raise ValueError("the conditional lower bound needs n >= 2")
-    domain = _scalar_domain(backend)
+    domain = _domain(backend)
     with backend.ctx():
         out = _run(model, n, {n - 1, n}, domain, backend, per_state=True)
         return out[n] - out[n - 1]
@@ -394,7 +422,7 @@ class EntropyReport:
 def entropy_report(model: HmpModel, n: int, backend=EXACT,
                    depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyReport:
     _check_depth(n, depth_cap)
-    domain = _scalar_domain(backend)
+    domain = _domain(backend)
     with backend.ctx():
         if n == 1:
             h = _run(model, 1, {1}, domain, backend)[1]

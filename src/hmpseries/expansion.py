@@ -6,9 +6,10 @@ each emission factor is the jet (delta_{x,y} + eps*t_{x,y}); in the
 almost-memoryless regime each transition factor is (1/s + delta*t) and the
 starting distribution is the exact stationary jet of U + delta*T.
 
-On the exact backend the jets walk with integer coefficients over one
-denominator per depth, and entropy._JetExactDomain evaluates -p log p with an
-all-integer log-tail recurrence (see the entropy module).
+The leaf kernels are the entropy module's, one per backend, at the jet's
+order: on the exact backend the jets walk with integer coefficients over one
+denominator per depth, and _JetExactDomain evaluates -p log p with an
+all-integer log-tail recurrence; _JetFloatDomain does the same in floats.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -22,14 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import EXACT
+# bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
     DEFAULT_DEPTH_CAP,
     _check_depth,
+    _domain,
     _JetExactDomain,
+    _JetFloatDomain,
     _SumDomain,
     _traverse,
 )
-from .errors import NonpositiveConstantTerm, OrderTooHigh, ValidationError
+from .errors import OrderTooHigh, ValidationError
 from .loglinear import LogLinearValue
 from .model import (
     AlmostMemoryless,
@@ -41,7 +45,7 @@ from .model import (
     regime_kind,
     stationary_distribution,
 )
-from .series import _log_tail, TruncatedSeries
+from .series import TruncatedSeries
 
 HIGH_SNR_NOTE = (
     "formal series: treats the entropy rate as analytic near 0, "
@@ -133,46 +137,6 @@ def _jet_tables(spec: RegimeSpec, order: int, backend):
     return beta0, emit_cols, trans_cols
 
 
-class _JetFloatDomain:
-    def __init__(self, order: int, log):
-        self.order = order
-        self._log = log
-
-    @staticmethod
-    def is_zero(p):
-        return p.is_zero()
-
-    def new_acc(self):
-        return [0] * (self.order + 1)
-
-    def add_term(self, cells, p):
-        coeffs = p.coeffs
-        c0 = coeffs[0]
-        if not c0 > 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability jet has constant term {c0!r}"
-            )
-        lg0 = self._log(c0)
-        tail = _log_tail(coeffs)
-        for k in range(len(cells)):
-            term = coeffs[k] * lg0
-            for m in range(1, k + 1):
-                pj = coeffs[k - m]
-                if pj:
-                    term = term + pj * tail[m - 1]
-            cells[k] = cells[k] - term
-
-    @staticmethod
-    def finish(cells):
-        return TruncatedSeries(list(cells))
-
-
-def _jet_domain(order, backend):
-    if backend.is_exact:
-        return _JetExactDomain(order)
-    return _JetFloatDomain(order, backend.log)
-
-
 def _jet_run(spec, n, order, record, domain, backend):
     beta0, emit_cols, trans_cols = _jet_tables(spec, order, backend)
     return _traverse([beta0], [emit_cols] * n, [trans_cols] * (n - 1), n, record, domain)
@@ -180,14 +144,14 @@ def _jet_run(spec, n, order, record, domain, backend):
 
 def _increment_jets(spec, ns, order, backend, depth_cap):
     """Jets of C_n for every n in the sorted ns, from one walk at max(ns)."""
-    if ns[0] < 2:
-        raise ValueError("conditional increments need n >= 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if ns[0] < 2:
+        raise ValueError("conditional increments need n >= 2")
     _check_depth(ns[-1], depth_cap)
     record = {d for n in ns for d in (n - 1, n)}
     with backend.ctx():
-        out = _jet_run(spec, ns[-1], order, record, _jet_domain(order, backend), backend)
+        out = _jet_run(spec, ns[-1], order, record, _domain(backend, order), backend)
         return {n: out[n] - out[n - 1] for n in ns}
 
 

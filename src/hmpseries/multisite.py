@@ -8,20 +8,20 @@ F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
 The traversal is the shared one from the entropy module, run over truncated
-multivariate polynomials with per-variable degree caps k_i, so only the one
-needed coefficient is ever carried.
+multivariate polynomials with per-variable degree caps k_i.  One domain
+serves every backend and accumulates only the kvec coefficient of -p log p;
+multisite_value uses the entropy module's scalar kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .backends import EXACT
-from .entropy import _scalar_domain, _traverse, _walk
+from .entropy import _domain, _traverse
 from .errors import NonpositiveConstantTerm, WeightCapExceeded
-from .loglinear import LogLinearValue, factor_positive
 from .model import (
     AlmostMemoryless,
     HighSnr,
@@ -161,57 +161,25 @@ def _log1p_part(p: MultiPoly, c0):
     return total if total is not None else MultiPoly(p.caps, {})
 
 
-class _MultiExactAcc:
-    __slots__ = ("rat", "logs")
+class _MultiDomain:
+    """-p log p over per-site polynomials, keeping only the kvec coefficient.
 
-    def __init__(self):
-        self.rat: dict = {}
-        self.logs: dict = {}
+    With log(p) = log(c0) + W, a leaf adds -log(c0) * p[kvec] - [p W]_kvec.
+    The sum starts from the backend's zero, so an exact result stays a
+    LogLinearValue even when no leaf contributes.
+    """
 
-
-class _MultiExactDomain:
-    def __init__(self, caps):
-        self.caps = tuple(caps)
-
-    @staticmethod
-    def is_zero(p):
-        return not p
-
-    def new_acc(self):
-        return _MultiExactAcc()
-
-    @staticmethod
-    def add_term(acc, p):
-        c0 = p.constant_term()
-        if c0 <= 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability polynomial has constant term {c0}"
-            )
-        w = _log1p_part(p, c0)
-        rat = acc.rat
-        for e, c in (p * w).terms.items():
-            rat[e] = rat.get(e, 0) - c
-        for prime, ex in factor_positive(c0):
-            d = acc.logs.setdefault(prime, {})
-            for e, c in p.terms.items():
-                d[e] = d.get(e, 0) - ex * c
-
-    @staticmethod
-    def finish(acc):
-        return acc
-
-
-class _MultiFloatDomain:
-    def __init__(self, caps, log):
-        self.caps = tuple(caps)
-        self._log = log
+    def __init__(self, kvec, backend):
+        self.kvec = tuple(kvec)
+        self._log = backend.log
+        self._zero = backend.log(backend.scalar(1))
 
     @staticmethod
     def is_zero(p):
         return not p
 
     def new_acc(self):
-        return {}
+        return [self._zero]
 
     def add_term(self, acc, p):
         c0 = p.constant_term()
@@ -219,15 +187,16 @@ class _MultiFloatDomain:
             raise NonpositiveConstantTerm(
                 f"sequence probability polynomial has constant term {c0!r}"
             )
-        lg0 = self._log(c0)
-        for e, c in p.terms.items():
-            acc[e] = acc.get(e, 0) - c * lg0
-        for e, c in (p * _log1p_part(p, c0)).terms.items():
-            acc[e] = acc.get(e, 0) - c
+        c = p.coefficient(self.kvec)
+        if c:
+            acc[0] = acc[0] - self._log(c0) * c
+        c = (p * _log1p_part(p, c0)).coefficient(self.kvec)
+        if c:
+            acc[0] = acc[0] - c
 
     @staticmethod
     def finish(acc):
-        return acc
+        return acc[0]
 
 
 def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
@@ -298,30 +267,12 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
     own scalar.
     """
     _check_caps(mspec, weight_cap, site_cap)
-    caps = mspec.kvec
     n = mspec.n
-    fact = 1
-    for k in caps:
-        fact *= factorial(k)
     with backend.ctx():
         beta0, emit_at, trans_at = _multi_tables(spec, mspec, backend)
-        if backend.is_exact:
-            domain = _MultiExactDomain(caps)
-        else:
-            domain = _MultiFloatDomain(caps, backend.log)
-        sums = {n - 1: domain.new_acc(), n: domain.new_acc()}
-        _walk(beta0, emit_at, trans_at, 0, n, sums, domain)
-        hi, lo = sums[n], sums[n - 1]
-        kv = caps
-        if backend.is_exact:
-            rat = (hi.rat.get(kv, 0) - lo.rat.get(kv, 0)) * fact
-            primes = set(hi.logs) | set(lo.logs)
-            logs = {
-                p: (hi.logs.get(p, {}).get(kv, 0) - lo.logs.get(p, {}).get(kv, 0)) * fact
-                for p in primes
-            }
-            return LogLinearValue.make(Fraction(rat), logs)
-        return (hi.get(kv, 0) - lo.get(kv, 0)) * fact
+        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n},
+                        _MultiDomain(mspec.kvec, backend))
+        return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
 
 def multisite_value(spec: RegimeSpec, params, backend=EXACT,
@@ -359,5 +310,5 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
         trans_at = [
             [[sc(t.rows[j][k]) for j in range(s)] for k in range(s)] for t in transs
         ]
-        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _scalar_domain(backend))
+        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _domain(backend))
         return out[n] - out[n - 1]

@@ -226,6 +226,8 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     orders = tuple(sorted(set(int(k) for k in orders)))
+    if not orders:
+        raise ValueError("need at least one truncation order")
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:

@@ -4,11 +4,14 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hmpseries import HIGH_SNR_NOTE
 from hmpseries.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MODEL = {
     "s": 2,
@@ -84,6 +87,20 @@ def test_entropy_bigfloat_backend(capsys, model_file):
     assert code == 0
     rows = parse_csv(out)
     assert rows[1][1].startswith("0.6931471805599453094172321214581765")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["entropy", "--backend", "float64", "--n", ",".join(map(str, range(1, 13)))],
+     "entropy-quickstart-float64.csv"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "8,12"],
+     "bounds-quickstart-bigfloat128.csv"),
+])
+def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
+    # the README quick-start model; the files were written by an earlier version
+    out = tmp_path / golden
+    model = GOLDEN / "quickstart-model.json"
+    assert main([*argv, "--model", str(model), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_unknown_backend_exit_2(capsys, model_file):

@@ -243,6 +243,12 @@ def test_increment_jet_input_checks():
         increment_jet(spec, 2, -1)
 
 
+def test_negative_order_names_the_order():
+    # the order is checked before the window that the order implies
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        rate_series(am_binary(F(3, 5)), -1)
+
+
 def test_coefficient_table_partial_sum():
     table = CoefficientTable("almost-memoryless", (F(1), F(2), F(3)), (2, 2, 3),
                              "exact")

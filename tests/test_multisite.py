@@ -9,9 +9,13 @@ from hypothesis import given, settings
 
 from hmpseries import (
     FLOAT64,
+    AlmostMemoryless,
+    HighSnr,
     LogLinearValue,
     MultiPoly,
     MultiSiteSpec,
+    PerturbationMatrix,
+    StochasticMatrix,
     WeightCapExceeded,
     am_binary,
     high_snr_binary,
@@ -27,6 +31,18 @@ from util import am_specs, entropy_exact, high_snr_specs, ll_close
 
 F = Fraction
 ZERO = LogLinearValue.make(0)
+
+# 3-state regimes with entries over 12
+HS3 = HighSnr(
+    StochasticMatrix((("1/4", "5/12", "1/3"), ("1/6", "5/12", "5/12"),
+                      ("1/6", "5/12", "5/12"))),
+    PerturbationMatrix(((-2, 0, 2), (1, -1, 0), (1, 0, -1))),
+)
+AM3 = AlmostMemoryless(
+    StochasticMatrix((("1/6", "1/2", "1/3"), ("1/3", "1/3", "1/3"),
+                      ("1/6", "1/6", "2/3"))),
+    PerturbationMatrix(((1, 0, -1), (1, -2, 1), (0, -2, 2))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +94,20 @@ def test_zeroth_derivative_is_the_window_increment():
 def test_interior_zero_blocks_make_derivatives_vanish(kvec):
     # A zero strictly between active sites forces an exact zero.
     mspec = MultiSiteSpec(len(kvec), kvec)
-    assert multisite_derivative(mspec, high_snr_binary(F(1, 5))) == ZERO
-    assert multisite_derivative(mspec, am_binary(F(3, 5))) == ZERO
+    for spec in (high_snr_binary(F(1, 5)), am_binary(F(3, 5))):
+        got = multisite_derivative(mspec, spec)
+        assert isinstance(got, LogLinearValue) and got == ZERO
+
+
+def test_no_contributing_leaf_gives_the_backend_zero():
+    # with T = 0 no sequence probability depends on eps at all
+    flat = HighSnr(StochasticMatrix((("4/5", "1/5"), ("1/5", "4/5"))),
+                   PerturbationMatrix(((0, 0), (0, 0))))
+    mspec = MultiSiteSpec(2, (1, 0))
+    exact = multisite_derivative(mspec, flat)
+    assert isinstance(exact, LogLinearValue) and exact == ZERO
+    fast = multisite_derivative(mspec, flat, FLOAT64)
+    assert isinstance(fast, float) and fast == 0
 
 
 def test_leading_zeros_pad_without_changing_the_value():
@@ -101,12 +129,18 @@ def test_padding_values_match_expectation():
     ) == LogLinearValue.make(F(-324, 625))
 
 
-@pytest.mark.parametrize("make_spec", [high_snr_binary, am_binary])
-def test_composition_sum_recovers_jet_coefficient(make_spec):
+@pytest.mark.parametrize("spec, k", [
+    pytest.param(high_snr_binary(F(2, 5)), 2, id="high_snr_binary"),
+    pytest.param(am_binary(F(2, 5)), 2, id="am_binary"),
+    pytest.param(HS3, 2, id="high_snr_3state"),
+    pytest.param(AM3, 2, id="am_3state"),
+    pytest.param(high_snr_binary(F(2, 5)), 3, id="high_snr_binary_k3"),
+    pytest.param(am_binary(F(2, 5)), 3, id="am_binary_k3"),
+])
+def test_composition_sum_recovers_jet_coefficient(spec, k):
     # Sum of F^kvec / prod(k_i!) over weight-k site patterns equals the
     # order-k coefficient of the one-parameter window increment.
-    spec = make_spec(F(2, 5))
-    n, k = 3, 2
+    n = 3
     total = ZERO
     for kvec in product(range(k + 1), repeat=n):
         if sum(kvec) != k:
@@ -182,13 +216,16 @@ def test_am_interior_zero_property(spec):
     assert multisite_derivative(MultiSiteSpec(3, (1, 0, 1)), spec) == ZERO
 
 
-@given(am_specs(2))
+@given(am_specs(2), high_snr_specs(2))
 @settings(max_examples=8, deadline=None)
-def test_am_float_derivative_tracks_exact(spec):
+def test_am_float_derivative_tracks_exact(am, hs):
+    # checked on a high-snr draw as well
     mspec = MultiSiteSpec(3, (0, 1, 1))
-    exact = multisite_derivative(mspec, spec)
-    fast = multisite_derivative(mspec, spec, FLOAT64)
-    assert ll_close(exact, fast, rel=1e-10)
+    for spec in (am, hs):
+        exact = multisite_derivative(mspec, spec)
+        fast = multisite_derivative(mspec, spec, FLOAT64)
+        assert isinstance(exact, LogLinearValue)
+        assert ll_close(exact, fast, rel=1e-10)
 
 
 def test_multisite_spec_validation():
