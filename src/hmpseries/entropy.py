@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
-from .loglinear import LogLinearValue, factor_positive
+from .loglinear import _LLAccumulator, LogLinearValue, factor_positive
 from .model import HmpModel
 from .series import TruncatedSeries, _log_tail
 
@@ -72,16 +72,14 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
 
 
 class _ExactCells:
-    """Per-order sums of one depth, over that depth's denominator q: a
-    rational part and integer coefficients of prime logs for each order."""
+    """Per-order sums of one depth, over that depth's denominator q."""
 
-    __slots__ = ("q", "q_primes", "rat", "logs")
+    __slots__ = ("q", "q_primes", "cells")
 
     def __init__(self, q_primes, order):
         self.q = math.prod(p**e for p, e in q_primes)
         self.q_primes = q_primes
-        self.rat = [Fraction(0)] * (order + 1)
-        self.logs = [{} for _ in range(order + 1)]
+        self.cells = [_LLAccumulator() for _ in range(order + 1)]
 
 
 class _JetExactDomain:
@@ -149,10 +147,10 @@ class _JetExactDomain:
                 fac.append((prime, e - v))
         if rest > 1:
             fac.extend(factor_positive(rest))
-        for nk, logs in zip(coeffs, acc.logs):
+        for nk, cell in zip(coeffs, acc.cells):
             if nk:
                 for prime, e in fac:
-                    logs[prime] = logs.get(prime, 0) - nk * e
+                    cell.logs[prime] = cell.logs.get(prime, 0) - nk * e
         pw = [1]
         for _ in range(len(coeffs) - 1):
             pw.append(pw[-1] * n0)
@@ -163,13 +161,13 @@ class _JetExactDomain:
             lam.append(b[k] * (self.lcm // k))
             num = sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
             if num:
-                acc.rat[k] += Fraction(num, self.lcm * pw[k])
+                acc.cells[k].rat += Fraction(num, self.lcm * pw[k])
 
     def finish(self, acc):
         q = acc.q
         values = [
-            LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in logs.items()))
-            for rat, logs in zip(acc.rat, acc.logs)
+            LogLinearValue(-c.rat / q, tuple((p, Fraction(v, q)) for p, v in c.logs.items()))
+            for c in acc.cells
         ]
         return values[0] if self.scalar else TruncatedSeries(values)
 

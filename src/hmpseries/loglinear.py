@@ -150,3 +150,30 @@ class LogLinearValue:
     def __str__(self) -> str:
         return self.render()
 
+
+class _LLAccumulator:
+    """Mutable accumulator for large sums of log-linear terms.
+
+    Summing immutable LogLinearValue objects over thousands of traversal
+    leaves is quadratic in the number of distinct primes; this keeps one
+    dict and emits an immutable value at the end.  The exact walk kernel
+    keeps one per order and depth, with integer log coefficients.
+    """
+
+    __slots__ = ("rat", "logs")
+
+    def __init__(self):
+        self.rat = _ZERO
+        self.logs: dict[int, Fraction] = {}
+
+    def add_scaled_log(self, q, coeff):
+        # coeff * log(q), q a positive rational
+        logs = self.logs
+        for p, e in factor_positive(q):
+            logs[p] = logs.get(p, _ZERO) + coeff * e
+
+    def add_neg_plogp(self, p):
+        self.add_scaled_log(p, -p)
+
+    def value(self) -> LogLinearValue:
+        return LogLinearValue(self.rat, tuple(self.logs.items()))

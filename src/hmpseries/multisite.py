@@ -23,7 +23,6 @@ from .backends import EXACT
 from .entropy import _domain, _traverse
 from .errors import NonpositiveConstantTerm, WeightCapExceeded
 from .model import (
-    AlmostMemoryless,
     HighSnr,
     RegimeSpec,
     parse_rational,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hmpseries import DomainNotClosed, LogLinearValue, factor_positive
+from hmpseries.loglinear import _LLAccumulator
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -108,3 +109,14 @@ def test_linearity_in_the_rational_part(a, b, p):
     assert w.rat == a * b
     assert float(w) == pytest.approx(float(v) * float(b), rel=1e-12, abs=1e-12)
 
+
+@given(st.lists(positives, min_size=1, max_size=8))
+def test_accumulator_matches_naive_sum(ps):
+    total = sum(ps)
+    probs = [p / total for p in ps]
+    acc = _LLAccumulator()
+    naive = LogLinearValue.make(0)
+    for p in probs:
+        acc.add_neg_plogp(p)
+        naive = naive + LogLinearValue.log_of(p) * (-p)
+    assert acc.value() == naive
