@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 computation/validation failure, 2 usage or input
 parse errors.  Reports are assembled in full before anything is written, so
 failures never emit partial output; identical invocations produce
 byte-identical reports.
+
+Each handler builds one list of row dicts and a payload of report-level
+values.  _emit writes JSON as the command, the payload and the rows (validate,
+radius and sample have JSON that is not row-shaped: the payload alone), and
+CSV by looking up each of the _COLUMNS in the row or else in the payload.  The
+entropy and bounds reports take their --n list from one walk set (_windows).
 """
 
 from __future__ import annotations
@@ -16,11 +22,7 @@ import sys
 from fractions import Fraction
 
 from .backends import get_backend
-from .entropy import (
-    DEFAULT_DEPTH_CAP,
-    entropy_rate_bracket,
-    entropy_report,
-)
+from .entropy import DEFAULT_DEPTH_CAP, _bracket, _windows
 from .errors import HmpSeriesError, ParseError
 from .expansion import rate_series, settling_check
 from .loglinear import LogLinearValue
@@ -47,20 +49,23 @@ The scan/expansion parameter is always the regime parameter itself
 (eps in high-snr, delta in almost-memoryless with p = 1/2 - delta).
 """
 
-_SCHEMAS = {
-    "validate": "columns: s, strictly_positive, stationary",
-    "entropy": "columns: n, entropy, entropy_float, increment, increment_float, "
-    "lower, lower_float (lower empty at n=1)",
-    "bounds": "columns: n, lower, upper, midpoint, half_gap (+ *_float twins)",
-    "expand": "columns: k, n_used, value, value_float, note",
-    "settle": "columns: k, n, value, value_float, settled, observed_onset, "
-    "threshold, verdict",
-    "radius": "columns: method, value, indeterminate, stride, orders, "
-    "sign_alternating, low_confidence, residual, note",
-    "scan": "columns: grid_value, order, partial_sum, lower_bound, "
-    "upper_bound, inside_flag",
-    "sample": "columns: t, x, y",
+# The CSV columns of each report, in order; each subcommand's help lists them.
+_COLUMNS = {
+    "validate": ["s", "strictly_positive", "stationary"],
+    "entropy": ["n", "entropy", "entropy_float", "increment", "increment_float",
+                "lower", "lower_float"],
+    "bounds": ["n", "lower", "lower_float", "upper", "upper_float",
+               "midpoint", "midpoint_float", "half_gap", "half_gap_float"],
+    "expand": ["k", "n_used", "value", "value_float", "note"],
+    "settle": ["k", "n", "value", "value_float", "settled", "observed_onset",
+               "threshold", "verdict"],
+    "radius": ["method", "value", "indeterminate", "stride", "orders",
+               "sign_alternating", "low_confidence", "residual", "note"],
+    "scan": ["grid_value", "order", "partial_sum", "lower_bound",
+             "upper_bound", "inside_flag"],
+    "sample": ["t", "x", "y"],
 }
+_SCHEMAS = {command: "columns: " + ", ".join(cols) for command, cols in _COLUMNS.items()}
 
 
 def _int(text: str) -> int:
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sub)
 
     sub = subs.add_parser("entropy", help="finite-window entropies H_n, C_n, c_n",
-                          description=_SCHEMAS["entropy"])
+                          description=_SCHEMAS["entropy"] + " (lower empty at n=1)")
     sub.add_argument("--model", required=True)
     sub.add_argument("--n", required=True, help="window size, or comma list A,B,C")
     sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
@@ -172,17 +177,20 @@ def _render_value(v, backend) -> str:
     return str(v)
 
 
-def _render_float(v) -> str:
-    return "" if v is None else repr(float(v))
+def _with_float(name, v, backend) -> dict:
+    """Column name with the rendered value, and name_float with its float."""
+    return {name: _render_value(v, backend), f"{name}_float": None if v is None else float(v)}
 
 
-def _emit(args, header, rows, payload) -> str:
+def _emit(args, rows, payload, row_json=True) -> str:
     if args.fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        doc = {"command": args.command, **payload}
+        return json.dumps({**doc, "rows": rows} if row_json else doc, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    header = _COLUMNS[args.command]
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([row[c] if c in row else payload[c] for c in header] for row in rows)
     return buf.getvalue()
 
 
@@ -204,167 +212,93 @@ def _regime_from_args(args):
 def _cmd_validate(args):
     model = load_model(args.model)
     stationary = [str(x) for x in model.pi]
-    header = ["s", "strictly_positive", "stationary"]
-    rows = [[model.size, model.M.strictly_positive, " ".join(stationary)]]
-    payload = {
-        "command": "validate",
-        "s": model.size,
-        "strictly_positive": model.M.strictly_positive,
-        "stationary": stationary,
-        "ok": True,
-    }
-    return _emit(args, header, rows, payload)
+    row = {"s": model.size, "strictly_positive": model.M.strictly_positive,
+           "stationary": " ".join(stationary)}
+    return _emit(args, [row], {**row, "stationary": stationary, "ok": True}, row_json=False)
 
 
 def _cmd_entropy(args):
     model = load_model(args.model)
     backend = get_backend(args.backend)
-    header = ["n", "entropy", "entropy_float", "increment", "increment_float",
-              "lower", "lower_float"]
-    rows, jrows = [], []
-    for n in _int_list(args.n):
-        rep = entropy_report(model, n, backend, args.depth_cap)
-        rows.append([
-            rep.n,
-            _render_value(rep.entropy, backend), _render_float(rep.entropy),
-            _render_value(rep.increment, backend), _render_float(rep.increment),
-            _render_value(rep.lower, backend), _render_float(rep.lower),
-        ])
-        jrows.append({
-            "n": rep.n,
-            "entropy": _render_value(rep.entropy, backend),
-            "entropy_float": None if rep.entropy is None else float(rep.entropy),
-            "increment": _render_value(rep.increment, backend),
-            "increment_float": float(rep.increment),
-            "lower": _render_value(rep.lower, backend),
-            "lower_float": None if rep.lower is None else float(rep.lower),
-        })
-    payload = {"command": "entropy", "backend": backend.tag, "rows": jrows}
-    return _emit(args, header, rows, payload)
+    reports = _windows(model, _int_list(args.n), backend, args.depth_cap, lower_from=1)
+    rows = [
+        {"n": rep.n, **_with_float("entropy", rep.entropy, backend),
+         **_with_float("increment", rep.increment, backend),
+         **_with_float("lower", rep.lower, backend)}
+        for rep in reports
+    ]
+    return _emit(args, rows, {"backend": backend.tag})
 
 
 def _cmd_bounds(args):
     model = load_model(args.model)
     backend = get_backend(args.backend)
-    header = ["n", "lower", "lower_float", "upper", "upper_float",
-              "midpoint", "midpoint_float", "half_gap", "half_gap_float"]
-    rows, jrows = [], []
-    for n in _int_list(args.n):
-        br = entropy_rate_bracket(model, n, backend, args.depth_cap)
-        rows.append([
-            br.n,
-            _render_value(br.lower, backend), _render_float(br.lower),
-            _render_value(br.upper, backend), _render_float(br.upper),
-            _render_value(br.midpoint, backend), _render_float(br.midpoint),
-            _render_value(br.half_gap, backend), _render_float(br.half_gap),
-        ])
-        jrows.append({
-            "n": br.n,
-            "lower": _render_value(br.lower, backend),
-            "lower_float": float(br.lower),
-            "upper": _render_value(br.upper, backend),
-            "upper_float": float(br.upper),
-            "midpoint": _render_value(br.midpoint, backend),
-            "midpoint_float": float(br.midpoint),
-            "half_gap": _render_value(br.half_gap, backend),
-            "half_gap_float": float(br.half_gap),
-        })
-    payload = {"command": "bounds", "backend": backend.tag, "rows": jrows}
-    return _emit(args, header, rows, payload)
+    reports = _windows(model, _int_list(args.n), backend, args.depth_cap, lower_from=2)
+    rows = []
+    for br in map(_bracket, reports):
+        rows.append({"n": br.n, **_with_float("lower", br.lower, backend),
+                     **_with_float("upper", br.upper, backend),
+                     **_with_float("midpoint", br.midpoint, backend),
+                     **_with_float("half_gap", br.half_gap, backend)})
+    return _emit(args, rows, {"backend": backend.tag})
 
 
 def _cmd_expand(args):
     spec = _regime_from_args(args)
     backend = get_backend(args.backend)
     table = rate_series(spec, args.order, backend)
-    header = ["k", "n_used", "value", "value_float", "note"]
-    rows, jrows = [], []
-    for k, (v, n_used) in enumerate(zip(table.values, table.n_used)):
-        rows.append([k, n_used, _render_value(v, backend), _render_float(v), table.note])
-        jrows.append({
-            "k": k,
-            "n_used": n_used,
-            "value": _render_value(v, backend),
-            "value_float": float(v),
-        })
+    rows = [
+        {"k": k, "n_used": n_used, **_with_float("value", v, backend)}
+        for k, (v, n_used) in enumerate(zip(table.values, table.n_used))
+    ]
     payload = {
-        "command": "expand",
         "regime": table.regime,
         "backend": table.backend,
         "order": table.order,
         "note": table.note,
-        "rows": jrows,
     }
-    return _emit(args, header, rows, payload)
+    return _emit(args, rows, payload)
 
 
 def _cmd_settle(args):
     spec = _regime_from_args(args)
     backend = get_backend(args.backend)
     rep = settling_check(spec, args.k, _int_list(args.n), backend)
-    header = ["k", "n", "value", "value_float", "settled", "observed_onset",
-              "threshold", "verdict"]
-    rows, jrows = [], []
-    for n, v, ok in zip(rep.ns, rep.values, rep.settled):
-        rows.append([
-            rep.k, n, _render_value(v, backend), _render_float(v), ok,
-            "" if rep.observed_onset is None else rep.observed_onset,
-            rep.threshold, rep.verdict,
-        ])
-        jrows.append({
-            "n": n,
-            "value": _render_value(v, backend),
-            "value_float": float(v),
-            "settled": ok,
-        })
+    rows = [
+        {"n": n, **_with_float("value", v, backend), "settled": ok}
+        for n, v, ok in zip(rep.ns, rep.values, rep.settled)
+    ]
     payload = {
-        "command": "settle",
         "k": rep.k,
         "threshold": rep.threshold,
         "observed_onset": rep.observed_onset,
         "verdict": rep.verdict,
         "backend": backend.tag,
-        "rows": jrows,
     }
-    return _emit(args, header, rows, payload)
+    return _emit(args, rows, payload)
 
 
 def _cmd_radius(args):
     spec = _regime_from_args(args)
     backend = get_backend(args.backend)
     table = rate_series(spec, args.order, backend)
-    header = ["method", "value", "indeterminate", "stride", "orders",
-              "sign_alternating", "low_confidence", "residual", "note"]
     rows, jrows = [], []
     for est in all_estimates(table):
         d = est.diagnostics
-        rows.append([
-            est.method,
-            "" if est.value is None else repr(est.value),
-            est.indeterminate,
-            d.get("stride", ""),
-            " ".join(str(k) for k in est.orders),
-            d.get("sign_alternating", ""),
-            d.get("low_confidence", ""),
-            d.get("residual", ""),
-            d.get("note", ""),
-        ])
-        jrows.append({
-            "method": est.method,
-            "value": est.value,
-            "indeterminate": est.indeterminate,
-            "orders": list(est.orders),
-            "diagnostics": {k: v for k, v in d.items() if k != "per_order"},
-        })
+        cells = {"method": est.method, "value": est.value, "indeterminate": est.indeterminate}
+        rows.append({**cells, "orders": " ".join(str(k) for k in est.orders),
+                     **{c: d.get(c, "") for c in ("stride", "sign_alternating",
+                                                  "low_confidence", "residual", "note")}})
+        jrows.append({**cells, "orders": list(est.orders),
+                      "diagnostics": {k: v for k, v in d.items() if k != "per_order"}})
     payload = {
-        "command": "radius",
         "regime": table.regime,
         "order": table.order,
         "backend": table.backend,
         "note": table.note,
         "rows": jrows,
     }
-    return _emit(args, header, rows, payload)
+    return _emit(args, rows, payload, row_json=False)
 
 
 def _cmd_scan(args):
@@ -380,14 +314,7 @@ def _cmd_scan(args):
     grid = rational_grid(parse_rational(parts[0]), parse_rational(parts[1]), steps)
     scan = bounds_scan(spec, grid, _int_list(args.orders), backend,
                        bound_depth=args.bound_depth)
-    header = ["grid_value", "order", "partial_sum", "lower_bound",
-              "upper_bound", "inside_flag"]
     rows = [
-        [repr(r.grid_value), r.order, repr(r.partial_sum), repr(r.lower_bound),
-         repr(r.upper_bound), r.inside]
-        for r in scan.rows
-    ]
-    jrows = [
         {
             "grid_value": r.grid_value,
             "order": r.order,
@@ -400,28 +327,24 @@ def _cmd_scan(args):
         for r in scan.rows
     ]
     payload = {
-        "command": "scan",
         "regime": scan.regime,
         "orders": list(scan.orders),
         "bound_depth": scan.bound_depth,
-        "rows": jrows,
     }
-    return _emit(args, header, rows, payload)
+    return _emit(args, rows, payload)
 
 
 def _cmd_sample(args):
     model = load_model(args.model)
     n = _int(args.n)
     xs, ys = sample_path(model, n, args.seed)
-    header = ["t", "x", "y"]
-    rows = [[t, x, y] for t, (x, y) in enumerate(zip(xs, ys))]
+    rows = [{"t": t, "x": x, "y": y} for t, (x, y) in enumerate(zip(xs, ys))]
     payload = {
-        "command": "sample",
         "seed": args.seed,
         "xs": list(xs),
         "ys": list(ys),
     }
-    return _emit(args, header, rows, payload)
+    return _emit(args, rows, payload, row_json=False)
 
 
 _COMMANDS = {

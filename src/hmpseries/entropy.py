@@ -22,6 +22,10 @@ denominators, D_start, D_R and D_M, so a node at depth d carries integer
 numerators over Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply
 the factors of each depth).  _JetExactDomain divides by Q_d only when it
 finishes.
+
+The window entropies of a list of n come from _windows: one plain walk to the
+largest n and, for c_n, one run per start state, each recording n - 1 and n
+of every listed n.  finite_entropy and lower_bound record only what they report.
 """
 
 from __future__ import annotations
@@ -293,13 +297,7 @@ def conditional_increment(model: HmpModel, n: int, backend=EXACT, depth_cap: int
 
     Both entropies come from one traversal.  C_1 := H_1 by convention.
     """
-    _check_depth(n, depth_cap)
-    domain = _domain(backend)
-    with backend.ctx():
-        if n == 1:
-            return _run(model, 1, {1}, domain, backend)[1]
-        out = _run(model, n, {n - 1, n}, domain, backend)
-        return out[n] - out[n - 1]
+    return _windows(model, [n], backend, depth_cap)[0].increment
 
 
 def lower_bound(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
@@ -330,10 +328,13 @@ class EntropyBracket:
 def entropy_rate_bracket(model: HmpModel, n: int, backend=EXACT,
                          depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyBracket:
     """The sandwich c_n <= entropy rate <= C_n with midpoint and half-gap."""
-    lo = lower_bound(model, n, backend, depth_cap)
-    up = conditional_increment(model, n, backend, depth_cap)
+    return _bracket(_windows(model, [n], backend, depth_cap, lower_from=2)[0])
+
+
+def _bracket(rep: EntropyReport) -> EntropyBracket:
+    lo, up = rep.lower, rep.increment
     half = Fraction(1, 2)
-    return EntropyBracket(n, lo, up, (lo + up) * half, (up - lo) * half, backend.tag)
+    return EntropyBracket(rep.n, lo, up, (lo + up) * half, (up - lo) * half, rep.backend)
 
 
 def total_probability(model: HmpModel, n: int, backend=EXACT,
@@ -419,14 +420,33 @@ class EntropyReport:
 
 def entropy_report(model: HmpModel, n: int, backend=EXACT,
                    depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyReport:
-    _check_depth(n, depth_cap)
+    """H_n, C_n and c_n (None at n = 1) of one window."""
+    return _windows(model, [n], backend, depth_cap, lower_from=1)[0]
+
+
+def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
+    """One EntropyReport per n of ns, in list order, from one walk set.
+
+    Every n is checked, in list order, before any walk.  One plain walk to
+    max(ns) records H_{n-1} and H_n of every listed n, so C_n = H_n - H_{n-1}
+    and C_1 = H_1.  With lower_from set, a window below it is refused, and
+    one run per start state to the largest n >= 2 does the same for c_n,
+    which stays None at n = 1.
+    """
+    if not ns:
+        raise ValueError("need at least one window size")
+    for n in ns:
+        _check_depth(n, depth_cap)
+        if lower_from is not None and n < lower_from:
+            raise ValueError("the conditional lower bound needs n >= 2")
+    long = [n for n in ns if n >= 2]
     domain = _domain(backend)
     with backend.ctx():
-        if n == 1:
-            h = _run(model, 1, {1}, domain, backend)[1]
-            return EntropyReport(1, h, h, None, backend.tag)
-        out = _run(model, n, {n - 1, n}, domain, backend)
-        low = _run(model, n, {n - 1, n}, domain, backend, per_state=True)
-        return EntropyReport(
-            n, out[n], out[n] - out[n - 1], low[n] - low[n - 1], backend.tag
-        )
+        h = _run(model, max(ns), {d for n in ns for d in (n - 1, n) if d}, domain, backend)
+        up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
+        low = {}
+        if lower_from is not None and long:
+            out = _run(model, max(long), {d for n in long for d in (n - 1, n)},
+                       domain, backend, per_state=True)
+            low = {n: out[n] - out[n - 1] for n in long}
+        return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

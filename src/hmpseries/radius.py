@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .backends import FLOAT64
-from .entropy import conditional_increment, lower_bound
+from .entropy import entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
 from .expansion import CoefficientTable, rate_series
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
@@ -228,12 +228,13 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
     orders = tuple(sorted(set(int(k) for k in orders)))
     if not orders:
         raise ValueError("need at least one truncation order")
+    if orders[0] < 0:
+        raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:
-        model = instantiate(spec, g)
-        lo = float(lower_bound(model, bound_depth, FLOAT64))
-        up = float(conditional_increment(model, bound_depth, FLOAT64))
+        br = entropy_rate_bracket(instantiate(spec, g), bound_depth, FLOAT64)
+        lo, up = float(br.lower), float(br.upper)
         gf = float(g)
         for k in orders:
             ps = table.partial_sum(gf, k)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hmpseries import HIGH_SNR_NOTE
+import hmpseries.entropy as entropy_module
+from hmpseries import HIGH_SNR_NOTE, entropy_report, load_model
 from hmpseries.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +26,20 @@ def model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(MODEL))
     return str(path)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the walks of the observation tree: calls of _walk at depth 0."""
+    count = [0]
+    walk = entropy_module._walk
+
+    def counting(beta, emit_cols_at, trans_cols_at, depth, *rest):
+        count[0] += depth == 0
+        return walk(beta, emit_cols_at, trans_cols_at, depth, *rest)
+
+    monkeypatch.setattr(entropy_module, "_walk", counting)
+    return count
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +94,47 @@ def test_entropy_exact_renders(capsys, model_file):
 def test_entropy_depth_cap_exit_1(capsys, model_file):
     code, _, err = run_cli(capsys, "entropy", "--model", model_file, "--n", "15")
     assert code == 1 and "DepthCapExceeded" in err
+    # an empty window list fails alike in the three commands that take one
+    for argv in (["entropy", "--model", model_file], ["bounds", "--model", model_file],
+                 ["settle", "--regime", "am", "--mu", "3/5", "--k", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--n", "")
+        assert code == 1 and out == ""
+        assert "need at least one window size" in err
+
+
+def test_a_window_list_makes_one_walk_set_at_its_largest_n(capsys, walks):
+    model = str(GOLDEN / "quickstart-model.json")
+    ns = ",".join(map(str, range(1, 13)))
+    # one plain walk, and one per start state of the 2-state model
+    for argv in (["entropy", "--n", ns], ["bounds", "--n", "8,12"]):
+        walks[0] = 0
+        assert main([*argv, "--backend", "float64", "--model", model]) == 0
+        assert walks[0] == 3
+    capsys.readouterr()
+    walks[0] = 0
+    entropy_report(load_model(model), 1)
+    assert walks[0] == 1
+
+
+@pytest.mark.parametrize("command, ns", [("entropy", "3,1,3"), ("bounds", "3,2,3")])
+def test_window_rows_follow_the_n_list(capsys, model_file, command, ns):
+    code, out, _ = run_cli(capsys, command, "--model", model_file, "--n", ns)
+    assert code == 0
+    rows = parse_csv(out)[1:]
+    assert [row[0] for row in rows] == ns.split(",")
+    for n, row in zip(ns.split(","), rows):
+        _, single, _ = run_cli(capsys, command, "--model", model_file, "--n", n)
+        assert parse_csv(single)[1] == row
+
+
+@pytest.mark.parametrize("command, ns, message", [
+    ("entropy", "3,20", "DepthCapExceeded"),
+    ("bounds", "3,1", "the conditional lower bound needs n >= 2"),
+])
+def test_an_invalid_n_fails_before_any_walk(capsys, model_file, walks, command, ns, message):
+    code, out, err = run_cli(capsys, command, "--model", model_file, "--n", ns)
+    assert code == 1 and out == "" and message in err
+    assert walks[0] == 0
 
 
 def test_entropy_bigfloat_backend(capsys, model_file):
@@ -94,6 +150,10 @@ def test_entropy_bigfloat_backend(capsys, model_file):
      "entropy-quickstart-float64.csv"),
     (["bounds", "--backend", "bigfloat:128", "--n", "8,12"],
      "bounds-quickstart-bigfloat128.csv"),
+    (["entropy", "--backend", "float64", "--n", ",".join(map(str, range(1, 13))),
+      "--format", "json"], "entropy-quickstart-float64.json"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "8,12", "--format", "json"],
+     "bounds-quickstart-bigfloat128.json"),
 ])
 def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
     # the README quick-start model; the files were written by an earlier version

@@ -148,6 +148,8 @@ def test_bounds_scan_schema_and_gating():
         bounds_scan(spec, [F(1, 4), F(1, 8)], [2])
     with pytest.raises(ValueError, match="at least one truncation order"):
         bounds_scan(spec, [F(1, 4)], [])
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        bounds_scan(spec, [F(1, 4)], [-1, 5])
 
 
 def test_bounds_scan_small_parameters_stay_inside():
