@@ -235,7 +235,7 @@ def _cmd_bounds(args):
     backend = get_backend(args.backend)
     reports = _windows(model, _int_list(args.n), backend, args.depth_cap, lower_from=2)
     rows = []
-    for br in map(_bracket, reports):
+    for br in (_bracket(rep, backend) for rep in reports):
         rows.append({"n": br.n, **_with_float("lower", br.lower, backend),
                      **_with_float("upper", br.upper, backend),
                      **_with_float("midpoint", br.midpoint, backend),

@@ -13,15 +13,15 @@ The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, which treats a scalar as an order-0 jet: _JetExactDomain
 and _JetFloatDomain serve the window entropies here and the jets of the
 expansion module alike (_domain picks one).  The multisite module adds one
-domain that keeps a single mixed coefficient, and _SumDomain only adds up
-probabilities.  _traverse drives all of them.
+kernel per backend that keeps a single mixed coefficient, and _SumDomain
+only adds up probabilities.  _traverse drives all of them.
 
-Exact scalars and jets walk on Python integers.  Each table (start vector,
-emission columns, transition columns) is scaled once by the lcm of its
-denominators, D_start, D_R and D_M, so a node at depth d carries integer
-numerators over Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply
-the factors of each depth).  _JetExactDomain divides by Q_d only when it
-finishes.
+Exact scalars, jets and per-site polynomials walk on Python integers, from
+the tables of _integer_tables.  Each table (start vector, emission columns,
+transition columns) is scaled once by the lcm of its denominators, D_start,
+D_R and D_M, so a node at depth d carries integer numerators over
+Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
+each depth).  The exact kernels divide by Q_d only when they finish.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one run per start state, each recording n - 1 and n
@@ -43,11 +43,13 @@ from .series import TruncatedSeries, _log_tail
 DEFAULT_DEPTH_CAP = 14
 
 
-def _check_depth(n: int, depth_cap: int):
+def _check_depth(n: int, depth_cap: int, lower_from=None):
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
     if n > depth_cap:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {depth_cap}")
+    if lower_from is not None and n < lower_from:
+        raise ValueError("the conditional lower bound needs n >= 2")
 
 
 def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
@@ -96,6 +98,8 @@ class _JetExactDomain:
     finish divides them by Q_d.
     """
 
+    integer = True
+
     def __init__(self, order: int, scalar: bool = False):
         self.order, self.scalar = order, scalar
         self.lcm = math.lcm(*range(1, order + 1))
@@ -104,53 +108,17 @@ class _JetExactDomain:
     def is_zero(p):
         return not p if isinstance(p, int) else p.is_zero()
 
-    def integer_tables(self, starts, emit_at, trans_at, n, record):
-        """The tables scaled to integers, and empty sums at each recorded depth.
-
-        Each distinct table is scaled once by the lcm of its denominators;
-        Q_d is the product of the scale factors of the tables used to reach
-        depth d: the start vector, d emission and d - 1 transition tables.
-        """
-        scaled = {}
-        for rows in [starts, *emit_at, *trans_at]:
-            if id(rows) not in scaled:
-                d = math.lcm(*(c.denominator for row in rows for x in row
-                               for c in getattr(x, "coeffs", (x,))))
-                scaled[id(rows)] = [[_times(x, d) for x in row] for row in rows], d
-        q_primes, sums = {}, {}
-
-        def absorb(rows):
-            for p, e in factor_positive(scaled[id(rows)][1]):
-                q_primes[p] = q_primes.get(p, 0) + e
-
-        absorb(starts)
-        for depth in range(1, n + 1):
-            if depth > 1:
-                absorb(trans_at[depth - 2])
-            absorb(emit_at[depth - 1])
-            if depth in record:
-                sums[depth] = _ExactCells(tuple(q_primes.items()), self.order)
-        return (scaled[id(starts)][0], [scaled[id(c)][0] for c in emit_at],
-                [scaled[id(c)][0] for c in trans_at], sums)
+    def new_acc(self, q_primes):
+        return _ExactCells(q_primes, self.order)
 
     def add_term(self, acc, p):
         coeffs = (p,) if isinstance(p, int) else p.coeffs
-        n0 = rest = coeffs[0]
+        n0 = coeffs[0]
         if n0 <= 0:
             raise NonpositiveConstantTerm(
                 f"sequence probability jet has constant term {Fraction(n0, acc.q)}"
             )
-        # log(N_0 / Q_d) over primes; Q_d's primes leave N_0 before it is factored
-        fac = []
-        for prime, v in acc.q_primes:
-            e = 0
-            while not rest % prime:
-                rest //= prime
-                e += 1
-            if e != v:
-                fac.append((prime, e - v))
-        if rest > 1:
-            fac.extend(factor_positive(rest))
+        fac = _log_ratio(n0, acc.q_primes)
         for nk, cell in zip(coeffs, acc.cells):
             if nk:
                 for prime, e in fac:
@@ -176,10 +144,61 @@ class _JetExactDomain:
         return values[0] if self.scalar else TruncatedSeries(values)
 
 
+def _log_ratio(n0, q_primes):
+    """log(n0 / Q) as (prime, exponent) pairs; Q's primes leave n0 first."""
+    fac, rest = [], n0
+    for prime, v in q_primes:
+        e = 0
+        while not rest % prime:
+            rest //= prime
+            e += 1
+        if e != v:
+            fac.append((prime, e - v))
+    if rest > 1:
+        fac.extend(factor_positive(rest))
+    return fac
+
+
+def _integer_tables(starts, emit_at, trans_at, n, record):
+    """The tables scaled to integers, and the primes of Q_d at each recorded depth.
+
+    Each distinct table is scaled once by the lcm of its denominators;
+    Q_d is the product of the scale factors of the tables used to reach
+    depth d: the start vector, d emission and d - 1 transition tables.
+    """
+    scaled = {}
+    for rows in [starts, *emit_at, *trans_at]:
+        if id(rows) not in scaled:
+            d = math.lcm(*(c.denominator for row in rows for x in row for c in _coeffs(x)))
+            scaled[id(rows)] = [[_times(x, d) for x in row] for row in rows], d
+    q_primes, primes_at = {}, {}
+
+    def absorb(rows):
+        for p, e in factor_positive(scaled[id(rows)][1]):
+            q_primes[p] = q_primes.get(p, 0) + e
+
+    absorb(starts)
+    for depth in range(1, n + 1):
+        if depth > 1:
+            absorb(trans_at[depth - 2])
+        absorb(emit_at[depth - 1])
+        if depth in record:
+            primes_at[depth] = tuple(q_primes.items())
+    return (scaled[id(starts)][0], [scaled[id(c)][0] for c in emit_at],
+            [scaled[id(c)][0] for c in trans_at], primes_at)
+
+
+def _coeffs(x):
+    """The rational coefficients of an exact scalar, jet or per-site polynomial."""
+    return x.terms.values() if hasattr(x, "terms") else getattr(x, "coeffs", (x,))
+
+
 def _times(x, d):
-    """Exact scalar or jet x times d, as integers."""
+    """Exact scalar, jet or per-site polynomial x times d, as integers."""
     if isinstance(x, TruncatedSeries):
         return TruncatedSeries([_times(c, d) for c in x.coeffs])
+    if hasattr(x, "terms"):
+        return x._with({e: _times(c, d) for e, c in x.terms.items()})
     return x.numerator * (d // x.denominator)
 
 
@@ -264,9 +283,10 @@ def _scalar_tables(model: HmpModel, backend):
 
 def _traverse(starts, emit_at, trans_at, n, record, domain):
     """Walk from each start vector into shared sums; {depth: finished value}."""
-    if isinstance(domain, _JetExactDomain):
-        starts, emit_at, trans_at, sums = domain.integer_tables(
+    if getattr(domain, "integer", False):  # the exact kernels walk integers
+        starts, emit_at, trans_at, primes_at = _integer_tables(
             starts, emit_at, trans_at, n, record)
+        sums = {d: domain.new_acc(primes_at[d]) for d in record}
     else:
         sums = {d: domain.new_acc() for d in record}
     for beta in starts:
@@ -306,9 +326,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT
     Conditioning on X_1 splits the traversal into one run per starting
     state, all feeding the same accumulators.
     """
-    _check_depth(n, depth_cap)
-    if n < 2:
-        raise ValueError("the conditional lower bound needs n >= 2")
+    _check_depth(n, depth_cap, lower_from=2)
     domain = _domain(backend)
     with backend.ctx():
         out = _run(model, n, {n - 1, n}, domain, backend, per_state=True)
@@ -328,13 +346,14 @@ class EntropyBracket:
 def entropy_rate_bracket(model: HmpModel, n: int, backend=EXACT,
                          depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyBracket:
     """The sandwich c_n <= entropy rate <= C_n with midpoint and half-gap."""
-    return _bracket(_windows(model, [n], backend, depth_cap, lower_from=2)[0])
+    return _bracket(_windows(model, [n], backend, depth_cap, lower_from=2)[0], backend)
 
 
-def _bracket(rep: EntropyReport) -> EntropyBracket:
+def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
     lo, up = rep.lower, rep.increment
     half = Fraction(1, 2)
-    return EntropyBracket(rep.n, lo, up, (lo + up) * half, (up - lo) * half, rep.backend)
+    with backend.ctx():
+        return EntropyBracket(rep.n, lo, up, (lo + up) * half, (up - lo) * half, rep.backend)
 
 
 def total_probability(model: HmpModel, n: int, backend=EXACT,
@@ -436,9 +455,7 @@ def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
-        _check_depth(n, depth_cap)
-        if lower_from is not None and n < lower_from:
-            raise ValueError("the conditional lower bound needs n >= 2")
+        _check_depth(n, depth_cap, lower_from)
     long = [n for n in ns if n >= 2]
     domain = _domain(backend)
     with backend.ctx():

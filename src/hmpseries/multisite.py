@@ -7,21 +7,25 @@ almost-memoryless regime).  F_n^{kvec} is the mixed partial derivative of
 F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
-The traversal is the shared one from the entropy module, run over truncated
-multivariate polynomials with per-variable degree caps k_i.  One domain
-serves every backend and accumulates only the kvec coefficient of -p log p;
-multisite_value uses the entropy module's scalar kernel.
+The traversal is the entropy module's, over polynomials with per-variable
+degree caps k_i and exponent vectors packed into integers.  Each backend
+keeps only the kvec coefficient of -p log p: the exact kernel walks integers
+over Q_d with one log per distinct constant term N_0 of a depth, and
+_MultiDomain serves the floats.  multisite_value uses the scalar kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from itertools import product
+from math import factorial, lcm, prod
 
 from .backends import EXACT
-from .entropy import _domain, _traverse
+from .entropy import _domain, _log_ratio, _traverse
 from .errors import NonpositiveConstantTerm, WeightCapExceeded
+from .loglinear import LogLinearValue
 from .model import (
     HighSnr,
     RegimeSpec,
@@ -55,18 +59,38 @@ class MultiSiteSpec:
         return sum(self.kvec)
 
 
-class MultiPoly:
-    """Multivariate polynomial truncated to per-variable degree caps."""
+@lru_cache(maxsize=256)
+def _packing(caps):
+    """{vector: packed form} and {packed form: |e|} over the exponent vectors
+    within the caps, packed in mixed radix 2*cap + 2.  Sums of such vectors
+    have no digit above 2*cap, so they pack to sums of packed forms, and
+    whether a sum or difference stays within the caps is one dict lookup."""
+    places = [1]
+    for cap in caps:
+        places.append(places[-1] * (2 * cap + 2))
+    index = {e: sum(ei * w for ei, w in zip(e, places))
+             for e in product(*(range(cap + 1) for cap in caps))}
+    return index, {key: sum(e) for e, key in index.items()}
 
-    __slots__ = ("caps", "terms")
+
+class MultiPoly:
+    """Multivariate polynomial truncated to per-variable degree caps, with
+    terms keyed by packed exponent vectors (see _packing)."""
+
+    __slots__ = ("caps", "terms", "_weight")
 
     def __init__(self, caps, terms=None):
         self.caps = tuple(caps)
-        kept = {}
-        for e, c in (terms or {}).items():
-            if c and all(ei <= cap for ei, cap in zip(e, self.caps)):
-                kept[tuple(e)] = c
-        self.terms = kept
+        index, self._weight = _packing(self.caps)
+        self.terms = {index[tuple(e)]: c for e, c in (terms or {}).items()
+                      if c and tuple(e) in index}
+
+    def _with(self, terms):
+        """A polynomial with these caps and packed terms, zeros dropped."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.caps, out._weight = self.caps, self._weight
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     @classmethod
     def constant(cls, c, caps):
@@ -80,14 +104,11 @@ class MultiPoly:
         e = tuple(1 if i == var else 0 for i in range(len(caps)))
         return cls(caps, {zeros: c0, e: c1})
 
-    def _zeros(self):
-        return (0,) * len(self.caps)
-
     def constant_term(self):
-        return self.terms.get(self._zeros(), 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        return self.terms.get(_packing(self.caps)[0].get(tuple(exps)), 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -100,28 +121,28 @@ class MultiPoly:
     __hash__ = None
 
     def __repr__(self):
-        return f"MultiPoly(caps={self.caps}, terms={self.terms})"
+        vector = {key: e for e, key in _packing(self.caps)[0].items()}
+        terms = {vector[key]: c for key, c in self.terms.items()}
+        return f"MultiPoly(caps={self.caps}, terms={terms})"
 
     def _check(self, other):
         if other.caps != self.caps:
             raise ValueError("mixed degree caps")
 
     def __add__(self, other):
+        out = dict(self.terms)
         if isinstance(other, MultiPoly):
             self._check(other)
-            out = dict(self.terms)
             for e, c in other.terms.items():
                 out[e] = out.get(e, 0) + c
-            return MultiPoly(self.caps, out)
-        out = dict(self.terms)
-        z = self._zeros()
-        out[z] = out.get(z, 0) + other
-        return MultiPoly(self.caps, out)
+        else:
+            out[0] = out.get(0, 0) + other
+        return self._with(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.caps, {e: -c for e, c in self.terms.items()})
+        return self._with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,16 +152,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return MultiPoly(self.caps, {e: c * other for e, c in self.terms.items()})
+            return self._with({e: c * other for e, c in self.terms.items()})
         self._check(other)
-        caps = self.caps
+        within = self._weight
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if all(ei <= cap for ei, cap in zip(e, caps)):
+                e = e1 + e2
+                if e in within:
                     out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(caps, out)
+        return self._with(out)
 
     __rmul__ = __mul__
 
@@ -161,11 +182,9 @@ def _log1p_part(p: MultiPoly, c0):
 
 
 class _MultiDomain:
-    """-p log p over per-site polynomials, keeping only the kvec coefficient.
+    """The float per-site kernel: -p log p, keeping only the kvec coefficient.
 
     With log(p) = log(c0) + W, a leaf adds -log(c0) * p[kvec] - [p W]_kvec.
-    The sum starts from the backend's zero, so an exact result stays a
-    LogLinearValue even when no leaf contributes.
     """
 
     def __init__(self, kvec, backend):
@@ -196,6 +215,65 @@ class _MultiDomain:
     @staticmethod
     def finish(acc):
         return acc[0]
+
+
+class _MultiExactDomain:
+    """The exact per-site kernel, on leaves of integers N_e over Q_d.
+
+    Euler's operator gives W = log(p / c0) as W_e = B_e / (|e| N_0^|e|), with
+    B_e = |e| N_e N_0^(|e|-1) - sum_{0<f<e} N_(e-f) B_f N_0^(|e|-|f|-1).  The
+    cell of a leaf's N_0 sums N_kvec and the numerator of [p W]_kvec over
+    lcm(1..|kvec|) N_0^|kvec|; finish turns each N_0 into logs once.
+    """
+
+    integer = True
+
+    def __init__(self, kvec):
+        index, weight = _packing(tuple(kvec))
+        self.top = index[tuple(kvec)]
+        self.box = sorted((e, w) for e, w in weight.items() if e)
+        self.order = sum(kvec)
+        self.lcm = lcm(*range(1, self.order + 1))
+
+    @staticmethod
+    def is_zero(p):
+        return not p
+
+    @staticmethod
+    def new_acc(q_primes):
+        return q_primes, prod(prime**v for prime, v in q_primes), {}
+
+    def add_term(self, acc, p):
+        terms, weight, order = p.terms, p._weight, self.order
+        n0 = terms.get(0, 0)
+        if n0 <= 0:
+            raise NonpositiveConstantTerm(
+                f"sequence probability polynomial has constant term {Fraction(n0, acc[1])}"
+            )
+        pw = [n0**k for k in range(order + 1)]
+        tail = [(g, c * pw[weight[g] - 1]) for g, c in terms.items() if g]
+        b, num = {}, 0
+        for e, w in self.box:
+            v = w * terms.get(e, 0) * pw[w - 1]
+            for g, c in tail:
+                f = b.get(e - g)
+                if f:
+                    v -= c * f
+            b[e] = v
+            num += terms.get(self.top - e, 0) * v * (self.lcm // w) * pw[order - w]
+        cell = acc[2].setdefault(n0, [0, 0])
+        cell[0] += terms.get(self.top, 0)
+        cell[1] += num
+
+    def finish(self, acc):
+        q_primes, q, cells = acc
+        rat, logs = Fraction(0), {}
+        for n0, (nk, num) in cells.items():
+            rat += Fraction(num, self.lcm * n0**self.order)
+            if nk:
+                for prime, e in _log_ratio(n0, q_primes):
+                    logs[prime] = logs.get(prime, 0) - nk * e
+        return LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in logs.items()))
 
 
 def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
@@ -236,16 +314,8 @@ def _multi_tables(spec: RegimeSpec, mspec: MultiSiteSpec, backend):
     else:
         s = spec.R.size
         start = stationary_series(spec.T, caps[0])
-        beta0 = [
-            MultiPoly(
-                caps,
-                {
-                    tuple(m if v == 0 else 0 for v in range(n)): sc(c)
-                    for m, c in enumerate(ser.coeffs)
-                },
-            )
-            for ser in start
-        ]
+        beta0 = [MultiPoly(caps, {(m,) + (0,) * (n - 1): sc(c) for m, c in enumerate(ser.coeffs)})
+                 for ser in start]
         emit_cols = [[const(spec.R.rows[j][y]) for j in range(s)] for y in range(s)]
         emit_at = [emit_cols] * n
         trans_at = [
@@ -269,8 +339,9 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
     n = mspec.n
     with backend.ctx():
         beta0, emit_at, trans_at = _multi_tables(spec, mspec, backend)
-        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n},
-                        _MultiDomain(mspec.kvec, backend))
+        domain = (_MultiExactDomain(mspec.kvec) if backend.is_exact
+                  else _MultiDomain(mspec.kvec, backend))
+        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, domain)
         return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
 

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .backends import FLOAT64
-from .entropy import entropy_rate_bracket
+from .entropy import DEFAULT_DEPTH_CAP, _check_depth, entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
 from .expansion import CoefficientTable, rate_series
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
@@ -230,6 +230,7 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:
         raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
+    _check_depth(bound_depth, DEFAULT_DEPTH_CAP, lower_from=2)
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:

@@ -214,6 +214,14 @@ def test_bigfloat_backend_tracks_exact_value():
     assert big.tag == "bigfloat:200"
 
 
+def test_bigfloat_midpoint_and_half_gap_keep_the_backend_precision():
+    model = instantiate(high_snr_binary("1/5"), F(1, 5))
+    br = entropy_rate_bracket(model, 4, FloatBackend(bits=128))
+    with mpmath.workprec(128):
+        assert br.midpoint == (br.lower + br.upper) / 2
+        assert br.half_gap == (br.upper - br.lower) / 2
+
+
 def test_entropy_report_consistency():
     model = instantiate(am_binary("3/5"), F(1, 10))
     one = entropy_report(model, 1)

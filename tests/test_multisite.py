@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
     FLOAT64,
@@ -18,6 +18,7 @@ from hmpseries import (
     StochasticMatrix,
     WeightCapExceeded,
     am_binary,
+    factor_positive,
     high_snr_binary,
     increment_jet,
     multisite_derivative,
@@ -27,7 +28,15 @@ from hmpseries import (
     stationary_distribution,
 )
 
-from util import am_specs, entropy_exact, high_snr_specs, ll_close
+from hmpseries.multisite import _MultiExactDomain, _log1p_part
+
+from util import (
+    am_specs,
+    brute_multisite_derivative,
+    entropy_exact,
+    high_snr_specs,
+    ll_close,
+)
 
 F = Fraction
 ZERO = LogLinearValue.make(0)
@@ -234,3 +243,58 @@ def test_multisite_spec_validation():
     with pytest.raises(ValueError):
         MultiSiteSpec(2, (1, -1))
     assert MultiSiteSpec(3, (1, 2, 0)).weight == 3
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle and the exact per-site kernel
+# ---------------------------------------------------------------------------
+
+# every order of weight <= 3 at n = 2, 3; at n = 4 one per weight and site pattern
+KVECS_3STATE = [k for n in (2, 3) for k in product(range(4), repeat=n) if sum(k) <= 3] + [
+    (0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2),
+    (1, 0, 0, 1), (0, 1, 1, 1), (0, 0, 2, 1), (3, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("spec", [HS3, AM3], ids=["high_snr_3state", "am_3state"])
+def test_exact_derivatives_match_enumeration_3state(spec):
+    for kvec in KVECS_3STATE:
+        got = multisite_derivative(MultiSiteSpec(len(kvec), kvec), spec)
+        assert got == brute_multisite_derivative(spec, kvec), kvec
+
+
+def _small_kvecs():
+    return st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    ).filter(lambda k: sum(k) <= 3)
+
+
+@given(am_specs(2), high_snr_specs(2), _small_kvecs())
+@settings(max_examples=15, deadline=None)
+def test_exact_derivatives_match_enumeration(am, hs, kvec):
+    for spec in (am, hs):
+        got = multisite_derivative(MultiSiteSpec(len(kvec), kvec), spec)
+        assert got == brute_multisite_derivative(spec, kvec)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_kernel_matches_the_log1p_series(data):
+    # leaves N/q with integer coefficients N_e and N_0 > 0
+    kvec = tuple(data.draw(_small_kvecs()))
+    q = data.draw(st.integers(min_value=1, max_value=10**4))
+    box = list(product(*(range(k + 1) for k in kvec)))
+    coeff = st.integers(min_value=-10**4, max_value=10**4)
+    domain = _MultiExactDomain(kvec)
+    acc = domain.new_acc(factor_positive(q))
+    expect = ZERO
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        terms = {e: data.draw(coeff) for e in box}
+        # small constant terms make leaves share the cell of their N_0
+        terms[box[0]] = data.draw(st.one_of(st.integers(min_value=1, max_value=3),
+                                            st.integers(min_value=1, max_value=10**4)))
+        domain.add_term(acc, MultiPoly(kvec, terms))
+        p = MultiPoly(kvec, {e: F(c, q) for e, c in terms.items()})
+        c0 = p.constant_term()
+        expect = (expect - LogLinearValue.log_of(c0) * p.coefficient(kvec)
+                  - (p * _log1p_part(p, c0)).coefficient(kvec))
+    assert domain.finish(acc) == expect

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hmpseries import radius
 from hmpseries import (
     DegenerateFit,
+    DepthCapExceeded,
     RadiusEstimate,
     TooFewCoefficients,
     all_estimates,
@@ -150,6 +152,24 @@ def test_bounds_scan_schema_and_gating():
         bounds_scan(spec, [F(1, 4)], [])
     with pytest.raises(ValueError, match="nonnegative, got -1"):
         bounds_scan(spec, [F(1, 4)], [-1, 5])
+
+
+@pytest.mark.parametrize("depth, error, message", [
+    (1, ValueError, "needs n >= 2"),
+    (20, DepthCapExceeded, "exceeds the cap"),
+])
+def test_bounds_scan_checks_bound_depth_before_building_the_table(
+        monkeypatch, depth, error, message):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(args)
+        return rate_series(*args, **kwargs)
+
+    monkeypatch.setattr(radius, "rate_series", recording)
+    with pytest.raises(error, match=message):
+        bounds_scan(am_binary(F(3, 5)), [F(1, 10)], [9], bound_depth=depth)
+    assert built == []
 
 
 def test_bounds_scan_small_parameters_stay_inside():

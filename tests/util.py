@@ -149,6 +149,95 @@ def brute_increment_jet(spec, n: int, order: int) -> TruncatedSeries:
     return entropy(n) - entropy(n - 1)
 
 
+def _poly_mul(a: dict, b: dict, caps) -> dict:
+    """Product of two exponent-tuple dicts, dropping degrees over the caps."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= c for x, c in zip(e, caps)):
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _sum_polys(polys) -> dict:
+    total = {}
+    for p in polys:
+        total = _poly_add(total, p)
+    return total
+
+
+def brute_multisite_derivative(spec, kvec) -> LogLinearValue:
+    """F_n^kvec = prod(k_i!) [H_n - H_{n-1}]_kvec by enumeration over words.
+
+    Each word's probability is a forward product over per-site tables held
+    as dicts keyed by exponent tuples: high-SNR emissions I + eps_i T, or
+    almost-memoryless transitions U + delta_i T into site i, whose start is
+    pi(delta_1) = u sum_m (delta_1 T)^m.  A word adds the kvec coefficient of
+    -p log p = -p log(c0) - p log(1 + q), with q = p / c0 - 1.
+    """
+    kvec = tuple(kvec)
+    n, caps = len(kvec), kvec
+    zero = (0,) * n
+
+    def const(v):
+        return {zero: Fraction(v)} if v else {}
+
+    def lin(a, b, var):
+        unit = tuple(int(i == var) for i in range(n))
+        return _poly_add(const(a), {unit: Fraction(b)} if b else {})
+
+    if isinstance(spec, HighSnr):
+        s = spec.M.size
+        start = [const(p) for p in stationary_distribution(spec.M)]
+        emit = [[[lin(int(j == y), spec.T.rows[j][y], i) for y in range(s)]
+                 for j in range(s)] for i in range(n)]
+        trans = [[[const(v) for v in row] for row in spec.M.rows]] * (n - 1)
+    else:
+        s = spec.R.size
+        start, v = [{} for _ in range(s)], [Fraction(1, s)] * s
+        for m in range(caps[0] + 1):
+            e = (m,) + zero[1:]
+            start = [_poly_add(a, {e: x} if x else {}) for a, x in zip(start, v)]
+            v = [sum(v[i] * spec.T.rows[i][j] for i in range(s)) for j in range(s)]
+        emit = [[[const(x) for x in row] for row in spec.R.rows]] * n
+        trans = [[[lin(Fraction(1, s), spec.T.rows[i][j], d + 1) for j in range(s)]
+                  for i in range(s)] for d in range(n - 1)]
+
+    def entropy(m):
+        total = LogLinearValue.make(0)
+        for ys in product(range(s), repeat=m):
+            alpha = [_poly_mul(start[j], emit[0][j][ys[0]], caps) for j in range(s)]
+            for t, y in enumerate(ys[1:]):
+                alpha = [_poly_mul(_sum_polys(_poly_mul(alpha[i], trans[t][i][j], caps)
+                                              for i in range(s)),
+                                   emit[t + 1][j][y], caps) for j in range(s)]
+            p = _sum_polys(alpha)
+            if not p:
+                continue
+            c0 = p.get(zero, 0)
+            if c0 <= 0:
+                raise ValueError(f"word {ys} has constant term {c0}")
+            q = {e: c / c0 for e, c in p.items() if e != zero}
+            log1p, power = {}, q
+            for k in range(1, sum(caps) + 1):
+                log1p = _poly_add(log1p, {e: c * Fraction((-1) ** (k + 1), k)
+                                          for e, c in power.items()})
+                power = _poly_mul(power, q, caps)
+            total = (total - LogLinearValue.log_of(c0) * p.get(kvec, 0)
+                     - _poly_mul(p, log1p, caps).get(kvec, 0))
+        return total
+
+    return (entropy(n) - entropy(n - 1)) * math.prod(math.factorial(k) for k in kvec)
+
+
 def ll_close(a, b, rel=1e-12) -> bool:
     """Float agreement between two values of possibly different kinds."""
     fa, fb = float(a), float(b)
