@@ -21,7 +21,10 @@ the tables of _integer_tables.  Each table (start vector, emission columns,
 transition columns) is scaled once by the lcm of its denominators, D_start,
 D_R and D_M, so a node at depth d carries integer numerators over
 Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
-each depth).  The exact kernels divide by Q_d only when they finish.
+each depth).  Both exact kernels keep one accumulator per depth
+(_new_cells), with one cell of integer sums per distinct constant term N_0
+of a leaf, and share one finish (_finish_cells): one Fraction per target and
+one log(N_0 / Q_d) per distinct N_0, then one division by Q_d.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one run per start state, each recording n - 1 and n
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
-from .loglinear import _LLAccumulator, LogLinearValue, factor_positive
+from .loglinear import LogLinearValue, factor_positive
 from .model import HmpModel
 from .series import TruncatedSeries, _log_tail
 
@@ -77,15 +80,34 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
             _walk(nxt, emit_cols_at, trans_cols_at, depth + 1, n, sums, domain)
 
 
-class _ExactCells:
-    """Per-order sums of one depth, over that depth's denominator q."""
+def _new_cells(q_primes):
+    """The exact kernels' accumulator of one depth: the primes of Q_d, Q_d,
+    and {N_0: cell} over the constant terms N_0 of its leaves.
 
-    __slots__ = ("q", "q_primes", "cells")
+    For T targets (orders, or one kvec) of weights w_t a cell holds 2T
+    integer sums: each N_t, for -N_t log(N_0 / Q_d), then the numerator of
+    each [N log(N / N_0)]_t over lcm N_0^w_t.
+    """
+    return q_primes, math.prod(p**e for p, e in q_primes), {}
 
-    def __init__(self, q_primes, order):
-        self.q = math.prod(p**e for p, e in q_primes)
-        self.q_primes = q_primes
-        self.cells = [_LLAccumulator() for _ in range(order + 1)]
+
+def _finish_cells(acc, lcm, weights):
+    """One LogLinearValue per target: one Fraction per target and one
+    log(N_0 / Q_d) per distinct N_0, then one division by Q_d."""
+    q_primes, q, cells = acc
+    top = len(weights)
+    rats, logs = [Fraction(0)] * top, [{} for _ in weights]
+    for n0, cell in cells.items():
+        fac = _log_ratio(n0, q_primes) if any(cell[:top]) else ()
+        for t, w in enumerate(weights):
+            if cell[top + t]:
+                rats[t] += Fraction(cell[top + t], lcm * n0**w)
+            nt, lg = cell[t], logs[t]
+            if nt:
+                for prime, e in fac:
+                    lg[prime] = lg.get(prime, 0) - nt * e
+    return [LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in lg.items()))
+            for rat, lg in zip(rats, logs)]
 
 
 class _JetExactDomain:
@@ -93,9 +115,9 @@ class _JetExactDomain:
 
     A leaf at depth d carries integer numerators N_0..N_K over Q_d.  The log
     tail is l_k = b_k / (k N_0^k) with the integer recurrence
-    b_k = k N_k N_0^(k-1) - sum_{0<j<k} N_j b_{k-j} N_0^(j-1), so each order
-    costs one Fraction per leaf; prime-log coefficients stay integers until
-    finish divides them by Q_d.
+    b_k = k N_k N_0^(k-1) - sum_{0<j<k} N_j b_{k-j} N_0^(j-1).  A leaf adds
+    its N_k and the numerators of [N log(N / N_0)]_k over lcm(1..K) N_0^k to
+    the cell of its N_0, so it builds no Fraction and factors nothing.
     """
 
     integer = True
@@ -108,39 +130,32 @@ class _JetExactDomain:
     def is_zero(p):
         return not p if isinstance(p, int) else p.is_zero()
 
-    def new_acc(self, q_primes):
-        return _ExactCells(q_primes, self.order)
+    new_acc = staticmethod(_new_cells)
 
     def add_term(self, acc, p):
         coeffs = (p,) if isinstance(p, int) else p.coeffs
-        n0 = coeffs[0]
+        n0, top = coeffs[0], len(coeffs)
         if n0 <= 0:
             raise NonpositiveConstantTerm(
-                f"sequence probability jet has constant term {Fraction(n0, acc.q)}"
+                f"sequence probability jet has constant term {Fraction(n0, acc[1])}"
             )
-        fac = _log_ratio(n0, acc.q_primes)
-        for nk, cell in zip(coeffs, acc.cells):
-            if nk:
-                for prime, e in fac:
-                    cell.logs[prime] = cell.logs.get(prime, 0) - nk * e
+        cell = acc[2].get(n0)
+        if cell is None:
+            cell = acc[2][n0] = [0] * (2 * top)
+        for k, nk in enumerate(coeffs):
+            cell[k] += nk
         pw = [1]
-        for _ in range(len(coeffs) - 1):
+        for _ in range(top - 1):
             pw.append(pw[-1] * n0)
         b, lam = [0], [0]  # lam_m = lcm * N_0^m * l_m
-        for k in range(1, len(coeffs)):
+        for k in range(1, top):
             b.append(k * coeffs[k] * pw[k - 1]
                      - sum(coeffs[j] * b[k - j] * pw[j - 1] for j in range(1, k)))
             lam.append(b[k] * (self.lcm // k))
-            num = sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
-            if num:
-                acc.cells[k].rat += Fraction(num, self.lcm * pw[k])
+            cell[top + k] += sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
 
     def finish(self, acc):
-        q = acc.q
-        values = [
-            LogLinearValue(-c.rat / q, tuple((p, Fraction(v, q)) for p, v in c.logs.items()))
-            for c in acc.cells
-        ]
+        values = _finish_cells(acc, self.lcm, range(self.order + 1))
         return values[0] if self.scalar else TruncatedSeries(values)
 
 

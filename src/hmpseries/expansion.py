@@ -9,7 +9,10 @@ starting distribution is the exact stationary jet of U + delta*T.
 The leaf kernels are the entropy module's, one per backend, at the jet's
 order: on the exact backend the jets walk with integer coefficients over one
 denominator per depth, and _JetExactDomain evaluates -p log p with an
-all-integer log-tail recurrence; _JetFloatDomain does the same in floats.
+all-integer log-tail recurrence, summed per distinct constant term, so each
+depth takes one log per distinct N_0; _JetFloatDomain does the same in
+floats.  _regime_tables builds the tables of both regimes, for jets here and
+for the per-site polynomials and values of the multisite module.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -105,41 +108,38 @@ def stationary_series(t: PerturbationMatrix, order: int) -> tuple[TruncatedSerie
     )
 
 
-def _jet_tables(spec: RegimeSpec, order: int, backend):
-    sc = backend.scalar
+def _regime_tables(spec: RegimeSpec, n: int, const, lin, am_start):
+    """The start vector and the per-depth emission and transition columns of
+    a regime at window length n.
 
-    def const(v):
-        return TruncatedSeries.constant(sc(v), order)
-
-    def lin(a, b):
-        return TruncatedSeries.linear(sc(a), sc(b), order)
-
+    const(v) is a table entry that does not move with the parameter and
+    lin(a, b, i) the factor a + b*x_i of site i: the emission at site i in the
+    high-SNR regime, the transition into site i in the almost-memoryless one,
+    whose start vector am_start() is the stationary vector at x_0.
+    """
     if isinstance(spec, HighSnr):
         s = spec.M.size
-        pi = stationary_distribution(spec.M)
-        beta0 = [const(p) for p in pi]
-        emit_cols = [
-            [lin(1 if j == y else 0, spec.T.rows[j][y]) for j in range(s)]
-            for y in range(s)
-        ]
-        trans_cols = [[const(spec.M.rows[j][k]) for j in range(s)] for k in range(s)]
+        beta0 = [const(p) for p in stationary_distribution(spec.M)]
+        emit_at = [[[lin(1 if j == y else 0, spec.T.rows[j][y], i) for j in range(s)]
+                    for y in range(s)] for i in range(n)]
+        trans_at = [[[const(spec.M.rows[j][k]) for j in range(s)] for k in range(s)]] * (n - 1)
     else:
         s = spec.R.size
-        beta0 = [
-            TruncatedSeries([sc(c) for c in ser.coeffs])
-            for ser in stationary_series(spec.T, order)
-        ]
-        emit_cols = [[const(spec.R.rows[j][y]) for j in range(s)] for y in range(s)]
-        trans_cols = [
-            [lin(Fraction(1, s), spec.T.rows[j][k]) for j in range(s)]
-            for k in range(s)
-        ]
-    return beta0, emit_cols, trans_cols
+        beta0 = am_start()
+        emit_at = [[[const(spec.R.rows[j][y]) for j in range(s)] for y in range(s)]] * n
+        trans_at = [[[lin(Fraction(1, s), spec.T.rows[j][k], i) for j in range(s)]
+                     for k in range(s)] for i in range(1, n)]
+    return beta0, emit_at, trans_at
 
 
 def _jet_run(spec, n, order, record, domain, backend):
-    beta0, emit_cols, trans_cols = _jet_tables(spec, order, backend)
-    return _traverse([beta0], [emit_cols] * n, [trans_cols] * (n - 1), n, record, domain)
+    sc = backend.scalar
+    beta0, emit_at, trans_at = _regime_tables(
+        spec, n, lambda v: TruncatedSeries.constant(sc(v), order),
+        lambda a, b, i: TruncatedSeries.linear(sc(a), sc(b), order),
+        lambda: [TruncatedSeries([sc(c) for c in ser.coeffs])
+                 for ser in stationary_series(spec.T, order)])
+    return _traverse([beta0], emit_at, trans_at, n, record, domain)
 
 
 def _increment_jets(spec, ns, order, backend, depth_cap):

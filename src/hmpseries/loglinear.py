@@ -156,8 +156,9 @@ class _LLAccumulator:
 
     Summing immutable LogLinearValue objects over thousands of traversal
     leaves is quadratic in the number of distinct primes; this keeps one
-    dict and emits an immutable value at the end.  The exact walk kernel
-    keeps one per order and depth, with integer log coefficients.
+    dict and emits an immutable value at the end.  The engine no longer
+    uses it: the exact kernels sum integers per distinct constant term.  It
+    stays while the benchmark's tracer wraps add_neg_plogp (ROADMAP item 9).
     """
 
     __slots__ = ("rat", "logs")

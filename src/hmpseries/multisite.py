@@ -8,10 +8,12 @@ F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
 The traversal is the entropy module's, over polynomials with per-variable
-degree caps k_i and exponent vectors packed into integers.  Each backend
-keeps only the kvec coefficient of -p log p: the exact kernel walks integers
-over Q_d with one log per distinct constant term N_0 of a depth, and
-_MultiDomain serves the floats.  multisite_value uses the scalar kernel.
+degree caps k_i and exponent vectors packed into integers, from the tables
+of expansion._regime_tables.  Each backend keeps only the kvec coefficient
+of -p log p: the exact kernel walks integers over Q_d and shares the jet
+kernel's cells and finish, one log per distinct constant term N_0 of a
+depth, and _MultiDomain serves the floats.  multisite_value evaluates the
+same tables at the given parameters and uses the scalar kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from itertools import product
 from math import factorial, lcm, prod
 
 from .backends import EXACT
-from .entropy import _domain, _log_ratio, _traverse
+from .entropy import _domain, _finish_cells, _new_cells, _traverse
 from .errors import NonpositiveConstantTerm, WeightCapExceeded
-from .loglinear import LogLinearValue
 from .model import (
     HighSnr,
     RegimeSpec,
@@ -34,7 +35,7 @@ from .model import (
     perturbed_uniform,
     stationary_distribution,
 )
-from .expansion import stationary_series
+from .expansion import _regime_tables, stationary_series
 
 WEIGHT_CAP = 4
 SITE_CAP = 6
@@ -222,8 +223,8 @@ class _MultiExactDomain:
 
     Euler's operator gives W = log(p / c0) as W_e = B_e / (|e| N_0^|e|), with
     B_e = |e| N_e N_0^(|e|-1) - sum_{0<f<e} N_(e-f) B_f N_0^(|e|-|f|-1).  The
-    cell of a leaf's N_0 sums N_kvec and the numerator of [p W]_kvec over
-    lcm(1..|kvec|) N_0^|kvec|; finish turns each N_0 into logs once.
+    cell of a leaf's N_0 (entropy._new_cells) sums N_kvec and the numerator
+    of [p W]_kvec over lcm(1..|kvec|) N_0^|kvec|.
     """
 
     integer = True
@@ -239,9 +240,7 @@ class _MultiExactDomain:
     def is_zero(p):
         return not p
 
-    @staticmethod
-    def new_acc(q_primes):
-        return q_primes, prod(prime**v for prime, v in q_primes), {}
+    new_acc = staticmethod(_new_cells)
 
     def add_term(self, acc, p):
         terms, weight, order = p.terms, p._weight, self.order
@@ -266,14 +265,7 @@ class _MultiExactDomain:
         cell[1] += num
 
     def finish(self, acc):
-        q_primes, q, cells = acc
-        rat, logs = Fraction(0), {}
-        for n0, (nk, num) in cells.items():
-            rat += Fraction(num, self.lcm * n0**self.order)
-            if nk:
-                for prime, e in _log_ratio(n0, q_primes):
-                    logs[prime] = logs.get(prime, 0) - nk * e
-        return LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in logs.items()))
+        return _finish_cells(acc, self.lcm, (self.order,))[0]
 
 
 def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
@@ -287,47 +279,6 @@ def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
         raise ValueError("per-site derivatives need n >= 2")
 
 
-def _multi_tables(spec: RegimeSpec, mspec: MultiSiteSpec, backend):
-    sc = backend.scalar
-    caps = mspec.kvec
-    n = mspec.n
-
-    def const(v):
-        return MultiPoly.constant(sc(v), caps)
-
-    def lin(a, b, var):
-        return MultiPoly.linear(sc(a), var, sc(b), caps)
-
-    if isinstance(spec, HighSnr):
-        s = spec.M.size
-        pi = stationary_distribution(spec.M)
-        beta0 = [const(p) for p in pi]
-        emit_at = [
-            [
-                [lin(1 if j == y else 0, spec.T.rows[j][y], i) for j in range(s)]
-                for y in range(s)
-            ]
-            for i in range(n)
-        ]
-        trans_cols = [[const(spec.M.rows[j][k]) for j in range(s)] for k in range(s)]
-        trans_at = [trans_cols] * (n - 1)
-    else:
-        s = spec.R.size
-        start = stationary_series(spec.T, caps[0])
-        beta0 = [MultiPoly(caps, {(m,) + (0,) * (n - 1): sc(c) for m, c in enumerate(ser.coeffs)})
-                 for ser in start]
-        emit_cols = [[const(spec.R.rows[j][y]) for j in range(s)] for y in range(s)]
-        emit_at = [emit_cols] * n
-        trans_at = [
-            [
-                [lin(Fraction(1, s), spec.T.rows[j][k], d + 1) for j in range(s)]
-                for k in range(s)
-            ]
-            for d in range(n - 1)
-        ]
-    return beta0, emit_at, trans_at
-
-
 def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
                          weight_cap: int = WEIGHT_CAP, site_cap: int = SITE_CAP):
     """F_n^{kvec}: the mixed partial derivative of H_n - H_{n-1} at 0.
@@ -336,11 +287,15 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
     own scalar.
     """
     _check_caps(mspec, weight_cap, site_cap)
-    n = mspec.n
+    n, caps, sc = mspec.n, mspec.kvec, backend.scalar
     with backend.ctx():
-        beta0, emit_at, trans_at = _multi_tables(spec, mspec, backend)
-        domain = (_MultiExactDomain(mspec.kvec) if backend.is_exact
-                  else _MultiDomain(mspec.kvec, backend))
+        beta0, emit_at, trans_at = _regime_tables(
+            spec, n, lambda v: MultiPoly.constant(sc(v), caps),
+            lambda a, b, i: MultiPoly.linear(sc(a), i, sc(b), caps),
+            lambda: [MultiPoly(caps, {(m,) + (0,) * (n - 1): sc(c)
+                                      for m, c in enumerate(ser.coeffs)})
+                     for ser in stationary_series(spec.T, caps[0])])
+        domain = _MultiExactDomain(caps) if backend.is_exact else _MultiDomain(caps, backend)
         out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, domain)
         return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
@@ -359,26 +314,12 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
         raise ValueError("per-site increments need n >= 2")
     if n > site_cap:
         raise WeightCapExceeded(f"window length {n} exceeds cap {site_cap}")
+    check = perturbed_identity if isinstance(spec, HighSnr) else perturbed_uniform
+    sites = [check(spec.T, v) for v in params]  # OutOfRange at the first bad site
     sc = backend.scalar
-    if isinstance(spec, HighSnr):
-        s = spec.M.size
-        pi = stationary_distribution(spec.M)
-        beta0_frac = list(pi)
-        emits = [perturbed_identity(spec.T, v) for v in params]
-        transs = [spec.M] * (n - 1)
-    else:
-        s = spec.R.size
-        start = perturbed_uniform(spec.T, params[0])
-        beta0_frac = list(stationary_distribution(start))
-        emits = [spec.R] * n
-        transs = [perturbed_uniform(spec.T, params[i + 1]) for i in range(n - 1)]
     with backend.ctx():
-        beta0 = [sc(x) for x in beta0_frac]
-        emit_at = [
-            [[sc(e.rows[j][y]) for j in range(s)] for y in range(s)] for e in emits
-        ]
-        trans_at = [
-            [[sc(t.rows[j][k]) for j in range(s)] for k in range(s)] for t in transs
-        ]
+        beta0, emit_at, trans_at = _regime_tables(
+            spec, n, sc, lambda a, b, i: sc(a + b * params[i]),
+            lambda: [sc(x) for x in stationary_distribution(sites[0])])
         out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _domain(backend))
         return out[n] - out[n - 1]

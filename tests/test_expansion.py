@@ -30,6 +30,7 @@ from hmpseries import (
     settling_threshold,
     stationary_series,
 )
+from hmpseries import entropy
 
 from util import (
     am_specs,
@@ -73,6 +74,22 @@ def test_reference_series_structure():
     assert table.values[2] == LogLinearValue.make(F(-162, 625))
     assert all(v.logs == () for v in table.values[1:])  # rational tail
     assert table.regime == "almost-memoryless"
+
+
+def test_exact_jets_take_one_log_per_distinct_constant_term(monkeypatch):
+    # At delta = 0 the am chain is i.i.d., so the 128 + 256 leaves of the
+    # recorded depths 7 and 8 share one constant term N_0 per depth.
+    calls = []
+    log_ratio = entropy._log_ratio
+
+    def counting(n0, q_primes):
+        calls.append(n0)
+        return log_ratio(n0, q_primes)
+
+    monkeypatch.setattr(entropy, "_log_ratio", counting)
+    table = rate_series(am_binary(F(3, 5)), 13)
+    assert table.values == am_binary_reference_series(F(3, 5), 13).values
+    assert len(calls) == 2
 
 
 def test_reference_series_degenerate_channel():
