@@ -145,21 +145,28 @@ def test_entropy_bigfloat_backend(capsys, model_file):
     assert rows[1][1].startswith("0.6931471805599453094172321214581765")
 
 
+QUICKSTART = ["--model", str(GOLDEN / "quickstart-model.json")]
+
+
 @pytest.mark.parametrize("argv, golden", [
-    (["entropy", "--backend", "float64", "--n", ",".join(map(str, range(1, 13)))],
-     "entropy-quickstart-float64.csv"),
-    (["bounds", "--backend", "bigfloat:128", "--n", "8,12"],
+    (["entropy", "--backend", "float64", "--n", ",".join(map(str, range(1, 13))),
+      *QUICKSTART], "entropy-quickstart-float64.csv"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "8,12", *QUICKSTART],
      "bounds-quickstart-bigfloat128.csv"),
     (["entropy", "--backend", "float64", "--n", ",".join(map(str, range(1, 13))),
-      "--format", "json"], "entropy-quickstart-float64.json"),
-    (["bounds", "--backend", "bigfloat:128", "--n", "8,12", "--format", "json"],
-     "bounds-quickstart-bigfloat128.json"),
+      "--format", "json", *QUICKSTART], "entropy-quickstart-float64.json"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "8,12", "--format", "json",
+      *QUICKSTART], "bounds-quickstart-bigfloat128.json"),
+    (["expand", "--regime", "am", "--mu", "3/5", "--order", "21", "--backend", "float64"],
+     "expand-am-float64-21.csv"),
+    (["expand", "--regime", "high-snr", "--p", "1/5", "--order", "13",
+      "--backend", "float64"], "expand-high-snr-float64-13.csv"),
 ])
 def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
-    # the README quick-start model; the files were written by an earlier version
+    # the README quick-start model and the two regime anchors; the files were
+    # written by an earlier version
     out = tmp_path / golden
-    model = GOLDEN / "quickstart-model.json"
-    assert main([*argv, "--model", str(model), "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
