@@ -84,5 +84,7 @@ def get_backend(tag: str):
             bits = int(tag.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad backend {tag!r}") from None
+        if bits < 24:
+            raise ParseError(f"bad backend {tag!r}: bigfloat precision must be at least 24 bits")
         return FloatBackend(bits)
     raise ParseError(f"unknown backend {tag!r}")

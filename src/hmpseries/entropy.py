@@ -10,21 +10,22 @@ identically zero probability are pruned, which is exactly the 0*log(0)
 convention.
 
 The traversal is generic over an accumulation domain.  Each backend has
-one -p log p kernel, which treats a scalar as an order-0 jet: _JetExactDomain
-and _JetFloatDomain serve the window entropies here and the jets of the
-expansion module alike (_domain picks one).  The multisite module adds one
-kernel per backend that keeps a single mixed coefficient, and _SumDomain
-only adds up probabilities.  _traverse drives all of them.
+one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
+and per-site polynomials alike (_domain picks one).  A jet of order K is the
+one-variable polynomial with cap K, and both kernels run one recurrence for
+log p over a plan built once per caps and targets (_plan); a scalar takes
+one log or one integer addition.  _SumDomain only adds up probabilities.
+_traverse drives all of them.
 
 Exact scalars, jets and per-site polynomials walk on Python integers, from
 the tables of _integer_tables.  Each table (start vector, emission columns,
 transition columns) is scaled once by the lcm of its denominators, D_start,
 D_R and D_M, so a node at depth d carries integer numerators over
 Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
-each depth).  Both exact kernels keep one accumulator per depth
-(_new_cells), with one cell of integer sums per distinct constant term N_0
-of a leaf, and share one finish (_finish_cells): one Fraction per target and
-one log(N_0 / Q_d) per distinct N_0, then one division by Q_d.
+each depth).  The exact kernel keeps one accumulator per depth (_new_cells),
+with one cell of integer sums per distinct constant term N_0 of a leaf, and
+one finish (_finish_cells): one Fraction per target and one log(N_0 / Q_d)
+per distinct N_0, then one division by Q_d.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one run per start state, each recording n - 1 and n
@@ -36,12 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
 from .loglinear import LogLinearValue, factor_positive
 from .model import HmpModel
-from .series import TruncatedSeries, _log_tail
+from .series import TruncatedSeries
 
 DEFAULT_DEPTH_CAP = 14
 
@@ -66,7 +69,7 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
         p = gamma[0]
         for g in gamma[1:]:
             p = p + g
-        if domain.is_zero(p):
+        if not p:
             continue
         if acc is not None:
             domain.add_term(acc, p)
@@ -81,7 +84,7 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
 
 
 def _new_cells(q_primes):
-    """The exact kernels' accumulator of one depth: the primes of Q_d, Q_d,
+    """The exact kernel's accumulator of one depth: the primes of Q_d, Q_d,
     and {N_0: cell} over the constant terms N_0 of its leaves.
 
     For T targets (orders, or one kvec) of weights w_t a cell holds 2T
@@ -110,53 +113,123 @@ def _finish_cells(acc, lcm, weights):
             for rat, lg in zip(rats, logs)]
 
 
-class _JetExactDomain:
-    """The exact -p log p kernel for jets of any order; a scalar is order 0.
+@lru_cache(maxsize=256)
+def _packing(caps):
+    """{vector: packed form} and {packed form: |e|} over the exponent vectors
+    within the caps, packed in mixed radix 2*cap + 2.  Sums of such vectors
+    have no digit above 2*cap, so they pack to sums of packed forms, and
+    whether a sum or difference stays within the caps is one dict lookup."""
+    places = [1]
+    for cap in caps:
+        places.append(places[-1] * (2 * cap + 2))
+    index = {e: sum(ei * w for ei, w in zip(e, places))
+             for e in product(*(range(cap + 1) for cap in caps))}
+    return index, {key: sum(e) for e, key in index.items()}
 
-    A leaf at depth d carries integer numerators N_0..N_K over Q_d.  The log
-    tail is l_k = b_k / (k N_0^k) with the integer recurrence
-    b_k = k N_k N_0^(k-1) - sum_{0<j<k} N_j b_{k-j} N_0^(j-1).  A leaf adds
-    its N_k and the numerators of [N log(N / N_0)]_k over lcm(1..K) N_0^k to
-    the cell of its N_0, so it builds no Fraction and factors nothing.
+
+@lru_cache(maxsize=256)
+def _plan(caps, targets):
+    """The leaf kernels' plan for coefficients within caps and below targets.
+
+    The box is every exponent vector e below some target, in packed order,
+    so position 0 is the constant term.  Returns the packed keys and the
+    weights |e| by position, then each nonzero box entry e with its index
+    pairs (g, e - g) over 0 < g < e, then each target t with its weight and
+    its pairs (t - h, h) over 0 < h <= t.  A jet of order K has caps (K,)
+    and targets 0..K, so its positions are its orders.
+    """
+    index = _packing(caps)[0]
+    vecs = [e for e in sorted(index, key=index.get)
+            if any(all(a <= b for a, b in zip(e, t)) for t in targets)]
+    pos = {e: i for i, e in enumerate(vecs)}
+
+    def below(e):  # the nonzero box vectors f <= e, in packed order
+        return [f for f in vecs[1:] if all(a <= b for a, b in zip(f, e))]
+
+    def minus(e, f):
+        return pos[tuple(a - b for a, b in zip(e, f))]
+
+    box = tuple((pos[e], sum(e), tuple((pos[g], minus(e, g)) for g in below(e) if g != e))
+                for e in vecs[1:])
+    tops = tuple((pos[t], sum(t), tuple((minus(t, h), pos[h]) for h in below(t)))
+                 for t in targets)
+    return tuple(index[e] for e in vecs), tuple(sum(e) for e in vecs), box, tops
+
+
+class _JetExactDomain:
+    """The exact -p log p kernel for scalars, jets and per-site polynomials.
+
+    A leaf at depth d carries integer numerators N_e over Q_d.  With
+    W = log(p / N_0) and B_e = |e| N_0^|e| W_e, Euler's operator gives
+    B_e = |e| N_e N_0^(|e|-1) - sum_{0<g<e} N_g N_0^(|g|-1) B_(e-g) over the
+    plan's box (_plan).  For each target t a leaf adds N_t and the numerator
+    of [N W]_t over lcm(1..|t|) N_0^|t| to the cell of its N_0, so it builds
+    no Fraction and factors nothing.  A scalar only adds N_0.
     """
 
     integer = True
 
-    def __init__(self, order: int, scalar: bool = False):
-        self.order, self.scalar = order, scalar
-        self.lcm = math.lcm(*range(1, order + 1))
-
-    @staticmethod
-    def is_zero(p):
-        return not p if isinstance(p, int) else p.is_zero()
+    def __init__(self, plan=None, series=False):
+        self.plan, self.series = plan, series
+        self.weights = [w for _, w, _ in plan[3]] if plan else [0]
+        self.top = max(self.weights)
+        self.lcm = math.lcm(*range(1, self.top + 1))
 
     new_acc = staticmethod(_new_cells)
 
     def add_term(self, acc, p):
-        coeffs = (p,) if isinstance(p, int) else p.coeffs
-        n0, top = coeffs[0], len(coeffs)
+        plan = self.plan
+        c = _leaf_coeffs(plan, p)
+        n0 = c[0]
         if n0 <= 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability jet has constant term {Fraction(n0, acc[1])}"
-            )
+            raise NonpositiveConstantTerm(f"sequence probability {_noun(p)} has "
+                                          f"constant term {Fraction(n0, acc[1])}")
         cell = acc[2].get(n0)
         if cell is None:
-            cell = acc[2][n0] = [0] * (2 * top)
-        for k, nk in enumerate(coeffs):
-            cell[k] += nk
+            cell = acc[2][n0] = [0] * (2 * len(self.weights))
+        if plan is None:
+            cell[0] += n0
+            return
+        _, weight, box, tops = plan
         pw = [1]
-        for _ in range(top - 1):
+        for _ in range(self.top):
             pw.append(pw[-1] * n0)
-        b, lam = [0], [0]  # lam_m = lcm * N_0^m * l_m
-        for k in range(1, top):
-            b.append(k * coeffs[k] * pw[k - 1]
-                     - sum(coeffs[j] * b[k - j] * pw[j - 1] for j in range(1, k)))
-            lam.append(b[k] * (self.lcm // k))
-            cell[top + k] += sum(coeffs[k - m] * lam[m] * pw[k - m] for m in range(1, k + 1))
+        # tail_g = N_g N_0^(|g|-1), and tail_0 = 1 for the target sums
+        tail = [ci * pw[w - 1] if w else 1 for ci, w in zip(c, weight)]
+        b, lam, lcm = [0] * len(c), [0] * len(c), self.lcm
+        for e, w, pairs in box:
+            v = w * tail[e]
+            for g, h in pairs:
+                tg = tail[g]
+                if tg:
+                    v -= tg * b[h]
+            b[e], lam[e] = v, v * (lcm // w)  # lam_e = lcm N_0^|e| W_e
+        top = len(tops)
+        for i, (t, _, pairs) in enumerate(tops):
+            cell[i] += c[t]
+            num = 0
+            for g, h in pairs:
+                tg = tail[g]
+                if tg:
+                    num += tg * lam[h]
+            cell[top + i] += n0 * num
 
     def finish(self, acc):
-        values = _finish_cells(acc, self.lcm, range(self.order + 1))
-        return values[0] if self.scalar else TruncatedSeries(values)
+        values = _finish_cells(acc, self.lcm, self.weights)
+        return TruncatedSeries(values) if self.series else values[0]
+
+
+def _leaf_coeffs(plan, p):
+    """The coefficients of a leaf by plan position (a scalar has one)."""
+    if plan is None:
+        return (p,)
+    if isinstance(p, TruncatedSeries):
+        return p.coeffs
+    return [p.terms.get(k, 0) for k in plan[0]]
+
+
+def _noun(p):
+    return "polynomial" if hasattr(p, "terms") else "jet"
 
 
 def _log_ratio(n0, q_primes):
@@ -218,52 +291,55 @@ def _times(x, d):
 
 
 class _JetFloatDomain:
-    """The float -p log p kernel for jets of any order; a scalar is order 0.
+    """The float -p log p kernel for scalars, jets and per-site polynomials.
 
-    The order-0 step is one log and one multiply; only jets of order >= 1
-    compute the log tail.
+    A scalar takes one log and one multiply.  Otherwise W = log(p / c0)
+    follows W_e = (|e| p_e - sum_{0<g<e} p_g |e-g| W_(e-g)) / (|e| c0) over
+    the plan's box (_plan), and a leaf subtracts p_t log(c0) + [p W]_t from
+    the cell of each target t.
     """
 
-    def __init__(self, order: int, log, scalar: bool = False):
-        self.order, self.scalar = order, scalar
-        self._log = log
-
-    @staticmethod
-    def is_zero(p):
-        return p.is_zero() if isinstance(p, TruncatedSeries) else not p
+    def __init__(self, log, plan=None, series=False):
+        self._log, self.plan, self.series = log, plan, series
 
     def new_acc(self):
-        return [0] * (self.order + 1)
+        return [0] * (len(self.plan[3]) if self.plan else 1)
 
     def add_term(self, cells, p):
-        c0 = p if self.scalar else p.coeffs[0]
+        plan = self.plan
+        c = _leaf_coeffs(plan, p)
+        c0 = c[0]
         if not c0 > 0:
             raise NonpositiveConstantTerm(
-                f"sequence probability jet has constant term {c0!r}"
-            )
+                f"sequence probability {_noun(p)} has constant term {c0!r}")
         lg0 = self._log(c0)
-        cells[0] = cells[0] - c0 * lg0
-        if self.order:
-            coeffs = p.coeffs
-            tail = _log_tail(coeffs)
-            for k in range(1, len(cells)):
-                term = coeffs[k] * lg0
-                for m in range(1, k + 1):
-                    pj = coeffs[k - m]
-                    if pj:
-                        term = term + pj * tail[m - 1]
-                cells[k] = cells[k] - term
+        if plan is None:
+            cells[0] = cells[0] - c0 * lg0
+            return
+        _, _, box, tops = plan
+        lg, wlg = [0] * len(c), [0] * len(c)  # W_e and |e| W_e
+        for e, w, pairs in box:
+            acc = w * c[e]
+            for g, h in pairs:
+                cg = c[g]
+                if cg:
+                    acc = acc - cg * wlg[h]
+            lg[e] = acc / (w * c0)
+            wlg[e] = w * lg[e]
+        for i, (t, _, pairs) in enumerate(tops):
+            term = c[t] * lg0
+            for g, h in pairs:
+                cg = c[g]
+                if cg:
+                    term = term + cg * lg[h]
+            cells[i] = cells[i] - term
 
     def finish(self, cells):
-        return cells[0] if self.scalar else TruncatedSeries(list(cells))
+        return TruncatedSeries(cells) if self.series else cells[0]
 
 
 class _SumDomain:
     """Accumulates the plain sum of sequence probabilities (any domain)."""
-
-    @staticmethod
-    def is_zero(p):
-        return not p
 
     @staticmethod
     def new_acc():
@@ -278,13 +354,19 @@ class _SumDomain:
         return acc[0]
 
 
-def _domain(backend, order=None):
-    """The backend's -p log p kernel, for jets to the given order or, by
-    default, for scalars."""
-    scalar = order is None
+def _domain(backend, order=None, kvec=None):
+    """The backend's -p log p kernel: for scalars by default, for jets to
+    the given order, or for the kvec coefficient of per-site polynomials
+    with caps kvec."""
+    plan = None
+    if kvec is not None:
+        plan = _plan(tuple(kvec), (tuple(kvec),))
+    elif order is not None:
+        plan = _plan((order,), tuple((k,) for k in range(order + 1)))
+    series = kvec is None and order is not None
     if backend.is_exact:
-        return _JetExactDomain(order or 0, scalar)
-    return _JetFloatDomain(order or 0, backend.log, scalar)
+        return _JetExactDomain(plan, series)
+    return _JetFloatDomain(backend.log, plan, series)
 
 
 def _scalar_tables(model: HmpModel, backend):

@@ -6,13 +6,14 @@ each emission factor is the jet (delta_{x,y} + eps*t_{x,y}); in the
 almost-memoryless regime each transition factor is (1/s + delta*t) and the
 starting distribution is the exact stationary jet of U + delta*T.
 
-The leaf kernels are the entropy module's, one per backend, at the jet's
-order: on the exact backend the jets walk with integer coefficients over one
-denominator per depth, and _JetExactDomain evaluates -p log p with an
-all-integer log-tail recurrence, summed per distinct constant term, so each
-depth takes one log per distinct N_0; _JetFloatDomain does the same in
-floats.  _regime_tables builds the tables of both regimes, for jets here and
-for the per-site polynomials and values of the multisite module.
+The leaf kernels are the entropy module's, one per backend, with every
+order of the jet as a target: on the exact backend the jets walk with
+integer coefficients over one denominator per depth, and _JetExactDomain
+evaluates -p log p with an all-integer log recurrence, summed per distinct
+constant term, so each depth takes one log per distinct N_0; _JetFloatDomain
+runs the same recurrence in floats.  _regime_tables builds the tables of
+both regimes, for jets here and for the per-site polynomials and values of
+the multisite module.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value

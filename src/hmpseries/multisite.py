@@ -8,25 +8,22 @@ F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
 The traversal is the entropy module's, over polynomials with per-variable
-degree caps k_i and exponent vectors packed into integers, from the tables
-of expansion._regime_tables.  Each backend keeps only the kvec coefficient
-of -p log p: the exact kernel walks integers over Q_d and shares the jet
-kernel's cells and finish, one log per distinct constant term N_0 of a
-depth, and _MultiDomain serves the floats.  multisite_value evaluates the
-same tables at the given parameters and uses the scalar kernel.
+degree caps k_i and exponent vectors packed into integers (entropy._packing),
+from the tables of expansion._regime_tables.  The leaf kernels are the
+entropy module's too, with kvec as their one target: the exact one walks
+integers over Q_d and takes one log per distinct constant term N_0 of a
+depth.  multisite_value evaluates the same tables at the given parameters
+and uses the scalar kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .backends import EXACT
-from .entropy import _domain, _finish_cells, _new_cells, _traverse
-from .errors import NonpositiveConstantTerm, WeightCapExceeded
+from .entropy import _domain, _packing, _traverse
+from .errors import WeightCapExceeded
 from .model import (
     HighSnr,
     RegimeSpec,
@@ -60,23 +57,9 @@ class MultiSiteSpec:
         return sum(self.kvec)
 
 
-@lru_cache(maxsize=256)
-def _packing(caps):
-    """{vector: packed form} and {packed form: |e|} over the exponent vectors
-    within the caps, packed in mixed radix 2*cap + 2.  Sums of such vectors
-    have no digit above 2*cap, so they pack to sums of packed forms, and
-    whether a sum or difference stays within the caps is one dict lookup."""
-    places = [1]
-    for cap in caps:
-        places.append(places[-1] * (2 * cap + 2))
-    index = {e: sum(ei * w for ei, w in zip(e, places))
-             for e in product(*(range(cap + 1) for cap in caps))}
-    return index, {key: sum(e) for e, key in index.items()}
-
-
 class MultiPoly:
     """Multivariate polynomial truncated to per-variable degree caps, with
-    terms keyed by packed exponent vectors (see _packing)."""
+    terms keyed by packed exponent vectors (see entropy._packing)."""
 
     __slots__ = ("caps", "terms", "_weight")
 
@@ -167,107 +150,6 @@ class MultiPoly:
     __rmul__ = __mul__
 
 
-def _log1p_part(p: MultiPoly, c0):
-    """W with log(p) = log(c0) + W, via the nilpotent series for log(1 + q)."""
-    q = p * (1 / c0) - 1
-    total = None
-    power = q
-    m = 1
-    bound = sum(p.caps) + 1
-    while power and m <= bound:
-        term = power * (Fraction((-1) ** (m + 1), m))
-        total = term if total is None else total + term
-        power = power * q
-        m += 1
-    return total if total is not None else MultiPoly(p.caps, {})
-
-
-class _MultiDomain:
-    """The float per-site kernel: -p log p, keeping only the kvec coefficient.
-
-    With log(p) = log(c0) + W, a leaf adds -log(c0) * p[kvec] - [p W]_kvec.
-    """
-
-    def __init__(self, kvec, backend):
-        self.kvec = tuple(kvec)
-        self._log = backend.log
-        self._zero = backend.log(backend.scalar(1))
-
-    @staticmethod
-    def is_zero(p):
-        return not p
-
-    def new_acc(self):
-        return [self._zero]
-
-    def add_term(self, acc, p):
-        c0 = p.constant_term()
-        if not c0 > 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability polynomial has constant term {c0!r}"
-            )
-        c = p.coefficient(self.kvec)
-        if c:
-            acc[0] = acc[0] - self._log(c0) * c
-        c = (p * _log1p_part(p, c0)).coefficient(self.kvec)
-        if c:
-            acc[0] = acc[0] - c
-
-    @staticmethod
-    def finish(acc):
-        return acc[0]
-
-
-class _MultiExactDomain:
-    """The exact per-site kernel, on leaves of integers N_e over Q_d.
-
-    Euler's operator gives W = log(p / c0) as W_e = B_e / (|e| N_0^|e|), with
-    B_e = |e| N_e N_0^(|e|-1) - sum_{0<f<e} N_(e-f) B_f N_0^(|e|-|f|-1).  The
-    cell of a leaf's N_0 (entropy._new_cells) sums N_kvec and the numerator
-    of [p W]_kvec over lcm(1..|kvec|) N_0^|kvec|.
-    """
-
-    integer = True
-
-    def __init__(self, kvec):
-        index, weight = _packing(tuple(kvec))
-        self.top = index[tuple(kvec)]
-        self.box = sorted((e, w) for e, w in weight.items() if e)
-        self.order = sum(kvec)
-        self.lcm = lcm(*range(1, self.order + 1))
-
-    @staticmethod
-    def is_zero(p):
-        return not p
-
-    new_acc = staticmethod(_new_cells)
-
-    def add_term(self, acc, p):
-        terms, weight, order = p.terms, p._weight, self.order
-        n0 = terms.get(0, 0)
-        if n0 <= 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability polynomial has constant term {Fraction(n0, acc[1])}"
-            )
-        pw = [n0**k for k in range(order + 1)]
-        tail = [(g, c * pw[weight[g] - 1]) for g, c in terms.items() if g]
-        b, num = {}, 0
-        for e, w in self.box:
-            v = w * terms.get(e, 0) * pw[w - 1]
-            for g, c in tail:
-                f = b.get(e - g)
-                if f:
-                    v -= c * f
-            b[e] = v
-            num += terms.get(self.top - e, 0) * v * (self.lcm // w) * pw[order - w]
-        cell = acc[2].setdefault(n0, [0, 0])
-        cell[0] += terms.get(self.top, 0)
-        cell[1] += num
-
-    def finish(self, acc):
-        return _finish_cells(acc, self.lcm, (self.order,))[0]
-
-
 def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
     if mspec.weight > weight_cap:
         raise WeightCapExceeded(
@@ -295,8 +177,7 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
             lambda: [MultiPoly(caps, {(m,) + (0,) * (n - 1): sc(c)
                                       for m, c in enumerate(ser.coeffs)})
                      for ser in stationary_series(spec.T, caps[0])])
-        domain = _MultiExactDomain(caps) if backend.is_exact else _MultiDomain(caps, backend)
-        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, domain)
+        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _domain(backend, kvec=caps))
         return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
 

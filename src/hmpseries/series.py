@@ -76,8 +76,11 @@ class TruncatedSeries:
         zero = c0 * 0
         return cls((c0, c1) + (zero,) * (order - 1))
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self
 
     def _check(self, other: "TruncatedSeries"):
         if other.order != self.order:
@@ -213,6 +216,6 @@ def entropy_accumulate(p: TruncatedSeries, acc: TruncatedSeries) -> TruncatedSer
     """acc - p*log(p), with the 0*log(0) := 0 convention for identically-zero p."""
     if p.order != acc.order:
         raise OrderMismatch(f"order {p.order} vs {acc.order}")
-    if p.is_zero():
+    if not p:
         return acc
     return acc - p * log_series(p)

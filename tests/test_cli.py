@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import hmpseries.entropy as entropy_module
-from hmpseries import HIGH_SNR_NOTE, entropy_report, load_model
+from hmpseries import (HIGH_SNR_NOTE, FloatBackend, ParseError, entropy_report, get_backend,
+                       load_model)
 from hmpseries.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,9 +172,19 @@ def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
 
 
 def test_unknown_backend_exit_2(capsys, model_file):
-    code, _, _ = run_cli(capsys, "entropy", "--model", model_file,
-                         "--n", "1", "--backend", "decimal")
-    assert code == 2
+    # a precision below 24 bits is a malformed tag too, not a failed computation
+    for tag in ("decimal", "bigfloat:10", "bigfloat:-5"):
+        code, _, _ = run_cli(capsys, "entropy", "--model", model_file,
+                             "--n", "1", "--backend", tag)
+        assert code == 2, tag
+
+
+def test_low_bigfloat_precision_is_a_parse_error_only_on_the_command_line():
+    with pytest.raises(ParseError, match="at least 24 bits"):
+        get_backend("bigfloat:23")
+    with pytest.raises(ValueError, match="at least 24 bits"):
+        FloatBackend(23)
+    assert get_backend("bigfloat:24").bits == 24
 
 
 def test_bounds_columns(capsys, model_file):

@@ -33,7 +33,7 @@ from hmpseries import (
     total_probability,
     validate_model,
 )
-from hmpseries.entropy import _JetExactDomain
+from hmpseries.entropy import _domain
 
 from util import (
     brute_finite_entropy,
@@ -111,7 +111,7 @@ def test_exact_leaf_kernel_matches_series_log(data):
     order = data.draw(st.integers(min_value=0, max_value=5))
     q = data.draw(st.integers(min_value=1, max_value=10**5))
     leaves = data.draw(st.lists(_integer_jets(order), min_size=1, max_size=4))
-    jet, scalar = _JetExactDomain(order), _JetExactDomain(0, scalar=True)
+    jet, scalar = _domain(EXACT, order), _domain(EXACT)
     jet_acc = jet.new_acc(factor_positive(q))
     scalar_acc = scalar.new_acc(factor_positive(q))
     expect = TruncatedSeries([F(0)] * (order + 1))

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
+    EXACT,
     FLOAT64,
     AlmostMemoryless,
+    FloatBackend,
     HighSnr,
     LogLinearValue,
     MultiPoly,
@@ -28,7 +31,7 @@ from hmpseries import (
     stationary_distribution,
 )
 
-from hmpseries.multisite import _MultiExactDomain, _log1p_part
+from hmpseries.entropy import _domain
 
 from util import (
     am_specs,
@@ -36,6 +39,7 @@ from util import (
     entropy_exact,
     high_snr_specs,
     ll_close,
+    log1p_part,
 )
 
 F = Fraction
@@ -284,7 +288,7 @@ def test_exact_kernel_matches_the_log1p_series(data):
     q = data.draw(st.integers(min_value=1, max_value=10**4))
     box = list(product(*(range(k + 1) for k in kvec)))
     coeff = st.integers(min_value=-10**4, max_value=10**4)
-    domain = _MultiExactDomain(kvec)
+    domain = _domain(EXACT, kvec=kvec)
     acc = domain.new_acc(factor_positive(q))
     expect = ZERO
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
@@ -296,5 +300,63 @@ def test_exact_kernel_matches_the_log1p_series(data):
         p = MultiPoly(kvec, {e: F(c, q) for e, c in terms.items()})
         c0 = p.constant_term()
         expect = (expect - LogLinearValue.log_of(c0) * p.coefficient(kvec)
-                  - (p * _log1p_part(p, c0)).coefficient(kvec))
+                  - (p * log1p_part(p, c0)).coefficient(kvec))
     assert domain.finish(acc) == expect
+
+
+def _mp(value):
+    """A LogLinearValue as an mpmath number at the working precision."""
+    out = mpmath.mpf(value.rat.numerator) / value.rat.denominator
+    for prime, c in value.logs:
+        out += mpmath.log(prime) * mpmath.mpf(c.numerator) / c.denominator
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_float_kernel_matches_the_log1p_series(data):
+    # the float64 kernel on leaves N/q against the exact series oracle.  Its
+    # rounding is bounded by scale: the kvec coefficient of |p| times
+    # -log(1 - |q|), whose coefficients bound every term of the recurrence
+    kvec = tuple(data.draw(_small_kvecs()))
+    q = data.draw(st.integers(min_value=1, max_value=10**4))
+    box = list(product(*(range(k + 1) for k in kvec)))
+    coeff = st.integers(min_value=-10**4, max_value=10**4)
+    domain = _domain(FLOAT64, kvec=kvec)
+    acc = domain.new_acc()
+    expect, scale = ZERO, 0.0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        terms = {e: data.draw(coeff) for e in box}
+        terms[box[0]] = data.draw(st.integers(min_value=1, max_value=10**4))
+        domain.add_term(acc, MultiPoly(kvec, {e: c / q for e, c in terms.items()}))
+        p = MultiPoly(kvec, {e: F(c, q) for e, c in terms.items()})
+        c0 = p.constant_term()
+        expect = (expect - LogLinearValue.log_of(c0) * p.coefficient(kvec)
+                  - (p * log1p_part(p, c0)).coefficient(kvec))
+        size = MultiPoly(kvec, {e: F(abs(c), q) for e, c in terms.items()})
+        under = MultiPoly(kvec, {e: F(c if e == box[0] else -abs(c), q)
+                                 for e, c in terms.items()})
+        scale += ((1 + abs(math.log(c0))) * abs(p.coefficient(kvec))
+                  - float((size * log1p_part(under, c0)).coefficient(kvec)))
+    with mpmath.workprec(256):
+        assert abs(domain.finish(acc) - _mp(expect)) <= 1e-12 * scale
+
+
+KVECS_N3 = [k for k in product(range(5), repeat=3) if sum(k) <= 4]
+
+
+@pytest.mark.parametrize("spec", [am_binary(F(3, 5)), high_snr_binary(F(1, 5))],
+                         ids=["am", "high_snr"])
+def test_float_derivatives_track_exact_for_every_order_at_n3(spec):
+    big = FloatBackend(128)
+    for kvec in KVECS_N3:
+        mspec = MultiSiteSpec(3, kvec)
+        exact = multisite_derivative(mspec, spec)
+        fast = multisite_derivative(mspec, spec, FLOAT64)
+        slow = multisite_derivative(mspec, spec, big)
+        assert isinstance(fast, float) and isinstance(slow, mpmath.mpf)
+        with mpmath.workprec(256):
+            want = _mp(exact)
+            tol = max(1, abs(want))
+            assert abs(fast - want) <= 1e-12 * tol, kvec
+            assert abs(slow - want) <= mpmath.mpf(2) ** -110 * tol, kvec

@@ -17,6 +17,7 @@ from hmpseries import (
     HighSnr,
     HmpModel,
     LogLinearValue,
+    MultiPoly,
     PerturbationMatrix,
     StochasticMatrix,
     TruncatedSeries,
@@ -236,6 +237,21 @@ def brute_multisite_derivative(spec, kvec) -> LogLinearValue:
         return total
 
     return (entropy(n) - entropy(n - 1)) * math.prod(math.factorial(k) for k in kvec)
+
+
+def log1p_part(p: MultiPoly, c0):
+    """W with log(p) = log(c0) + W, via the nilpotent series for log(1 + q)."""
+    q = p * (1 / c0) - 1
+    total = None
+    power = q
+    m = 1
+    bound = sum(p.caps) + 1
+    while power and m <= bound:
+        term = power * (Fraction((-1) ** (m + 1), m))
+        total = term if total is None else total + term
+        power = power * q
+        m += 1
+    return total if total is not None else MultiPoly(p.caps, {})
 
 
 def ll_close(a, b, rel=1e-12) -> bool:
