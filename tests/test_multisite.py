@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -360,3 +361,30 @@ def test_float_derivatives_track_exact_for_every_order_at_n3(spec):
             tol = max(1, abs(want))
             assert abs(fast - want) <= 1e-12 * tol, kvec
             assert abs(slow - want) <= mpmath.mpf(2) ** -110 * tol, kvec
+
+
+GOLDEN = Path(__file__).parent / "golden" / "multisite-float-n4.txt"
+# anchor name, regime, per-site parameters for multisite_value
+PIN_ANCHORS = [("am", am_binary(F(3, 5)), ("1/10", "1/7", "1/5", "1/9")),
+               ("high_snr", high_snr_binary(F(1, 5)), ("1/10", "1/7", "1/5", "1/9"))]
+
+
+def float_pin_lines():
+    """The reprs behind multisite-float-n4.txt: every kvec of weight <= 4 at
+    n = 4 and one per-site value, per anchor and float backend."""
+    lines = []
+    kvecs = [k for k in product(range(5), repeat=4) if sum(k) <= 4]
+    for name, spec, params in PIN_ANCHORS:
+        for backend in (FLOAT64, FloatBackend(128)):
+            with backend.ctx():  # a bigfloat repr carries its precision's digits
+                for kvec in kvecs:
+                    got = multisite_derivative(MultiSiteSpec(4, kvec), spec, backend)
+                    lines.append(f"{name} {backend.tag} {','.join(map(str, kvec))} {got!r}")
+                got = multisite_value(spec, params, backend)
+                lines.append(f"{name} {backend.tag} value {','.join(params)} {got!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_float_per_site_digits_are_pinned():
+    # written by an earlier version; no benchmark times the float per-site path
+    assert float_pin_lines() == GOLDEN.read_text()
