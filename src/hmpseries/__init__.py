@@ -94,7 +94,6 @@ from .model import (
 from .multisite import (
     SITE_CAP,
     WEIGHT_CAP,
-    MultiPoly,
     MultiSiteSpec,
     multisite_derivative,
     multisite_value,

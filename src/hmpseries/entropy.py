@@ -12,10 +12,12 @@ convention.
 The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
 and per-site polynomials alike (_domain picks one).  A jet of order K is the
-one-variable polynomial with cap K, and both kernels run one recurrence for
-log p over a plan built once per caps and targets (_plan); a scalar takes
-one log or one integer addition.  _SumDomain only adds up probabilities.
-_traverse drives all of them.
+one-variable polynomial with cap K.  Scalars walk as plain numbers; jets and
+per-site polynomials walk as one dense type, _Dense, a coefficient list in
+the layout of a plan built once per caps and targets (_plan), and each table
+entry is a factor a + b*x_i.  Both kernels read that list and run one
+recurrence for log p over the plan; a scalar takes one log or one integer
+addition.  _SumDomain only adds up probabilities.  _traverse drives them all.
 
 Exact scalars, jets and per-site polynomials walk on Python integers, from
 the tables of _integer_tables.  Each table (start vector, emission columns,
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
@@ -114,36 +117,22 @@ def _finish_cells(acc, lcm, weights):
 
 
 @lru_cache(maxsize=256)
-def _packing(caps):
-    """{vector: packed form} and {packed form: |e|} over the exponent vectors
-    within the caps, packed in mixed radix 2*cap + 2.  Sums of such vectors
-    have no digit above 2*cap, so they pack to sums of packed forms, and
-    whether a sum or difference stays within the caps is one dict lookup."""
-    places = [1]
-    for cap in caps:
-        places.append(places[-1] * (2 * cap + 2))
-    index = {e: sum(ei * w for ei, w in zip(e, places))
-             for e in product(*(range(cap + 1) for cap in caps))}
-    return index, {key: sum(e) for e, key in index.items()}
-
-
-@lru_cache(maxsize=256)
 def _plan(caps, targets):
-    """The leaf kernels' plan for coefficients within caps and below targets.
+    """The plan of coefficient lists within caps and below targets.
 
-    The box is every exponent vector e below some target, in packed order,
-    so position 0 is the constant term.  Returns the packed keys and the
-    weights |e| by position, then each nonzero box entry e with its index
-    pairs (g, e - g) over 0 < g < e, then each target t with its weight and
-    its pairs (t - h, h) over 0 < h <= t.  A jet of order K has caps (K,)
-    and targets 0..K, so its positions are its orders.
+    The box is every exponent vector e below some target, ordered with the
+    last variable most significant, so position 0 is the constant term and
+    a jet of order K (caps (K,), targets 0..K) has its orders as positions.
+    Returns the weights |e| by position, then each nonzero box entry e with
+    its index pairs (g, e - g) over 0 < g < e, then each target t with its
+    weight and its pairs (t - h, h) over 0 < h <= t, then per variable i the
+    shift pairs (e, e + 1_i) of the box.
     """
-    index = _packing(caps)[0]
-    vecs = [e for e in sorted(index, key=index.get)
+    vecs = [e for e in sorted(product(*(range(cap + 1) for cap in caps)), key=lambda e: e[::-1])
             if any(all(a <= b for a, b in zip(e, t)) for t in targets)]
     pos = {e: i for i, e in enumerate(vecs)}
 
-    def below(e):  # the nonzero box vectors f <= e, in packed order
+    def below(e):  # the nonzero box vectors f <= e, in box order
         return [f for f in vecs[1:] if all(a <= b for a, b in zip(f, e))]
 
     def minus(e, f):
@@ -153,7 +142,38 @@ def _plan(caps, targets):
                 for e in vecs[1:])
     tops = tuple((pos[t], sum(t), tuple((minus(t, h), pos[h]) for h in below(t)))
                  for t in targets)
-    return tuple(index[e] for e in vecs), tuple(sum(e) for e in vecs), box, tops
+    ups = [[e[:i] + (e[i] + 1,) + e[i + 1:] for e in vecs] for i in range(len(caps))]
+    shifts = tuple(tuple((pos[e], pos[f]) for e, f in zip(vecs, up) if f in pos) for up in ups)
+    return tuple(sum(e) for e in vecs), box, tops, shifts
+
+
+class _Dense(list):
+    """A jet or per-site polynomial walked as coefficients in a plan's layout.
+
+    A table entry (a, b, shift) is the factor a + b*x_i, with shift the
+    plan's pairs (e, e + 1_i): multiplying by it is a scale plus one
+    shift-add, and a sum is a zip-add.  Zero products are skipped, so each
+    product coefficient is the sum of its nonzero terms p_e*a and
+    p_(e-1_i)*b, and no -0.0 appears.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Dense(map(add, self, other))
+
+    def __mul__(self, entry):
+        a, b, shift = entry
+        out = _Dense([c * a if c else c for c in self] if a else [a] * len(self))
+        if b:
+            for e, f in shift:
+                c = self[e]
+                if c:
+                    out[f] = out[f] + c * b
+        return out
+
+    def __bool__(self):
+        return any(self)
 
 
 class _JetExactDomain:
@@ -171,7 +191,7 @@ class _JetExactDomain:
 
     def __init__(self, plan=None, series=False):
         self.plan, self.series = plan, series
-        self.weights = [w for _, w, _ in plan[3]] if plan else [0]
+        self.weights = [w for _, w, _ in plan[2]] if plan else [0]
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
@@ -179,24 +199,23 @@ class _JetExactDomain:
 
     def add_term(self, acc, p):
         plan = self.plan
-        c = _leaf_coeffs(plan, p)
-        n0 = c[0]
+        n0 = p[0] if plan else p
         if n0 <= 0:
-            raise NonpositiveConstantTerm(f"sequence probability {_noun(p)} has "
-                                          f"constant term {Fraction(n0, acc[1])}")
+            raise NonpositiveConstantTerm(
+                f"sequence probability has constant term {Fraction(n0, acc[1])}")
         cell = acc[2].get(n0)
         if cell is None:
             cell = acc[2][n0] = [0] * (2 * len(self.weights))
         if plan is None:
             cell[0] += n0
             return
-        _, weight, box, tops = plan
+        weight, box, tops, _ = plan
         pw = [1]
         for _ in range(self.top):
             pw.append(pw[-1] * n0)
         # tail_g = N_g N_0^(|g|-1), and tail_0 = 1 for the target sums
-        tail = [ci * pw[w - 1] if w else 1 for ci, w in zip(c, weight)]
-        b, lam, lcm = [0] * len(c), [0] * len(c), self.lcm
+        tail = [ci * pw[w - 1] if w else 1 for ci, w in zip(p, weight)]
+        b, lam, lcm = [0] * len(p), [0] * len(p), self.lcm
         for e, w, pairs in box:
             v = w * tail[e]
             for g, h in pairs:
@@ -206,7 +225,7 @@ class _JetExactDomain:
             b[e], lam[e] = v, v * (lcm // w)  # lam_e = lcm N_0^|e| W_e
         top = len(tops)
         for i, (t, _, pairs) in enumerate(tops):
-            cell[i] += c[t]
+            cell[i] += p[t]
             num = 0
             for g, h in pairs:
                 tg = tail[g]
@@ -217,19 +236,6 @@ class _JetExactDomain:
     def finish(self, acc):
         values = _finish_cells(acc, self.lcm, self.weights)
         return TruncatedSeries(values) if self.series else values[0]
-
-
-def _leaf_coeffs(plan, p):
-    """The coefficients of a leaf by plan position (a scalar has one)."""
-    if plan is None:
-        return (p,)
-    if isinstance(p, TruncatedSeries):
-        return p.coeffs
-    return [p.terms.get(k, 0) for k in plan[0]]
-
-
-def _noun(p):
-    return "polynomial" if hasattr(p, "terms") else "jet"
 
 
 def _log_ratio(n0, q_primes):
@@ -247,18 +253,29 @@ def _log_ratio(n0, q_primes):
     return fac
 
 
-def _integer_tables(starts, emit_at, trans_at, n, record):
+def _integer_tables(starts, emit_at, trans_at, n, record, poly):
     """The tables scaled to integers, and the primes of Q_d at each recorded depth.
 
     Each distinct table is scaled once by the lcm of its denominators;
     Q_d is the product of the scale factors of the tables used to reach
     depth d: the start vector, d emission and d - 1 transition tables.
+    The items are exact scalars or, with poly, coefficient lists in the
+    start vector and (a, b, shift) entries in the tables.
     """
+    def ints(rats, d):
+        return [q.numerator * (d // q.denominator) for q in rats]
+
+    # per start vector and table: an item's rationals, the item from their integers
+    if poly:
+        kinds = ((lambda x: x, lambda m, x: _Dense(m)), (lambda x: x[:2], lambda m, x: (*m, x[2])))
+    else:
+        kinds = ((lambda x: (x,), lambda m, x: m[0]),) * 2
     scaled = {}
     for rows in [starts, *emit_at, *trans_at]:
         if id(rows) not in scaled:
-            d = math.lcm(*(c.denominator for row in rows for x in row for c in _coeffs(x)))
-            scaled[id(rows)] = [[_times(x, d) for x in row] for row in rows], d
+            rats, make = kinds[rows is not starts]
+            d = math.lcm(*(q.denominator for row in rows for x in row for q in rats(x)))
+            scaled[id(rows)] = [[make(ints(rats(x), d), x) for x in row] for row in rows], d
     q_primes, primes_at = {}, {}
 
     def absorb(rows):
@@ -276,20 +293,6 @@ def _integer_tables(starts, emit_at, trans_at, n, record):
             [scaled[id(c)][0] for c in trans_at], primes_at)
 
 
-def _coeffs(x):
-    """The rational coefficients of an exact scalar, jet or per-site polynomial."""
-    return x.terms.values() if hasattr(x, "terms") else getattr(x, "coeffs", (x,))
-
-
-def _times(x, d):
-    """Exact scalar, jet or per-site polynomial x times d, as integers."""
-    if isinstance(x, TruncatedSeries):
-        return TruncatedSeries([_times(c, d) for c in x.coeffs])
-    if hasattr(x, "terms"):
-        return x._with({e: _times(c, d) for e, c in x.terms.items()})
-    return x.numerator * (d // x.denominator)
-
-
 class _JetFloatDomain:
     """The float -p log p kernel for scalars, jets and per-site polynomials.
 
@@ -303,20 +306,19 @@ class _JetFloatDomain:
         self._log, self.plan, self.series = log, plan, series
 
     def new_acc(self):
-        return [0] * (len(self.plan[3]) if self.plan else 1)
+        return [0] * (len(self.plan[2]) if self.plan else 1)
 
     def add_term(self, cells, p):
         plan = self.plan
-        c = _leaf_coeffs(plan, p)
-        c0 = c[0]
+        c0 = p[0] if plan else p
         if not c0 > 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability {_noun(p)} has constant term {c0!r}")
+            raise NonpositiveConstantTerm(f"sequence probability has constant term {c0!r}")
         lg0 = self._log(c0)
         if plan is None:
             cells[0] = cells[0] - c0 * lg0
             return
-        _, _, box, tops = plan
+        _, box, tops, _ = plan
+        c = p[:]  # a plain list, which CPython indexes faster than the walk's _Dense
         lg, wlg = [0] * len(c), [0] * len(c)  # W_e and |e| W_e
         for e, w, pairs in box:
             acc = w * c[e]
@@ -382,7 +384,7 @@ def _traverse(starts, emit_at, trans_at, n, record, domain):
     """Walk from each start vector into shared sums; {depth: finished value}."""
     if getattr(domain, "integer", False):  # the exact kernels walk integers
         starts, emit_at, trans_at, primes_at = _integer_tables(
-            starts, emit_at, trans_at, n, record)
+            starts, emit_at, trans_at, n, record, domain.plan is not None)
         sums = {d: domain.new_acc(primes_at[d]) for d in record}
     else:
         sums = {d: domain.new_acc() for d in record}

@@ -1,10 +1,10 @@
 """Taylor coefficients of the entropy rate in the two perturbative regimes.
 
 The engine runs the same shared-prefix traversal as the scalar entropies,
-but with truncated power series as probabilities: in the high-SNR regime
-each emission factor is the jet (delta_{x,y} + eps*t_{x,y}); in the
-almost-memoryless regime each transition factor is (1/s + delta*t) and the
-starting distribution is the exact stationary jet of U + delta*T.
+but with jets as probabilities, walked as coefficient lists (entropy._Dense):
+in the high-SNR regime each emission factor is (delta_{x,y} + eps*t_{x,y});
+in the almost-memoryless regime each transition factor is (1/s + delta*t)
+and the starting distribution is the exact stationary jet of U + delta*T.
 
 The leaf kernels are the entropy module's, one per backend, with every
 order of the jet as a target: on the exact backend the jets walk with
@@ -12,8 +12,8 @@ integer coefficients over one denominator per depth, and _JetExactDomain
 evaluates -p log p with an all-integer log recurrence, summed per distinct
 constant term, so each depth takes one log per distinct N_0; _JetFloatDomain
 runs the same recurrence in floats.  _regime_tables builds the tables of
-both regimes, for jets here and for the per-site polynomials and values of
-the multisite module.
+both regimes, and _poly_tables their coefficient-list form for jets here
+and per-site polynomials in the multisite module.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -31,9 +31,11 @@ from .backends import EXACT
 from .entropy import (
     DEFAULT_DEPTH_CAP,
     _check_depth,
+    _Dense,
     _domain,
     _JetExactDomain,
     _JetFloatDomain,
+    _plan,
     _SumDomain,
     _traverse,
 )
@@ -113,33 +115,48 @@ def _regime_tables(spec: RegimeSpec, n: int, const, lin, am_start):
     """The start vector and the per-depth emission and transition columns of
     a regime at window length n.
 
-    const(v) is a table entry that does not move with the parameter and
-    lin(a, b, i) the factor a + b*x_i of site i: the emission at site i in the
-    high-SNR regime, the transition into site i in the almost-memoryless one,
-    whose start vector am_start() is the stationary vector at x_0.
+    lin(a, b, i) is the table entry a + b*x_i of site i: the emission at site
+    i in the high-SNR regime, the transition into site i in the
+    almost-memoryless one; an entry that does not move is lin(v, 0, 0).
+    The start vector is const(v) of the stationary vector in the high-SNR
+    regime and am_start(), the stationary vector at x_0, in the other.
     """
     if isinstance(spec, HighSnr):
         s = spec.M.size
         beta0 = [const(p) for p in stationary_distribution(spec.M)]
         emit_at = [[[lin(1 if j == y else 0, spec.T.rows[j][y], i) for j in range(s)]
                     for y in range(s)] for i in range(n)]
-        trans_at = [[[const(spec.M.rows[j][k]) for j in range(s)] for k in range(s)]] * (n - 1)
+        trans_at = [[[lin(spec.M.rows[j][k], 0, 0) for j in range(s)] for k in range(s)]] * (n - 1)
     else:
         s = spec.R.size
         beta0 = am_start()
-        emit_at = [[[const(spec.R.rows[j][y]) for j in range(s)] for y in range(s)]] * n
+        emit_at = [[[lin(spec.R.rows[j][y], 0, 0) for j in range(s)] for y in range(s)]] * n
         trans_at = [[[lin(Fraction(1, s), spec.T.rows[j][k], i) for j in range(s)]
                      for k in range(s)] for i in range(1, n)]
     return beta0, emit_at, trans_at
 
 
+def _poly_tables(spec: RegimeSpec, n: int, caps, sites, sc):
+    """A regime's tables for a walk of coefficient lists over the box of caps
+    (the layout of every _plan with caps among its targets): the start
+    vector as coefficient lists, each table cell as an (a, b, shift) entry
+    in which site i moves variable sites[i], and the start variable 0.
+    """
+    weights, _, _, shifts = _plan(caps, (caps,))
+    zero = sc(0)
+
+    def dense(coeffs):  # x_0^m is position m
+        return _Dense(coeffs + [zero] * (len(weights) - len(coeffs)))
+
+    return _regime_tables(
+        spec, n, lambda v: dense([sc(v)]),
+        lambda a, b, i: (sc(a), sc(b), shifts[sites[i]]),
+        lambda: [dense([sc(c) for c in ser.coeffs])
+                 for ser in stationary_series(spec.T, caps[0])])
+
+
 def _jet_run(spec, n, order, record, domain, backend):
-    sc = backend.scalar
-    beta0, emit_at, trans_at = _regime_tables(
-        spec, n, lambda v: TruncatedSeries.constant(sc(v), order),
-        lambda a, b, i: TruncatedSeries.linear(sc(a), sc(b), order),
-        lambda: [TruncatedSeries([sc(c) for c in ser.coeffs])
-                 for ser in stationary_series(spec.T, order)])
+    beta0, emit_at, trans_at = _poly_tables(spec, n, (order,), [0] * n, backend.scalar)
     return _traverse([beta0], emit_at, trans_at, n, record, domain)
 
 
@@ -167,7 +184,7 @@ def probability_jet_total(spec: RegimeSpec, n: int, order: int, backend=EXACT,
     """Sum of all sequence-probability jets at depth n (identically 1)."""
     _check_depth(n, depth_cap)
     with backend.ctx():
-        return _jet_run(spec, n, order, {n}, _SumDomain(), backend)[n]
+        return TruncatedSeries(_jet_run(spec, n, order, {n}, _SumDomain(), backend)[n])
 
 
 def rate_series(spec: RegimeSpec, order: int, backend=EXACT,

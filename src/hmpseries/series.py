@@ -79,9 +79,6 @@ class TruncatedSeries:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def _check(self, other: "TruncatedSeries"):
         if other.order != self.order:
             raise OrderMismatch(f"order {self.order} vs {other.order}")

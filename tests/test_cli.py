@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import hmpseries.entropy as entropy_module
 from hmpseries import (HIGH_SNR_NOTE, FloatBackend, ParseError, entropy_report, get_backend,
                        load_model)
 from hmpseries.cli import main
@@ -27,20 +26,6 @@ def model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(MODEL))
     return str(path)
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """Counts the walks of the observation tree: calls of _walk at depth 0."""
-    count = [0]
-    walk = entropy_module._walk
-
-    def counting(beta, emit_cols_at, trans_cols_at, depth, *rest):
-        count[0] += depth == 0
-        return walk(beta, emit_cols_at, trans_cols_at, depth, *rest)
-
-    monkeypatch.setattr(entropy_module, "_walk", counting)
-    return count
 
 
 def run_cli(capsys, *argv):

@@ -116,7 +116,7 @@ def test_exact_leaf_kernel_matches_series_log(data):
     scalar_acc = scalar.new_acc(factor_positive(q))
     expect = TruncatedSeries([F(0)] * (order + 1))
     for coeffs in leaves:
-        jet.add_term(jet_acc, TruncatedSeries(coeffs))
+        jet.add_term(jet_acc, coeffs)  # a jet's plan positions are its orders
         scalar.add_term(scalar_acc, coeffs[0])
         expect = entropy_accumulate(TruncatedSeries([F(c, q) for c in coeffs]), expect)
     assert jet.finish(jet_acc) == expect

@@ -12,6 +12,7 @@ from hmpseries import (
     AlmostMemoryless,
     CoefficientTable,
     LogLinearValue,
+    MultiSiteSpec,
     OrderTooHigh,
     PerturbationMatrix,
     StochasticMatrix,
@@ -24,6 +25,7 @@ from hmpseries import (
     first_order_high_snr,
     high_snr_binary,
     increment_jet,
+    multisite_derivative,
     probability_jet_total,
     rate_series,
     settling_check,
@@ -276,3 +278,14 @@ def test_coefficient_table_partial_sum():
         table.partial_sum(0.1, 5)
     with pytest.raises(ValueError):
         CoefficientTable("high-snr", (F(1),), (2, 2), "exact")
+
+
+@pytest.mark.parametrize("request_of", [
+    lambda: rate_series(am_binary(F(3, 5)), 9),
+    lambda: settling_check(am_binary(F(3, 5)), 4, range(2, 7)),
+    lambda: multisite_derivative(MultiSiteSpec(4, (1, 0, 2, 1)), high_snr_binary(F(1, 5))),
+], ids=["rate_series", "settling_check", "multisite_derivative"])
+def test_one_walk_per_request(walks, request_of):
+    # every window of a request comes from one walk of the observation tree
+    request_of()
+    assert walks[0] == 1

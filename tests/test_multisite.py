@@ -16,7 +16,6 @@ from hmpseries import (
     FloatBackend,
     HighSnr,
     LogLinearValue,
-    MultiPoly,
     MultiSiteSpec,
     PerturbationMatrix,
     StochasticMatrix,
@@ -32,9 +31,10 @@ from hmpseries import (
     stationary_distribution,
 )
 
-from hmpseries.entropy import _domain
+from hmpseries.entropy import _Dense, _domain, _plan
 
 from util import (
+    _poly_mul,
     am_specs,
     brute_multisite_derivative,
     entropy_exact,
@@ -60,29 +60,37 @@ AM3 = AlmostMemoryless(
 
 
 # ---------------------------------------------------------------------------
-# MultiPoly unit behaviour
+# The walk's coefficient lists
 # ---------------------------------------------------------------------------
 
-def test_multipoly_arithmetic_with_caps():
-    caps = (2, 1)
-    x = MultiPoly.linear(F(0), 0, F(1), caps)
-    y = MultiPoly.linear(F(0), 1, F(1), caps)
-    p = (x + y) * (x + y)
-    assert p.coefficient((2, 0)) == 1
-    assert p.coefficient((1, 1)) == 2
-    assert p.coefficient((0, 2)) == 0  # over the per-variable cap, dropped
-    cube = p * x
-    assert cube.coefficient((3, 0)) == 0  # over the cap on the first variable
-    assert cube.coefficient((2, 1)) == 2
-    assert (x * y).coefficient((1, 1)) == 1
+def _layout(caps):
+    """The box of caps in the plan's order: the last variable most significant."""
+    return sorted(product(*(range(c + 1) for c in caps)), key=lambda e: e[::-1])
 
 
-def test_multipoly_constant_and_zero():
-    caps = (1, 1)
-    one = MultiPoly.constant(F(1), caps)
-    zero = MultiPoly.constant(F(0), caps)
-    assert bool(one) and not bool(zero)
-    assert (one - one) == zero
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_entry_product_matches_the_dict_product(data):
+    # p times the table entry a + b*x_i, truncated at the caps, against util's
+    # dict product; over integers, float coefficients are exact and the float
+    # product must agree with no -0.0
+    caps = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                    min_size=1, max_size=3)))
+    i = data.draw(st.integers(min_value=0, max_value=len(caps) - 1))
+    coeff = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+    layout = _layout(caps)
+    p = [data.draw(coeff) for _ in layout]
+    a, b = data.draw(coeff), data.draw(coeff)
+    shift = _plan(caps, (caps,))[3][i]
+    unit = tuple(int(j == i) for j in range(len(caps)))
+    want = _poly_mul({e: F(c) for e, c in zip(layout, p)}, {(0,) * len(caps): F(a), unit: F(b)},
+                     caps)
+    got = _Dense(map(F, p)) * (F(a), F(b), shift)
+    assert {e: c for e, c in zip(layout, got) if c} == want
+    fgot = _Dense(map(float, p)) * (float(a), float(b), shift)
+    assert fgot == [float(c) for c in got]
+    assert all(math.copysign(1, c) > 0 for c in fgot if not c)
+    assert bool(got) == bool(want)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ def test_exact_kernel_matches_the_log1p_series(data):
     # leaves N/q with integer coefficients N_e and N_0 > 0
     kvec = tuple(data.draw(_small_kvecs()))
     q = data.draw(st.integers(min_value=1, max_value=10**4))
-    box = list(product(*(range(k + 1) for k in kvec)))
+    box = _layout(kvec)
     coeff = st.integers(min_value=-10**4, max_value=10**4)
     domain = _domain(EXACT, kvec=kvec)
     acc = domain.new_acc(factor_positive(q))
@@ -297,11 +305,11 @@ def test_exact_kernel_matches_the_log1p_series(data):
         # small constant terms make leaves share the cell of their N_0
         terms[box[0]] = data.draw(st.one_of(st.integers(min_value=1, max_value=3),
                                             st.integers(min_value=1, max_value=10**4)))
-        domain.add_term(acc, MultiPoly(kvec, terms))
-        p = MultiPoly(kvec, {e: F(c, q) for e, c in terms.items()})
-        c0 = p.constant_term()
-        expect = (expect - LogLinearValue.log_of(c0) * p.coefficient(kvec)
-                  - (p * log1p_part(p, c0)).coefficient(kvec))
+        domain.add_term(acc, [terms[e] for e in box])
+        p = {e: F(c, q) for e, c in terms.items()}
+        c0 = p[box[0]]
+        expect = (expect - LogLinearValue.log_of(c0) * p[kvec]
+                  - _poly_mul(p, log1p_part(p, c0, kvec), kvec).get(kvec, 0))
     assert domain.finish(acc) == expect
 
 
@@ -321,7 +329,7 @@ def test_float_kernel_matches_the_log1p_series(data):
     # -log(1 - |q|), whose coefficients bound every term of the recurrence
     kvec = tuple(data.draw(_small_kvecs()))
     q = data.draw(st.integers(min_value=1, max_value=10**4))
-    box = list(product(*(range(k + 1) for k in kvec)))
+    box = _layout(kvec)
     coeff = st.integers(min_value=-10**4, max_value=10**4)
     domain = _domain(FLOAT64, kvec=kvec)
     acc = domain.new_acc()
@@ -329,16 +337,15 @@ def test_float_kernel_matches_the_log1p_series(data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         terms = {e: data.draw(coeff) for e in box}
         terms[box[0]] = data.draw(st.integers(min_value=1, max_value=10**4))
-        domain.add_term(acc, MultiPoly(kvec, {e: c / q for e, c in terms.items()}))
-        p = MultiPoly(kvec, {e: F(c, q) for e, c in terms.items()})
-        c0 = p.constant_term()
-        expect = (expect - LogLinearValue.log_of(c0) * p.coefficient(kvec)
-                  - (p * log1p_part(p, c0)).coefficient(kvec))
-        size = MultiPoly(kvec, {e: F(abs(c), q) for e, c in terms.items()})
-        under = MultiPoly(kvec, {e: F(c if e == box[0] else -abs(c), q)
-                                 for e, c in terms.items()})
-        scale += ((1 + abs(math.log(c0))) * abs(p.coefficient(kvec))
-                  - float((size * log1p_part(under, c0)).coefficient(kvec)))
+        domain.add_term(acc, [terms[e] / q for e in box])
+        p = {e: F(c, q) for e, c in terms.items()}
+        c0 = p[box[0]]
+        expect = (expect - LogLinearValue.log_of(c0) * p[kvec]
+                  - _poly_mul(p, log1p_part(p, c0, kvec), kvec).get(kvec, 0))
+        size = {e: F(abs(c), q) for e, c in terms.items()}
+        under = {e: F(c if e == box[0] else -abs(c), q) for e, c in terms.items()}
+        scale += ((1 + abs(math.log(c0))) * abs(p[kvec])
+                  - float(_poly_mul(size, log1p_part(under, c0, kvec), kvec).get(kvec, 0)))
     with mpmath.workprec(256):
         assert abs(domain.finish(acc) - _mp(expect)) <= 1e-12 * scale
 

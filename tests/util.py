@@ -17,7 +17,6 @@ from hmpseries import (
     HighSnr,
     HmpModel,
     LogLinearValue,
-    MultiPoly,
     PerturbationMatrix,
     StochasticMatrix,
     TruncatedSeries,
@@ -226,32 +225,25 @@ def brute_multisite_derivative(spec, kvec) -> LogLinearValue:
             c0 = p.get(zero, 0)
             if c0 <= 0:
                 raise ValueError(f"word {ys} has constant term {c0}")
-            q = {e: c / c0 for e, c in p.items() if e != zero}
-            log1p, power = {}, q
-            for k in range(1, sum(caps) + 1):
-                log1p = _poly_add(log1p, {e: c * Fraction((-1) ** (k + 1), k)
-                                          for e, c in power.items()})
-                power = _poly_mul(power, q, caps)
             total = (total - LogLinearValue.log_of(c0) * p.get(kvec, 0)
-                     - _poly_mul(p, log1p, caps).get(kvec, 0))
+                     - _poly_mul(p, log1p_part(p, c0, caps), caps).get(kvec, 0))
         return total
 
     return (entropy(n) - entropy(n - 1)) * math.prod(math.factorial(k) for k in kvec)
 
 
-def log1p_part(p: MultiPoly, c0):
-    """W with log(p) = log(c0) + W, via the nilpotent series for log(1 + q)."""
-    q = p * (1 / c0) - 1
-    total = None
-    power = q
-    m = 1
-    bound = sum(p.caps) + 1
-    while power and m <= bound:
-        term = power * (Fraction((-1) ** (m + 1), m))
-        total = term if total is None else total + term
-        power = power * q
-        m += 1
-    return total if total is not None else MultiPoly(p.caps, {})
+def log1p_part(p: dict, c0, caps) -> dict:
+    """W with log(p) = log(c0) + W, via the nilpotent series for log(1 + q).
+
+    p is an exponent-tuple dict within caps; q = p / c0 - 1.
+    """
+    zero = (0,) * len(caps)
+    q = _poly_add({e: c / c0 for e, c in p.items()}, {zero: Fraction(-1)})
+    total, power = {}, q
+    for m in range(1, sum(caps) + 2):
+        total = _poly_add(total, {e: c * Fraction((-1) ** (m + 1), m) for e, c in power.items()})
+        power = _poly_mul(power, q, caps)
+    return total
 
 
 def ll_close(a, b, rel=1e-12) -> bool:
