@@ -68,6 +68,42 @@ def _layout(caps):
     return sorted(product(*(range(c + 1) for c in caps)), key=lambda e: e[::-1])
 
 
+
+def _linear(caps, i):
+    """x_i as a coefficient list, with the entry factors (0, 1, shift_j) of each x_j."""
+    _, _, _, shifts = _plan(caps, (caps,))
+    one = _Dense([F(0)] * len(_layout(caps)))
+    one[0] = F(1)
+    return one * (F(0), F(1), shifts[i]), [(F(0), F(1), s) for s in shifts]
+
+
+def test_multipoly_arithmetic_with_caps():
+    caps = (2, 1)
+    coefficient = dict(map(reversed, enumerate(_layout(caps))))
+    x, (tx, ty) = _linear(caps, 0)
+    y, _ = _linear(caps, 1)
+    s = x + y
+    p = s * tx + s * ty
+    assert p[coefficient[(2, 0)]] == 1
+    assert p[coefficient[(1, 1)]] == 2
+    assert (0, 2) not in coefficient  # over the per-variable cap, dropped
+    assert sum(p) == 3
+    cube = p * tx
+    assert (3, 0) not in coefficient  # over the cap on the first variable
+    assert cube[coefficient[(2, 1)]] == 2
+    assert sum(cube) == 2
+    assert (x * ty)[coefficient[(1, 1)]] == 1
+
+
+def test_multipoly_constant_and_zero():
+    caps = (1, 1)
+    shift = _plan(caps, (caps,))[3][0]
+    one = _Dense([F(1), F(0), F(0), F(0)])
+    zero = _Dense([F(0)] * 4)
+    assert bool(one) and not bool(zero)
+    assert one + one * (F(-1), F(0), shift) == zero
+    assert one * (F(0), F(0), shift) == zero
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_entry_product_matches_the_dict_product(data):
