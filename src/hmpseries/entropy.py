@@ -27,7 +27,9 @@ Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
 each depth).  The exact kernel keeps one accumulator per depth (_new_cells),
 with one cell of integer sums per distinct constant term N_0 of a leaf, and
 one finish (_finish_cells): one Fraction per target and one log(N_0 / Q_d)
-per distinct N_0, then one division by Q_d.
+per distinct N_0, then one division by Q_d.  No N_0 is fully factored: the
+primes of Q_d leave it by trial division and loglinear's splitter takes the
+rest, so a large cofactor it cannot split stays one composite log base.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one run per start state, each recording n - 1 and n
@@ -45,7 +47,7 @@ from operator import add
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
-from .loglinear import LogLinearValue, factor_positive
+from .loglinear import LogLinearValue, _split, factor_positive
 from .model import HmpModel
 from .series import TruncatedSeries
 
@@ -99,7 +101,10 @@ def _new_cells(q_primes):
 
 def _finish_cells(acc, lcm, weights):
     """One LogLinearValue per target: one Fraction per target and one
-    log(N_0 / Q_d) per distinct N_0, then one division by Q_d."""
+    log(N_0 / Q_d) per distinct N_0, then one division by Q_d.
+
+    The LogLinearValue constructor refines the composite bases that the
+    N_0 of the depth share into one pairwise coprime base."""
     q_primes, q, cells = acc
     top = len(weights)
     rats, logs = [Fraction(0)] * top, [{} for _ in weights]
@@ -239,7 +244,13 @@ class _JetExactDomain:
 
 
 def _log_ratio(n0, q_primes):
-    """log(n0 / Q) as (prime, exponent) pairs; Q's primes leave n0 first."""
+    """log(n0 / Q) as (base, exponent) pairs over pairwise coprime bases.
+
+    Q's primes leave n0 by trial division, and the splitter takes the rest
+    (loglinear._split, cached per integer): primes where it finds them, and a
+    composite base for a cofactor that it cannot split.  Nothing is fully
+    factored.
+    """
     fac, rest = [], n0
     for prime, v in q_primes:
         e = 0
@@ -249,16 +260,17 @@ def _log_ratio(n0, q_primes):
         if e != v:
             fac.append((prime, e - v))
     if rest > 1:
-        fac.extend(factor_positive(rest))
+        fac.extend(_split(rest))
     return fac
 
 
 def _integer_tables(starts, emit_at, trans_at, n, record, poly):
     """The tables scaled to integers, and the primes of Q_d at each recorded depth.
 
-    Each distinct table is scaled once by the lcm of its denominators;
-    Q_d is the product of the scale factors of the tables used to reach
-    depth d: the start vector, d emission and d - 1 transition tables.
+    Each distinct table is scaled once by the lcm of its denominators, and
+    that scale is factored once (factor_positive); Q_d is the product of
+    the scale factors of the tables used to reach depth d: the start
+    vector, d emission and d - 1 transition tables.
     The items are exact scalars or, with poly, coefficient lists in the
     start vector and (a, b, shift) entries in the tables.
     """
@@ -275,11 +287,12 @@ def _integer_tables(starts, emit_at, trans_at, n, record, poly):
         if id(rows) not in scaled:
             rats, make = kinds[rows is not starts]
             d = math.lcm(*(q.denominator for row in rows for x in row for q in rats(x)))
-            scaled[id(rows)] = [[make(ints(rats(x), d), x) for x in row] for row in rows], d
+            scaled[id(rows)] = ([[make(ints(rats(x), d), x) for x in row] for row in rows],
+                                factor_positive(d))
     q_primes, primes_at = {}, {}
 
     def absorb(rows):
-        for p, e in factor_positive(scaled[id(rows)][1]):
+        for p, e in scaled[id(rows)][1]:
             q_primes[p] = q_primes.get(p, 0) + e
 
     absorb(starts)

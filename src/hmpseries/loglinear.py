@@ -1,10 +1,26 @@
-"""Exact log-linear values: rationals plus rational multiples of prime logs.
+"""Exact log-linear values: rationals plus rational multiples of logs of integers.
 
 The entropy of a distribution with rational probabilities is a finite sum
--sum(p*log(p)) whose value always has the shape q0 + sum_i q_i*log(p_i) with
-rational q's and prime p's.  Logs of distinct primes are linearly independent
-over the rationals, so the representation is canonical: two values are equal
-as real numbers iff they agree componentwise.
+-sum(p*log(p)) whose value always has the shape q0 + sum_b q_b*log(b) with
+rational q's and integer bases b > 1.  A LogLinearValue keeps its bases
+pairwise coprime, and none is a perfect power.  Logs of pairwise coprime
+integers > 1 are linearly independent over the rationals, so a value is
+zero iff all its parts are, and equality is exact real-number equality.
+
+The bases come from a splitter (_split), not from full factorisation: one
+gcd against the product of the primes below 2^10, a strong probable-prime
+test, and Pollard-Brent rho within RHO_STEPS steps.  A cofactor it cannot
+split stays one composite base.  Where the bases of two values share a
+factor, the constructor refines them into one pairwise coprime base, as in
+Bernstein, "Factoring into coprimes in essentially linear time" (J.
+Algorithms 54, 2005).  So every base is a prime whenever the splitter finds
+all factors, and render() shows a composite log(N) only for a large
+cofactor N that it could not split.  Such a form is not unique: one value
+may hold log(N) where an equal one holds the logs of N's factors.  Equality
+is decided over the common refinement of both bases, so it stays exact, and
+the hash reads only what every coprime base of a value agrees on.
+
+factor_positive is full prime factorisation with sympy, kept as public API.
 """
 
 from __future__ import annotations
@@ -39,14 +55,247 @@ def factor_positive(q: Fraction | int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((p, e) for p, e in powers.items() if e))
 
 
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(2, n) if sieve[p]]
+
+
+_SMALL = 1 << 10
+_SMALL_PRIMES = _primes_below(_SMALL)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# A strong probable prime to the 13 primes below 42 is prime below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).  Above it the test proves nothing, and such an
+# integer stays one base without being recorded as prime.
+_MR_BASES = tuple(_SMALL_PRIMES[:13])
+_MR_PROVEN = 3317044064679887385961981
+# Squarings that Pollard-Brent rho spends on one cofactor before keeping it
+# as a base.  Rho finds a prime factor p after about sqrt(p) squarings, so
+# this finds most factors below about 2^18; the cofactors it leaves are
+# products of larger primes, which only the gcds of the refinement split.
+RHO_STEPS = 1 << 10
+_RHO_BATCH = 32
+# Integers proved prime so far.  A value whose bases all lie here is already
+# normalised, which one set lookup decides.
+_PRIMES = set(_SMALL_PRIMES)
+# The modulus of the hash of the multiplicative invariant (__hash__).
+_HASH_PRIME = (1 << 61) - 1
+
+
+def _sprp(n: int) -> bool:
+    """Whether the odd n > 41 is a strong probable prime to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _proved_prime(m: int) -> bool:
+    """Whether m > 1, free of primes below 2^10, is proved prime; records it."""
+    if m in _PRIMES:
+        return True
+    if m < _SMALL * _SMALL or (m < _MR_PROVEN and _sprp(m)):
+        _PRIMES.add(m)
+        return True
+    return False
+
+
+def _root(n: int) -> tuple[int, int]:
+    """(r, k) with n = r^k and r not a perfect power.
+
+    n > 1 has no prime factor below 2^10, so r^q <= n only for q below
+    n.bit_length() / 10.
+    """
+    k = 1
+    for q in _SMALL_PRIMES:
+        if 10 * q > n.bit_length():
+            return n, k
+        while True:
+            r = _iroot(n, q)
+            if r**q != n:
+                break
+            n, k = r, k * q
+    return n, k
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho(n: int) -> int | None:
+    """A proper factor of the odd composite n, or None after RHO_STEPS squarings.
+
+    Brent's cycle search on y -> y^2 + c, with the differences multiplied
+    in batches of _RHO_BATCH between gcds; a batch that overshoots to the
+    gcd n is replayed one step at a time, and then c moves on.
+    """
+    budget, c = RHO_STEPS, 1
+    while budget >= 2:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget >= 2 * r:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            budget -= 2 * r
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+        c += 1
+    return None
+
+
+@lru_cache(maxsize=None)
+def _split(n: int) -> tuple[tuple[int, int], ...]:
+    """n > 1 as sorted (base, exponent) pairs over pairwise coprime bases.
+
+    The primes below 2^10 come from one gcd with their product.  Each
+    cofactor left is proved prime, or split by rho, or kept: as a perfect
+    power's root, or as itself when rho fails or it is a strong probable
+    prime too large to prove.  The bases kept are refined against each
+    other and against the primes found (_refine).
+    """
+    primes: dict[int, int] = {}
+    g = math.gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if not g % p:
+            g //= p
+            e = 0
+            while not n % p:
+                n //= p
+                e += 1
+            primes[p] = e
+    todo = [(n, 1)] if n > 1 else []
+    kept: dict[int, int] = {}
+    while todo:
+        m, e = todo.pop()
+        if _proved_prime(m):
+            primes[m] = primes.get(m, 0) + e
+            continue
+        d = None if m >= _MR_PROVEN and _sprp(m) else _rho(m)
+        if d:
+            todo += [(d, e), (m // d, e)]
+            continue
+        r, k = _root(m)
+        if k > 1:
+            todo.append((r, e * k))
+        else:
+            kept[m] = kept.get(m, 0) + e
+    return tuple(sorted(_refine(primes, kept).items()))
+
+
+def _refine(primes: dict, kept: dict) -> dict:
+    """primes, {proved prime: coefficient}, and kept, {base: coefficient} over
+    bases free of primes below 2^10, merged over one pairwise coprime base.
+
+    A kept base coprime to every other base stays as it is; the others, with
+    the primes that divide them, go through _coprime_base.
+    """
+    if not kept:
+        return primes
+    whole = math.prod(kept)
+    shared = [p for p in primes if not whole % p]
+    whole *= math.prod(shared)
+    tangled = [a for a in [*kept, *shared] if math.gcd(a, whole // a) > 1]
+    base = _coprime_base(tangled)
+    tangled = set(tangled)
+    for q, c in kept.items():
+        for b in base if q in tangled else (q,):
+            e, rest = 0, q
+            while not rest % b:
+                rest //= b
+                e += 1
+            if e:
+                primes[b] = primes.get(b, 0) + c * e
+    return primes
+
+
+def _coprime_base(elems: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1, none a perfect power, whose powers
+    multiply to each of elems (integers > 1 free of primes below 2^10).
+
+    Any two elements a, b with g = gcd(a, b) > 1 are replaced by g, a/g and
+    b/g until none are left; each step divides the product of all elements
+    by g, so it ends.  Then each element becomes its root, and proved primes
+    are recorded.
+    """
+    base, todo = [], list(elems)
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    base = [_root(b)[0] for b in base]
+    for b in base:
+        _proved_prime(b)
+    return base
+
+
+def _normalise(logs: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero terms of {base: coefficient} over one pairwise coprime
+    base of integers > 1 that are not perfect powers, sorted by base."""
+    if not _PRIMES.issuperset(logs):
+        primes: dict[int, Fraction] = {}
+        kept: dict[int, Fraction] = {}
+        for b, c in logs.items():
+            for q, e in _split(b):
+                dest = primes if q in _PRIMES else kept
+                dest[q] = dest.get(q, _ZERO) + c * e
+        logs = _refine(primes, kept)
+    return tuple(sorted((b, c) for b, c in logs.items() if c))
+
+
 @dataclass(frozen=True)
 class LogLinearValue:
-    """Exact value ``rat + sum(c * log(p))`` over primes p with rational c.
+    """Exact value ``rat + sum(c * log(b))`` with rational c over integer bases b.
 
-    Stored canonically (primes sorted, zero coefficients dropped), so
-    dataclass equality is exact real-number equality.  Closed under
-    addition, subtraction, and scaling by rationals; multiplying two
-    log-linear values raises DomainNotClosed.
+    The constructor normalises logs: it merges repeated bases, drops zero
+    coefficients and log(1), and rewrites the bases as pairwise coprime
+    integers > 1, none a perfect power, sorted.  The bases are primes except
+    where the splitter left a composite cofactor (see the module docstring).
+    Equality is exact real-number equality, and the hash agrees with it.
+    Closed under addition, subtraction, and scaling by rationals;
+    multiplying two log-linear values raises DomainNotClosed.
     """
 
     rat: Fraction = _ZERO
@@ -54,11 +303,15 @@ class LogLinearValue:
 
     def __post_init__(self):
         object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(
-            self,
-            "logs",
-            tuple(sorted((int(p), Fraction(c)) for p, c in self.logs if c)),
-        )
+        logs: dict[int, Fraction] = {}
+        for b, c in self.logs:
+            b = int(b)
+            if b < 1:
+                raise ValueError(f"log base must be a positive integer, got {b}")
+            if b > 1 and c:
+                c = Fraction(c)
+                logs[b] = logs[b] + c if b in logs else c
+        object.__setattr__(self, "logs", _normalise(logs))
 
     @staticmethod
     def make(rat=_ZERO, logs: dict[int, Fraction] | None = None) -> "LogLinearValue":
@@ -66,8 +319,11 @@ class LogLinearValue:
 
     @staticmethod
     def log_of(q) -> "LogLinearValue":
-        """log(q) for a positive rational q, decomposed into prime logs."""
-        return LogLinearValue(_ZERO, tuple((p, Fraction(e)) for p, e in factor_positive(q)))
+        """log(q) for a positive rational q, over the splitter's bases."""
+        q = Fraction(q)
+        if q <= 0:
+            raise ValueError(f"cannot take the log of non-positive rational {q}")
+        return LogLinearValue(_ZERO, ((q.numerator, 1), (q.denominator, -1)))
 
     def log_dict(self) -> dict[int, Fraction]:
         return dict(self.logs)
@@ -77,14 +333,32 @@ class LogLinearValue:
 
     def __eq__(self, other):
         if isinstance(other, LogLinearValue):
-            return self.rat == other.rat and self.logs == other.logs
+            # Equal values may hold different coprime bases (log(N) in one,
+            # the logs of N's factors in the other); their difference is
+            # normalised over a common one, where zero means no terms.
+            return self.rat == other.rat and (
+                self.logs == other.logs or not (self - other).logs)
         if isinstance(other, (int, Fraction)):
             return not self.logs and self.rat == other
         return NotImplemented
 
     def __hash__(self):
-        # purely rational values hash like their Fraction
-        return hash(self.rat) if not self.logs else hash((self.rat, self.logs))
+        # Purely rational values hash like their Fraction.  Otherwise the hash
+        # reads X = prod b^c through what every coprime base of the value
+        # agrees on: the least D with X^D rational, which is the lcm of the
+        # coefficient denominators because no base is a perfect power, and
+        # X^D modulo a prime, unless a base is a multiple of that prime.
+        if not self.logs:
+            return hash(self.rat)
+        d = math.lcm(*(c.denominator for _, c in self.logs))
+        residue = 1
+        for b, c in self.logs:
+            if not b % _HASH_PRIME:
+                residue = None
+                break
+            e = c.numerator * (d // c.denominator) % (_HASH_PRIME - 1)
+            residue = residue * pow(b, e, _HASH_PRIME) % _HASH_PRIME
+        return hash((self.rat, d, residue))
 
     def __add__(self, other):
         if isinstance(other, LogLinearValue):
@@ -131,7 +405,11 @@ class LogLinearValue:
         return float(self.rat) + math.fsum(float(c) * math.log(p) for p, c in self.logs)
 
     def render(self) -> str:
-        """Structural text form, e.g. ``1/2·log(2) + 3/8`` or ``-4/3``."""
+        """Structural text form, e.g. ``1/2·log(2) + 3/8`` or ``-4/3``.
+
+        A base is shown as it is held: a prime, or a composite cofactor that
+        the splitter could not split.
+        """
         parts: list[str] = []
         if self.rat or not self.logs:
             parts.append(str(self.rat))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,6 +25,7 @@ from hmpseries import (
     finite_entropy,
     high_snr_binary,
     instantiate,
+    load_model,
     lower_bound,
     sample_path,
     sequence_log_probability,
@@ -33,6 +35,7 @@ from hmpseries import (
     total_probability,
     validate_model,
 )
+from hmpseries import entropy
 from hmpseries.entropy import _domain
 
 from util import (
@@ -93,6 +96,25 @@ def test_prime_denominator_model_matches_enumeration():
     assert finite_entropy(model, 3) == brute_finite_entropy(model, 3)
     assert conditional_increment(model, 3) == brute_increment(model, 3)
     assert lower_bound(model, 3) == brute_lower_bound(model, 3)
+
+
+def test_exact_bracket_factors_only_the_table_scales(monkeypatch):
+    # The bench's PRIMES_ANCHOR: its leaf constants go to the splitter, and
+    # factor_positive sees only the lcm of the denominators of each table.
+    model = load_model(Path(__file__).parent / "golden" / "primes-anchor-model.json")
+    scales = {math.lcm(*(x.denominator for x in model.pi)),
+              math.lcm(*(x.denominator for row in model.R.rows for x in row)),
+              math.lcm(*(x.denominator for row in model.M.rows for x in row))}
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return factor_positive(q)
+
+    monkeypatch.setattr(entropy, "factor_positive", counting)
+    entropy_rate_bracket(model, 4)
+    assert set(calls) <= scales
+    assert len(calls) <= 6  # two walks (plain and per start state), three tables each
 
 
 def _integer_jets(order):

@@ -1,9 +1,11 @@
 """Taylor expansions of the window increments and their settling behaviour."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmpseries import (
     EXACT,
@@ -40,6 +42,7 @@ from util import (
     emission_perturbations,
     high_snr_specs,
     stochastic_rows,
+    word_probability_jets,
     zero_sum_perturbations,
 )
 
@@ -245,13 +248,47 @@ def test_probability_jets_sum_to_unit_series_high_snr(spec):
     assert all(c == 0 for c in total.coeffs[1:])
 
 
+def float_jet_error_bounds(spec, order):
+    """A first-order bound on the float64 error of each coefficient of rate_series.
+
+    Coefficient k is a sum over the L words of lengths n and n - 1 of leaf
+    terms [-p log p]_k.  Each term is built from the probability jet by at
+    most 2n roundings in the walk and 2k + 2 in the kernel, and a sum of L
+    terms adds L - 1 more, each off by at most u = 2^-53 of the magnitude it
+    rounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 3 and 4).  The magnitudes come from the same computation on absolute
+    values: the probability jets with |T| for T, then the kernel's
+    recurrence with every difference turned into a sum.  The exact
+    coefficients can be 0 while the walk's products are not (equal emission
+    rows make every word probability independent of T), so a flat tolerance
+    cannot follow the error; this bound grows with the products that cancel.
+    """
+    n = settling_threshold(order)
+    absolute = SimpleNamespace(R=spec.R, T=SimpleNamespace(
+        rows=[[abs(v) for v in row] for row in spec.T.rows]))
+    mags, leaves = [0.0] * (order + 1), 0
+    for m in (n, n - 1):
+        for jet in word_probability_jets(absolute, m, order).values():
+            p = [float(c) for c in jet.coeffs]
+            leaves += 1
+            w = [0.0] * (order + 1)  # bounds |W_k|, W = log(p / p_0)
+            for k in range(1, order + 1):
+                w[k] = (k * p[k] + sum(p[g] * (k - g) * w[k - g] for g in range(1, k))) / (k * p[0])
+            for k in range(order + 1):
+                mags[k] += p[k] * abs(math.log(p[0])) + sum(p[k - h] * w[h] for h in range(1, k + 1))
+    return [(leaves + 2 * n + 2 * k + 2) * 2.0**-53 * mag for k, mag in enumerate(mags)]
+
+
 @given(am_specs(2))
+@example(AlmostMemoryless(R=StochasticMatrix(((F(1, 5), F(4, 5)), (F(1, 5), F(4, 5)))),
+                          T=PerturbationMatrix(((3, -3), (-4, 4)))))
 @settings(max_examples=8, deadline=None)
 def test_float_jets_track_exact_jets(spec):
     exact = rate_series(spec, 6)
     fast = rate_series(spec, 6, FLOAT64)
-    for a, b in zip(exact.value_floats(), fast.values):
-        assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
+    bounds = float_jet_error_bounds(spec, 6)
+    for a, b, bound in zip(exact.value_floats(), fast.values, bounds):
+        assert abs(b - a) <= bound
 
 
 def test_increment_jet_input_checks():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hmpseries import DomainNotClosed, LogLinearValue, factor_positive
 from hmpseries.loglinear import _LLAccumulator
@@ -28,6 +28,103 @@ def test_factor_positive_rejects_nonpositive():
         factor_positive(0)
     with pytest.raises(ValueError):
         factor_positive(Fraction(-3, 4))
+
+
+def test_composite_bases_are_normalised():
+    # log(6) = log(2) + log(3) and log(4) = 2 log(2), whatever bases they are given in
+    six = LogLinearValue(0, ((6, 1),))
+    two_three = LogLinearValue(0, ((2, 1), (3, 1)))
+    assert six == two_three
+    assert hash(six) == hash(two_three)
+    assert not six - two_three
+    assert (six - two_three).render() == "0"
+    assert six.render() == "log(2) + log(3)"
+    assert LogLinearValue(0, ((4, 1),)) == LogLinearValue(0, ((2, 2),))
+    assert LogLinearValue(0, ((4, 1),)).logs == ((2, Fraction(2)),)
+    assert LogLinearValue(0, ((1, 5), (3, 1), (3, -1))) == 0
+
+
+def test_nonpositive_base_is_rejected():
+    with pytest.raises(ValueError):
+        LogLinearValue(0, ((0, 1),))
+
+
+# Three primes above 2^40.  A product of two of them is out of reach of the
+# splitter's rho budget, so it stays one composite base until the bases of
+# another value split it by a gcd.
+P, Q, R = 1099511627791, 1099511627803, 2199023255579
+SHARED = (P * Q, P * R, Q * Q * R, P, Q * R, 6 * P * Q, 12, Fraction(P, R * 5))
+terms = st.lists(st.tuples(st.sampled_from(SHARED), rationals), max_size=5)
+
+
+def over_primes(rat, pairs):
+    """The oracle: rat and {prime: coefficient}, every base by factor_positive."""
+    logs = {}
+    for b, c in pairs:
+        for p, e in factor_positive(b):
+            logs[p] = logs.get(p, 0) + c * e
+    return rat, {p: c for p, c in logs.items() if c}
+
+
+def built(rat, pairs):
+    """The value of rat + sum c log(b), with the denominator of a rational b as a
+    base of its own."""
+    logs = []
+    for b, c in pairs:
+        b = Fraction(b)
+        logs += [(b.numerator, c), (b.denominator, -c)]
+    return LogLinearValue(rat, tuple(logs))
+
+
+def test_shared_large_primes_stay_composite_until_refined():
+    pq, pr = LogLinearValue.log_of(P * Q), LogLinearValue.log_of(P * R)
+    assert pq.render() == f"log({P * Q})"
+    assert (pq + pr).render() == f"2·log({P}) + log({Q}) + log({R})"
+    assert pq - LogLinearValue(0, ((P, 1),)) == LogLinearValue(0, ((Q, 1),))
+    # a base divisible by the hash's prime modulus, held whole and split
+    m = (1 << 61) - 1
+    whole, split = LogLinearValue(0, ((m * P, 1),)), LogLinearValue(0, ((m, 1), (P, 1)))
+    assert whole.logs != split.logs
+    assert whole == split and hash(whole) == hash(split)
+
+
+@given(rationals, terms)
+@settings(deadline=None)  # the first factorint of a product of two large primes is slow
+def test_construction_matches_the_factoring_oracle(rat, pairs):
+    v = built(rat, pairs)
+    assert over_primes(v.rat, v.logs) == over_primes(rat, pairs)
+    bases = [b for b, _ in v.logs]
+    assert all(b > 1 for b in bases)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(bases) for b in bases[i + 1:])
+    assert all(math.gcd(*(e for _, e in factor_positive(b))) == 1 for b in bases)
+    oracle_rat, oracle_logs = over_primes(rat, pairs)
+    expect = oracle_rat + math.fsum(float(c) * math.log(p) for p, c in oracle_logs.items())
+    assert float(v) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+@given(rationals, terms, rationals, terms, rationals)
+@settings(deadline=None)
+def test_arithmetic_matches_the_factoring_oracle(ra, a_pairs, rb, b_pairs, s):
+    a, b = built(ra, a_pairs), built(rb, b_pairs)
+    ao, bo = over_primes(ra, a_pairs), over_primes(rb, b_pairs)
+    # the same values over the oracle's primes
+    a_primes = LogLinearValue(ao[0], tuple(ao[1].items()))
+    b_primes = LogLinearValue(bo[0], tuple(bo[1].items()))
+    assert a == a_primes and hash(a) == hash(a_primes)
+    assert (a == b) == (ao == bo) == (a_primes == b_primes)
+    if ao == bo:
+        assert hash(a) == hash(b)
+    total = over_primes(ra + rb, a_pairs + b_pairs)
+    assert over_primes((a + b).rat, (a + b).logs) == total
+    assert a + b == a_primes + b_primes and hash(a + b) == hash(a_primes + b_primes)
+    difference = over_primes(ra - rb, a_pairs + [(x, -c) for x, c in b_pairs])
+    assert over_primes((a - b).rat, (a - b).logs) == difference
+    assert bool(a - b) == (ao != bo)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    scaled = over_primes(ra * s, [(x, c * s) for x, c in a_pairs])
+    assert over_primes((a * s).rat, (a * s).logs) == scaled
+    assert a * s == a_primes * s and hash(a * s) == hash(a_primes * s)
+    assert float(a) == pytest.approx(float(a_primes), rel=1e-9, abs=1e-9)
 
 
 def test_factor_positive_large_composite():
