@@ -26,8 +26,8 @@ D_R and D_M, so a node at depth d carries integer numerators over
 Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
 each depth).  The exact kernel keeps one accumulator per depth (_new_cells),
 with one cell of integer sums per distinct constant term N_0 of a leaf, and
-one finish (_finish_cells): one Fraction per target and one log(N_0 / Q_d)
-per distinct N_0, then one division by Q_d.  No N_0 is fully factored: the
+one finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
+integer log sums go over Q_d into the value.  No N_0 is fully factored: the
 primes of Q_d leave it by trial division and loglinear's splitter takes the
 rest, so a large cofactor it cannot split stays one composite log base.
 
@@ -47,7 +47,7 @@ from operator import add
 
 from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
-from .loglinear import LogLinearValue, _split, factor_positive
+from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel
 from .series import TruncatedSeries
 
@@ -100,11 +100,11 @@ def _new_cells(q_primes):
 
 
 def _finish_cells(acc, lcm, weights):
-    """One LogLinearValue per target: one Fraction per target and one
-    log(N_0 / Q_d) per distinct N_0, then one division by Q_d.
+    """One LogLinearValue per target, from one log(N_0 / Q_d) per distinct N_0.
 
-    The LogLinearValue constructor refines the composite bases that the
-    N_0 of the depth share into one pairwise coprime base."""
+    The log coefficients stay integer sums over Q_d, with no Fraction per
+    log term (a jet target's rational part adds one per N_0).  _normalise
+    refines the composite bases the N_0 of the depth share into one base."""
     q_primes, q, cells = acc
     top = len(weights)
     rats, logs = [Fraction(0)] * top, [{} for _ in weights]
@@ -117,7 +117,7 @@ def _finish_cells(acc, lcm, weights):
             if nt:
                 for prime, e in fac:
                     lg[prime] = lg.get(prime, 0) - nt * e
-    return [LogLinearValue(-rat / q, tuple((p, Fraction(v, q)) for p, v in lg.items()))
+    return [LogLinearValue._of(-rat / q, q, _normalise(lg))
             for rat, lg in zip(rats, logs)]
 
 

@@ -2,7 +2,8 @@
 
 The entropy of a distribution with rational probabilities is a finite sum
 -sum(p*log(p)) whose value always has the shape q0 + sum_b q_b*log(b) with
-rational q's and integer bases b > 1.  A LogLinearValue keeps its bases
+rational q's and integer bases b > 1.  A LogLinearValue holds the q_b as
+integer numerators over one shared denominator.  It keeps its bases
 pairwise coprime, and none is a perfect power.  Logs of pairwise coprime
 integers > 1 are linearly independent over the rationals, so a value is
 zero iff all its parts are, and equality is exact real-number equality.
@@ -271,47 +272,60 @@ def _coprime_base(elems: list[int]) -> list[int]:
     return base
 
 
-def _normalise(logs: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
-    """The nonzero terms of {base: coefficient} over one pairwise coprime
-    base of integers > 1 that are not perfect powers, sorted by base."""
+def _normalise(logs: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms of {base: integer coefficient} over one pairwise
+    coprime base of integers > 1 that are not perfect powers, sorted by base."""
     if not _PRIMES.issuperset(logs):
-        primes: dict[int, Fraction] = {}
-        kept: dict[int, Fraction] = {}
+        primes: dict[int, int] = {}
+        kept: dict[int, int] = {}
         for b, c in logs.items():
             for q, e in _split(b):
                 dest = primes if q in _PRIMES else kept
-                dest[q] = dest.get(q, _ZERO) + c * e
+                dest[q] = dest.get(q, 0) + c * e
         logs = _refine(primes, kept)
     return tuple(sorted((b, c) for b, c in logs.items() if c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class LogLinearValue:
-    """Exact value ``rat + sum(c * log(b))`` with rational c over integer bases b.
+    """Exact value ``rat + sum(n * log(b)) / den`` with integer n over integer bases b.
 
-    The constructor normalises logs: it merges repeated bases, drops zero
-    coefficients and log(1), and rewrites the bases as pairwise coprime
-    integers > 1, none a perfect power, sorted.  The bases are primes except
-    where the splitter left a composite cofactor (see the module docstring).
-    Equality is exact real-number equality, and the hash agrees with it.
-    Closed under addition, subtraction, and scaling by rationals;
-    multiplying two log-linear values raises DomainNotClosed.
+    terms holds sorted (b, n) pairs, den > 0, gcd(den, *n) == 1 and den == 1
+    without logs; .logs gives (b, Fraction) pairs, as the constructor takes.
+    It merges repeated bases, drops zero coefficients and log(1), and
+    rewrites the bases as pairwise coprime integers > 1, none a perfect
+    power: primes, except where the splitter left a composite cofactor (see
+    the module docstring).  Equality is exact real-number equality, and the
+    hash agrees with it.  Closed under addition, subtraction, and scaling by
+    rationals, each one lcm or gcd over integers; multiplying two log-linear
+    values raises DomainNotClosed.
     """
 
-    rat: Fraction = _ZERO
-    logs: tuple[tuple[int, Fraction], ...] = ()
+    rat: Fraction
+    den: int
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        logs: dict[int, Fraction] = {}
-        for b, c in self.logs:
+    def __new__(cls, rat=_ZERO, logs=()):
+        merged: dict[int, Fraction] = {}
+        for b, c in logs:
             b = int(b)
             if b < 1:
                 raise ValueError(f"log base must be a positive integer, got {b}")
             if b > 1 and c:
-                c = Fraction(c)
-                logs[b] = logs[b] + c if b in logs else c
-        object.__setattr__(self, "logs", _normalise(logs))
+                merged[b] = merged.get(b, 0) + Fraction(c)
+        den = math.lcm(*(c.denominator for c in merged.values()))
+        nums = {b: c.numerator * (den // c.denominator) for b, c in merged.items()}
+        return LogLinearValue._of(Fraction(rat), den, _normalise(nums))
+
+    @staticmethod
+    def _of(rat: Fraction, den: int, terms) -> "LogLinearValue":
+        """rat + sum(n * log(b)) / den, den > 0, terms from _normalise; in lowest terms."""
+        g = math.gcd(den, *(n for _, n in terms))
+        if g > 1:
+            den, terms = den // g, tuple((b, n // g) for b, n in terms)
+        v = object.__new__(LogLinearValue)
+        v.__dict__.update(rat=rat, den=den, terms=terms)
+        return v
 
     @staticmethod
     def make(rat=_ZERO, logs: dict[int, Fraction] | None = None) -> "LogLinearValue":
@@ -325,11 +339,18 @@ class LogLinearValue:
             raise ValueError(f"cannot take the log of non-positive rational {q}")
         return LogLinearValue(_ZERO, ((q.numerator, 1), (q.denominator, -1)))
 
+    @property
+    def logs(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((b, Fraction(n, self.den)) for b, n in self.terms)
+
     def log_dict(self) -> dict[int, Fraction]:
         return dict(self.logs)
 
+    def __repr__(self) -> str:
+        return f"LogLinearValue(rat={self.rat!r}, logs={self.logs!r})"
+
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.logs)
+        return bool(self.rat) or bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, LogLinearValue):
@@ -337,53 +358,53 @@ class LogLinearValue:
             # the logs of N's factors in the other); their difference is
             # normalised over a common one, where zero means no terms.
             return self.rat == other.rat and (
-                self.logs == other.logs or not (self - other).logs)
+                (self.den, self.terms) == (other.den, other.terms)
+                or not (self - other).terms)
         if isinstance(other, (int, Fraction)):
-            return not self.logs and self.rat == other
+            return not self.terms and self.rat == other
         return NotImplemented
 
     def __hash__(self):
         # Purely rational values hash like their Fraction.  Otherwise the hash
-        # reads X = prod b^c through what every coprime base of the value
-        # agrees on: the least D with X^D rational, which is the lcm of the
-        # coefficient denominators because no base is a perfect power, and
-        # X^D modulo a prime, unless a base is a multiple of that prime.
-        if not self.logs:
+        # reads X = prod b^(n/den) through what every coprime base agrees on:
+        # the least D with X^D rational, den as no base is a perfect power,
+        # and X^den modulo a prime, unless a base is a multiple of it.
+        if not self.terms:
             return hash(self.rat)
-        d = math.lcm(*(c.denominator for _, c in self.logs))
         residue = 1
-        for b, c in self.logs:
+        for b, n in self.terms:
             if not b % _HASH_PRIME:
                 residue = None
                 break
-            e = c.numerator * (d // c.denominator) % (_HASH_PRIME - 1)
-            residue = residue * pow(b, e, _HASH_PRIME) % _HASH_PRIME
-        return hash((self.rat, d, residue))
+            residue = residue * pow(b, n % (_HASH_PRIME - 1), _HASH_PRIME) % _HASH_PRIME
+        return hash((self.rat, self.den, residue))
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
+        if isinstance(other, (int, Fraction)):
+            return LogLinearValue._of(self.rat + sign * other, self.den, self.terms)
+        if not isinstance(other, LogLinearValue):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        merged = {p: n * a for p, n in self.terms}
+        for p, n in other.terms:
+            merged[p] = merged.get(p, 0) + n * b
+        return LogLinearValue._of(self.rat + sign * other.rat, den, _normalise(merged))
 
     def __add__(self, other):
-        if isinstance(other, LogLinearValue):
-            merged = self.log_dict()
-            for p, c in other.logs:
-                merged[p] = merged.get(p, _ZERO) + c
-            return LogLinearValue.make(self.rat + other.rat, merged)
-        if isinstance(other, (int, Fraction)):
-            return LogLinearValue(self.rat + other, self.logs)
-        return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LogLinearValue(-self.rat, tuple((p, -c) for p, c in self.logs))
-
     def __sub__(self, other):
-        if isinstance(other, (LogLinearValue, int, Fraction)):
-            return self + (-other if isinstance(other, LogLinearValue) else -Fraction(other))
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + Fraction(other)
-        return NotImplemented
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        return LogLinearValue._of(-self.rat, self.den, tuple((p, -n) for p, n in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, LogLinearValue):
@@ -391,7 +412,9 @@ class LogLinearValue:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LogLinearValue()
-            return LogLinearValue(self.rat * other, tuple((p, c * other) for p, c in self.logs))
+            a = other.numerator
+            return LogLinearValue._of(self.rat * other, self.den * other.denominator,
+                                      tuple((p, n * a) for p, n in self.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -402,7 +425,8 @@ class LogLinearValue:
         return NotImplemented
 
     def __float__(self) -> float:
-        return float(self.rat) + math.fsum(float(c) * math.log(p) for p, c in self.logs)
+        # n / den rounds once, as float(Fraction(n, den)) does
+        return float(self.rat) + math.fsum(n / self.den * math.log(p) for p, n in self.terms)
 
     def render(self) -> str:
         """Structural text form, e.g. ``1/2·log(2) + 3/8`` or ``-4/3``.
@@ -411,7 +435,7 @@ class LogLinearValue:
         the splitter could not split.
         """
         parts: list[str] = []
-        if self.rat or not self.logs:
+        if self.rat or not self.terms:
             parts.append(str(self.rat))
         for p, c in self.logs:
             if c == 1:
@@ -435,8 +459,9 @@ class _LLAccumulator:
     Summing immutable LogLinearValue objects over thousands of traversal
     leaves is quadratic in the number of distinct primes; this keeps one
     dict and emits an immutable value at the end.  The engine no longer
-    uses it: the exact kernels sum integers per distinct constant term.  It
-    stays while the benchmark's tracer wraps add_neg_plogp (ROADMAP item 9).
+    uses it: the exact kernels sum integers per distinct constant term.  The
+    benchmark's tracer wraps add_neg_plogp for its loglinear.scalar_leaf
+    metrics; ROADMAP item 1 drops them, and item 10 deletes this class.
     """
 
     __slots__ = ("rat", "logs")

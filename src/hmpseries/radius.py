@@ -216,8 +216,8 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
                 bound_depth: int = 2, tolerance: float = 1e-9) -> BoundsScan:
     """Partial sums against the [c_N, C_N] band across a parameter grid.
 
-    Each grid point instantiates the model exactly and computes the band in
-    float64; each requested truncation order contributes one row per point.
+    Each grid point instantiates the model exactly and computes the band with
+    backend; each requested truncation order contributes one row per point.
     A point is inside when it lies within [lower - tol, upper + tol].
     """
     grid = [parse_rational(g) for g in grid]
@@ -234,7 +234,7 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:
-        br = entropy_rate_bracket(instantiate(spec, g), bound_depth, FLOAT64)
+        br = entropy_rate_bracket(instantiate(spec, g), bound_depth, backend)
         lo, up = float(br.lower), float(br.upper)
         gf = float(g)
         for k in orders:

@@ -156,6 +156,19 @@ def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+
+@pytest.mark.parametrize("argv, golden", [
+    (["bounds", "--n", "2,3,4,5,6,7,8", *QUICKSTART], "bounds-quickstart-exact.csv"),
+    (["bounds", "--n", "2,3,4", "--model", str(GOLDEN / "primes-anchor-model.json")],
+     "bounds-primes-anchor-exact.csv"),
+])
+def test_exact_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
+    # exact renders and their float digits; the prime-denominator model has
+    # composite bases to refine.  The files were written by an earlier version
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
 def test_unknown_backend_exit_2(capsys, model_file):
     # a precision below 24 bits is a malformed tag too, not a failed computation
     for tag in ("decimal", "bigfloat:10", "bigfloat:-5"):

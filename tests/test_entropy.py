@@ -117,6 +117,29 @@ def test_exact_bracket_factors_only_the_table_scales(monkeypatch):
     assert len(calls) <= 6  # two walks (plain and per start state), three tables each
 
 
+def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
+    # The log coefficients of a depth stay integer sums over Q_d from the
+    # leaves into the value, and C_n, c_n, the midpoint and the half-gap
+    # combine them on integers, so the Fractions of a warm bracket (its
+    # rational parts) do not grow with the thousands of log terms at n = 12.
+    model = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
+    new = Fraction.__new__
+    counts = []
+    for n in (8, 12):
+        entropy_rate_bracket(model, n)  # warm every cache
+        calls = [0]
+
+        def counting(cls, *args, **kwargs):
+            calls[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        entropy_rate_bracket(model, n)
+        monkeypatch.undo()
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 100
+
+
 def _integer_jets(order):
     # small constant terms make leaves share the cell of their N_0
     head = st.one_of(st.integers(min_value=1, max_value=3),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmpseries import DomainNotClosed, LogLinearValue, factor_positive
-from hmpseries.loglinear import _LLAccumulator
+from hmpseries.entropy import _finish_cells
+from hmpseries.loglinear import _LLAccumulator, _normalise
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -66,14 +67,19 @@ def over_primes(rat, pairs):
     return rat, {p: c for p, c in logs.items() if c}
 
 
+def integer_pairs(pairs):
+    """(base, coefficient) pairs over integers: a rational base b/d gives b and d."""
+    out = []
+    for b, c in pairs:
+        b = Fraction(b)
+        out += [(b.numerator, c), (b.denominator, -c)]
+    return out
+
+
 def built(rat, pairs):
     """The value of rat + sum c log(b), with the denominator of a rational b as a
     base of its own."""
-    logs = []
-    for b, c in pairs:
-        b = Fraction(b)
-        logs += [(b.numerator, c), (b.denominator, -c)]
-    return LogLinearValue(rat, tuple(logs))
+    return LogLinearValue(rat, tuple(integer_pairs(pairs)))
 
 
 def test_shared_large_primes_stay_composite_until_refined():
@@ -125,6 +131,59 @@ def test_arithmetic_matches_the_factoring_oracle(ra, a_pairs, rb, b_pairs, s):
     assert over_primes((a * s).rat, (a * s).logs) == scaled
     assert a * s == a_primes * s and hash(a * s) == hash(a_primes * s)
     assert float(a) == pytest.approx(float(a_primes), rel=1e-9, abs=1e-9)
+
+
+def fraction_terms(pairs):
+    """The logs of integer (base, coefficient) pairs as a Fraction-coefficient
+    form holds them: merged in Fractions, then normalised (_normalise)."""
+    merged = {}
+    for b, c in pairs:
+        if b > 1 and c:
+            merged[b] = merged.get(b, 0) + Fraction(c)
+    return _normalise(merged)
+
+
+def assert_canonical(v):
+    assert v.den > 0
+    assert math.gcd(v.den, *(n for _, n in v.terms)) == 1
+    assert v.terms or v.den == 1
+    bases = [b for b, _ in v.terms]
+    assert bases == sorted(bases)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(bases) for b in bases[i + 1:])
+
+
+def assert_same_form(a, b):
+    """Equal values hash alike, and over the same bases they hold the same integers."""
+    assert a == b and hash(a) == hash(b)
+    if [p for p, _ in a.terms] == [p for p, _ in b.terms]:
+        assert (a.rat, a.den, a.terms) == (b.rat, b.den, b.terms)
+
+
+@given(rationals, terms, rationals, terms, rationals)
+@settings(deadline=None)
+def test_integer_form_is_canonical(ra, a_pairs, rb, b_pairs, s):
+    a, b = built(ra, a_pairs), built(rb, b_pairs)
+    for v in (a, b, a + b, a - b, a * s, -a, a + rb, LogLinearValue(ra)):
+        assert_canonical(v)
+    assert a.logs == fraction_terms(integer_pairs(a_pairs))
+    assert a.logs == tuple((p, Fraction(n, a.den)) for p, n in a.terms)
+    # the same sum by the constructor, by +, - and scaling, and as a depth's
+    # integer sums over Q = 2^3 * 5 (one cell per constant term N_0)
+    both = integer_pairs(a_pairs) + integer_pairs(b_pairs)
+    assert_same_form(LogLinearValue(ra + rb, tuple(both)), a + b)
+    assert_same_form((a + b) - b, a)
+    assert_same_form(a * s + b * s, (a + b) * s)
+    assert_same_form(a * 2, a + a)
+    q_primes, q = ((2, 3), (5, 1)), 40
+    cells = {}
+    for b, c in a_pairs:
+        cells.setdefault(Fraction(b).numerator, [0, 0])[0] += c.numerator
+    depth = _finish_cells((q_primes, q, cells), 1, [0])[0]
+    direct = LogLinearValue(0, tuple(p for n0, (nt, _) in cells.items()
+                                     for p in ((n0, Fraction(-nt, q)), (q, Fraction(nt, q)))))
+    assert_canonical(depth)
+    assert_same_form(depth, direct)
+    assert hash(LogLinearValue(ra)) == hash(ra) and hash(a - a) == hash(0)
 
 
 def test_factor_positive_large_composite():

@@ -6,6 +6,7 @@ import pytest
 
 from hmpseries import radius
 from hmpseries import (
+    EXACT,
     DegenerateFit,
     DepthCapExceeded,
     RadiusEstimate,
@@ -15,7 +16,9 @@ from hmpseries import (
     bounds_scan,
     cauchy_hadamard_estimate,
     domb_sykes_estimate,
+    entropy_rate_bracket,
     high_snr_binary,
+    instantiate,
     rate_series,
     ratio_estimate,
     rational_grid,
@@ -171,6 +174,20 @@ def test_bounds_scan_checks_bound_depth_before_building_the_table(
         bounds_scan(am_binary(F(3, 5)), [F(1, 10)], [9], bound_depth=depth)
     assert built == []
 
+
+def test_bounds_scan_computes_the_band_with_its_backend(monkeypatch):
+    seen = []
+
+    def recording(model, n, backend, *rest):
+        seen.append(backend)
+        return entropy_rate_bracket(model, n, backend, *rest)
+
+    monkeypatch.setattr(radius, "entropy_rate_bracket", recording)
+    scan = bounds_scan(am_binary(F(3, 5)), [F(1, 10), F(1, 5)], [4], EXACT, bound_depth=3)
+    assert seen == [EXACT, EXACT]
+    exact = entropy_rate_bracket(instantiate(am_binary(F(3, 5)), F(1, 5)), 3, EXACT)
+    row = scan.rows[1]
+    assert (row.lower_bound, row.upper_bound) == (float(exact.lower), float(exact.upper))
 
 def test_bounds_scan_small_parameters_stay_inside():
     spec = am_binary(F(3, 5))
