@@ -17,7 +17,8 @@ per-site polynomials walk as one dense type, _Dense, a coefficient list in
 the layout of a plan built once per caps and targets (_plan), and each table
 entry is a factor a + b*x_i.  Both kernels read that list and run one
 recurrence for log p over the plan; a scalar takes one log or one integer
-addition.  _SumDomain only adds up probabilities.  _traverse drives them all.
+addition.  _SumDomain only adds up probabilities.  _traverse drives them all,
+in the tables and accumulators that each kernel prepares.
 
 Exact scalars, jets and per-site polynomials walk on Python integers, from
 the tables of _integer_tables.  Each table (start vector, emission columns,
@@ -32,8 +33,9 @@ primes of Q_d leave it by trial division and loglinear's splitter takes the
 rest, so a large cofactor it cannot split stays one composite log base.
 
 The window entropies of a list of n come from _windows: one plain walk to the
-largest n and, for c_n, one run per start state, each recording n - 1 and n
-of every listed n.  finite_entropy and lower_bound record only what they report.
+largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
+each recording n - 1 and n of every listed n (_run).  finite_entropy and
+lower_bound record only what they report.
 """
 
 from __future__ import annotations
@@ -192,15 +194,17 @@ class _JetExactDomain:
     no Fraction and factors nothing.  A scalar only adds N_0.
     """
 
-    integer = True
-
     def __init__(self, plan=None, series=False):
         self.plan, self.series = plan, series
         self.weights = [w for _, w, _ in plan[2]] if plan else [0]
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
-    new_acc = staticmethod(_new_cells)
+    def prepare(self, start, emit_at, trans_at, n, record):
+        """The tables on integers over Q_d, and the cells of each recorded depth."""
+        start, emit_at, trans_at, primes_at = _integer_tables(
+            start, emit_at, trans_at, n, record, self.plan is not None)
+        return start, emit_at, trans_at, {d: _new_cells(primes_at[d]) for d in record}
 
     def add_term(self, acc, p):
         plan = self.plan
@@ -264,13 +268,13 @@ def _log_ratio(n0, q_primes):
     return fac
 
 
-def _integer_tables(starts, emit_at, trans_at, n, record, poly):
+def _integer_tables(start, emit_at, trans_at, n, record, poly):
     """The tables scaled to integers, and the primes of Q_d at each recorded depth.
 
     Each distinct table is scaled once by the lcm of its denominators, and
-    that scale is factored once (factor_positive); Q_d is the product of
-    the scale factors of the tables used to reach depth d: the start
-    vector, d emission and d - 1 transition tables.
+    each distinct scale is factored once (factor_positive); Q_d is the
+    product of the scale factors of the tables used to reach depth d: the
+    start vector, d emission and d - 1 transition tables.
     The items are exact scalars or, with poly, coefficient lists in the
     start vector and (a, b, shift) entries in the tables.
     """
@@ -282,17 +286,17 @@ def _integer_tables(starts, emit_at, trans_at, n, record, poly):
         kinds = ((lambda x: x, lambda m, x: _Dense(m)), (lambda x: x[:2], lambda m, x: (*m, x[2])))
     else:
         kinds = ((lambda x: (x,), lambda m, x: m[0]),) * 2
-    scaled = {}
+    starts, scaled = [start], {}
     for rows in [starts, *emit_at, *trans_at]:
         if id(rows) not in scaled:
             rats, make = kinds[rows is not starts]
             d = math.lcm(*(q.denominator for row in rows for x in row for q in rats(x)))
-            scaled[id(rows)] = ([[make(ints(rats(x), d), x) for x in row] for row in rows],
-                                factor_positive(d))
+            scaled[id(rows)] = [[make(ints(rats(x), d), x) for x in row] for row in rows], d
+    factored = {d: factor_positive(d) for d in {d for _, d in scaled.values()}}
     q_primes, primes_at = {}, {}
 
     def absorb(rows):
-        for p, e in scaled[id(rows)][1]:
+        for p, e in factored[scaled[id(rows)][1]]:
             q_primes[p] = q_primes.get(p, 0) + e
 
     absorb(starts)
@@ -302,7 +306,7 @@ def _integer_tables(starts, emit_at, trans_at, n, record, poly):
         absorb(emit_at[depth - 1])
         if depth in record:
             primes_at[depth] = tuple(q_primes.items())
-    return (scaled[id(starts)][0], [scaled[id(c)][0] for c in emit_at],
+    return (scaled[id(starts)][0][0], [scaled[id(c)][0] for c in emit_at],
             [scaled[id(c)][0] for c in trans_at], primes_at)
 
 
@@ -318,8 +322,10 @@ class _JetFloatDomain:
     def __init__(self, log, plan=None, series=False):
         self._log, self.plan, self.series = log, plan, series
 
-    def new_acc(self):
-        return [0] * (len(self.plan[2]) if self.plan else 1)
+    def prepare(self, start, emit_at, trans_at, n, record):
+        """The tables as they are, and zero cells for each recorded depth."""
+        top = len(self.plan[2]) if self.plan else 1
+        return start, emit_at, trans_at, {d: [0] * top for d in record}
 
     def add_term(self, cells, p):
         plan = self.plan
@@ -357,8 +363,8 @@ class _SumDomain:
     """Accumulates the plain sum of sequence probabilities (any domain)."""
 
     @staticmethod
-    def new_acc():
-        return [None]
+    def prepare(start, emit_at, trans_at, n, record):
+        return start, emit_at, trans_at, {d: [None] for d in record}
 
     @staticmethod
     def add_term(acc, p):
@@ -384,36 +390,30 @@ def _domain(backend, order=None, kvec=None):
     return _JetFloatDomain(backend.log, plan, series)
 
 
-def _scalar_tables(model: HmpModel, backend):
-    sc = backend.scalar
-    s = model.size
-    emit_cols = [[sc(model.R.rows[j][y]) for j in range(s)] for y in range(s)]
-    trans_cols = [[sc(model.M.rows[j][k]) for j in range(s)] for k in range(s)]
-    beta0 = [sc(p) for p in model.pi]
-    return beta0, emit_cols, trans_cols
-
-
-def _traverse(starts, emit_at, trans_at, n, record, domain):
-    """Walk from each start vector into shared sums; {depth: finished value}."""
-    if getattr(domain, "integer", False):  # the exact kernels walk integers
-        starts, emit_at, trans_at, primes_at = _integer_tables(
-            starts, emit_at, trans_at, n, record, domain.plan is not None)
-        sums = {d: domain.new_acc(primes_at[d]) for d in record}
-    else:
-        sums = {d: domain.new_acc() for d in record}
-    for beta in starts:
-        _walk(beta, emit_at, trans_at, 0, n, sums, domain)
+def _traverse(start, emit_at, trans_at, n, record, domain):
+    """One walk from the start vector, in the tables the kernel prepares;
+    {depth: finished value} for each recorded depth."""
+    start, emit_at, trans_at, sums = domain.prepare(start, emit_at, trans_at, n, record)
+    _walk(start, emit_at, trans_at, 0, n, sums, domain)
     return {d: domain.finish(a) for d, a in sums.items()}
 
 
-def _run(model, n, record, domain, backend, per_state=False):
-    beta0, emit_cols, trans_cols = _scalar_tables(model, backend)
-    starts = [beta0]
-    if per_state:
-        zero = backend.scalar(Fraction(0))
-        s = model.size
-        starts = [[beta0[i] if j == i else zero for j in range(s)] for i in range(s)]
-    return _traverse(starts, [emit_cols] * n, [trans_cols] * (n - 1), n, record, domain)
+def _run(model, n, record, domain, backend, joint=False):
+    """The walk of the model to depth n in the backend's scalars.
+
+    With joint, the first symbol is the pair (X_1, Y_1), so depth d records
+    H(X_1, [Y]_1^d): the depth-0 emission table has one column per (i, y),
+    i-major, holding R(i, y) at state i and 0 elsewhere.  The walk then
+    multiplies and adds the same numbers in the same order as one walk per
+    start state would.
+    """
+    sc, s = backend.scalar, model.size
+    emit = [[sc(model.R.rows[j][y]) for j in range(s)] for y in range(s)]
+    trans = [[sc(model.M.rows[j][k]) for j in range(s)] for k in range(s)]
+    first = [[c if j == i else sc(0) for j, c in enumerate(col)]
+             for i in range(s) for col in emit] if joint else emit
+    return _traverse([sc(p) for p in model.pi], [first] + [emit] * (n - 1),
+                     [trans] * (n - 1), n, record, domain)
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
@@ -435,13 +435,12 @@ def conditional_increment(model: HmpModel, n: int, backend=EXACT, depth_cap: int
 def lower_bound(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
     """c_n = H(Y_n | X_1, [Y]_1^{n-1}), a lower bound on the entropy rate.
 
-    Conditioning on X_1 splits the traversal into one run per starting
-    state, all feeding the same accumulators.
+    It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from one walk whose first
+    symbol is the pair (X_1, Y_1).
     """
     _check_depth(n, depth_cap, lower_from=2)
-    domain = _domain(backend)
     with backend.ctx():
-        out = _run(model, n, {n - 1, n}, domain, backend, per_state=True)
+        out = _run(model, n, {n - 1, n}, _domain(backend), backend, joint=True)
         return out[n] - out[n - 1]
 
 
@@ -561,8 +560,8 @@ def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
     Every n is checked, in list order, before any walk.  One plain walk to
     max(ns) records H_{n-1} and H_n of every listed n, so C_n = H_n - H_{n-1}
     and C_1 = H_1.  With lower_from set, a window below it is refused, and
-    one run per start state to the largest n >= 2 does the same for c_n,
-    which stays None at n = 1.
+    one walk over the joint first symbol (X_1, Y_1) to the largest n >= 2
+    does the same for c_n, which stays None at n = 1.
     """
     if not ns:
         raise ValueError("need at least one window size")
@@ -576,6 +575,6 @@ def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
         low = {}
         if lower_from is not None and long:
             out = _run(model, max(long), {d for n in long for d in (n - 1, n)},
-                       domain, backend, per_state=True)
+                       domain, backend, joint=True)
             low = {n: out[n] - out[n - 1] for n in long}
         return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

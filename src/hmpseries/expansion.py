@@ -157,7 +157,7 @@ def _poly_tables(spec: RegimeSpec, n: int, caps, sites, sc):
 
 def _jet_run(spec, n, order, record, domain, backend):
     beta0, emit_at, trans_at = _poly_tables(spec, n, (order,), [0] * n, backend.scalar)
-    return _traverse([beta0], emit_at, trans_at, n, record, domain)
+    return _traverse(beta0, emit_at, trans_at, n, record, domain)
 
 
 def _increment_jets(spec, ns, order, backend, depth_cap):

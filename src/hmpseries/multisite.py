@@ -79,7 +79,7 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
     n, caps = mspec.n, mspec.kvec
     with backend.ctx():
         beta0, emit_at, trans_at = _poly_tables(spec, n, caps, range(n), backend.scalar)
-        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _domain(backend, kvec=caps))
+        out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend, kvec=caps))
         return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
 
@@ -104,5 +104,5 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
         beta0, emit_at, trans_at = _regime_tables(
             spec, n, sc, lambda a, b, i: sc(a + b * params[i]),
             lambda: [sc(x) for x in stationary_distribution(sites[0])])
-        out = _traverse([beta0], emit_at, trans_at, n, {n - 1, n}, _domain(backend))
+        out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend))
         return out[n] - out[n - 1]

@@ -91,11 +91,11 @@ def test_entropy_depth_cap_exit_1(capsys, model_file):
 def test_a_window_list_makes_one_walk_set_at_its_largest_n(capsys, walks):
     model = str(GOLDEN / "quickstart-model.json")
     ns = ",".join(map(str, range(1, 13)))
-    # one plain walk, and one per start state of the 2-state model
+    # one plain walk, and one over the joint first symbol (X_1, Y_1) for c_n
     for argv in (["entropy", "--n", ns], ["bounds", "--n", "8,12"]):
         walks[0] = 0
         assert main([*argv, "--backend", "float64", "--model", model]) == 0
-        assert walks[0] == 3
+        assert walks[0] == 2
     capsys.readouterr()
     walks[0] = 0
     entropy_report(load_model(model), 1)
@@ -132,6 +132,8 @@ def test_entropy_bigfloat_backend(capsys, model_file):
 
 
 QUICKSTART = ["--model", str(GOLDEN / "quickstart-model.json")]
+# a 3-state model with zero emission entries, so pruning differs per start state
+THREE_STATE = ["--model", str(GOLDEN / "three-state-zero-emission-model.json")]
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -147,10 +149,14 @@ QUICKSTART = ["--model", str(GOLDEN / "quickstart-model.json")]
      "expand-am-float64-21.csv"),
     (["expand", "--regime", "high-snr", "--p", "1/5", "--order", "13",
       "--backend", "float64"], "expand-high-snr-float64-13.csv"),
+    (["entropy", "--backend", "float64", "--n", "1,2,3,4,5,6,7,8", *THREE_STATE],
+     "entropy-three-state-float64.csv"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "2,5,8", *THREE_STATE],
+     "bounds-three-state-bigfloat128.csv"),
 ])
 def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
-    # the README quick-start model and the two regime anchors; the files were
-    # written by an earlier version
+    # the README quick-start model, the two regime anchors and a 3-state
+    # model with zero emissions; the files were written by an earlier version
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
@@ -343,6 +349,18 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_sympy_and_mpmath_unloaded():
+    # start-up cost of every CLI call: the exact and bigfloat libraries load
+    # only when a computation needs them
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hmpseries.cli; "
+         "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_smoke():

@@ -36,7 +36,7 @@ from hmpseries import (
     validate_model,
 )
 from hmpseries import entropy
-from hmpseries.entropy import _domain
+from hmpseries.entropy import _domain, _new_cells
 
 from util import (
     brute_finite_entropy,
@@ -114,7 +114,7 @@ def test_exact_bracket_factors_only_the_table_scales(monkeypatch):
     monkeypatch.setattr(entropy, "factor_positive", counting)
     entropy_rate_bracket(model, 4)
     assert set(calls) <= scales
-    assert len(calls) <= 6  # two walks (plain and per start state), three tables each
+    assert len(calls) <= 6  # two walks (plain and joint first symbol), three scales each
 
 
 def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
@@ -157,8 +157,8 @@ def test_exact_leaf_kernel_matches_series_log(data):
     q = data.draw(st.integers(min_value=1, max_value=10**5))
     leaves = data.draw(st.lists(_integer_jets(order), min_size=1, max_size=4))
     jet, scalar = _domain(EXACT, order), _domain(EXACT)
-    jet_acc = jet.new_acc(factor_positive(q))
-    scalar_acc = scalar.new_acc(factor_positive(q))
+    jet_acc = _new_cells(factor_positive(q))
+    scalar_acc = _new_cells(factor_positive(q))
     expect = TruncatedSeries([F(0)] * (order + 1))
     for coeffs in leaves:
         jet.add_term(jet_acc, coeffs)  # a jet's plan positions are its orders
@@ -227,6 +227,26 @@ def test_total_probability_three_symbols():
                           ("1/4", "1/4", "1/2")))
     model = validate_model(m, r)
     assert total_probability(model, 4) == 1
+
+
+THREE_STATE = Path(__file__).parent / "golden" / "three-state-zero-emission-model.json"
+
+
+def test_lower_bound_with_zero_emissions_matches_enumeration():
+    # the model above: a zero emission prunes a different subtree per start state
+    model = load_model(THREE_STATE)
+    for n in (2, 3, 4):
+        assert lower_bound(model, n) == brute_lower_bound(model, n)
+
+
+@pytest.mark.parametrize("name", ["quickstart-model.json", THREE_STATE.name])
+def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
+    # H_n from a plain walk; c_n from one walk over the joint first symbol (X_1, Y_1)
+    model = load_model(Path(__file__).parent / "golden" / name)
+    for request, count in ((entropy_rate_bracket, 2), (entropy_report, 2), (lower_bound, 1)):
+        walks[0] = 0
+        request(model, 4)
+        assert walks[0] == count, request.__name__
 
 
 def test_depth_cap():
