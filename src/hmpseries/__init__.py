@@ -44,7 +44,6 @@ from .errors import (
     TooFewCoefficients,
     ValidationError,
     WeightCapExceeded,
-    ZeroMarginal,
 )
 from .expansion import (
     HIGH_SNR_NOTE,
@@ -110,7 +109,6 @@ from .radius import (
     rational_grid,
 )
 from .series import (
-    DEFAULT_ORDER,
     TruncatedSeries,
     entropy_accumulate,
     exp_series,

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .backends import get_backend
-from .entropy import DEFAULT_DEPTH_CAP, _bracket, _windows
+from .entropy import _bracket, _windows
 from .errors import HmpSeriesError, ParseError
 from .expansion import rate_series, settling_check
 from .loglinear import LogLinearValue
@@ -115,14 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
                           description=_SCHEMAS["entropy"] + " (lower empty at n=1)")
     sub.add_argument("--model", required=True)
     sub.add_argument("--n", required=True, help="window size, or comma list A,B,C")
-    sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     _add_io(sub)
 
     sub = subs.add_parser("bounds", help="entropy-rate bracket c_n <= H <= C_n",
                           description=_SCHEMAS["bounds"])
     sub.add_argument("--model", required=True)
     sub.add_argument("--n", required=True, help="window size, or comma list A,B,C")
-    sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     _add_io(sub)
 
     sub = subs.add_parser("expand", help="entropy-rate Taylor coefficients",
@@ -220,7 +218,7 @@ def _cmd_validate(args):
 def _cmd_entropy(args):
     model = load_model(args.model)
     backend = get_backend(args.backend)
-    reports = _windows(model, _int_list(args.n), backend, args.depth_cap, lower_from=1)
+    reports = _windows(model, _int_list(args.n), backend, lower_from=1)
     rows = [
         {"n": rep.n, **_with_float("entropy", rep.entropy, backend),
          **_with_float("increment", rep.increment, backend),
@@ -233,7 +231,7 @@ def _cmd_entropy(args):
 def _cmd_bounds(args):
     model = load_model(args.model)
     backend = get_backend(args.backend)
-    reports = _windows(model, _int_list(args.n), backend, args.depth_cap, lower_from=2)
+    reports = _windows(model, _int_list(args.n), backend, lower_from=2)
     rows = []
     for br in (_bracket(rep, backend) for rep in reports):
         rows.append({"n": br.n, **_with_float("lower", br.lower, backend),

@@ -48,7 +48,7 @@ from itertools import product
 from operator import add
 
 from .backends import EXACT, FLOAT64
-from .errors import DepthCapExceeded, NonpositiveConstantTerm, ZeroMarginal
+from .errors import DepthCapExceeded, NonpositiveConstantTerm
 from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel
 from .series import TruncatedSeries
@@ -56,11 +56,11 @@ from .series import TruncatedSeries
 DEFAULT_DEPTH_CAP = 14
 
 
-def _check_depth(n: int, depth_cap: int, lower_from=None):
+def _check_depth(n: int, lower_from=None):
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    if n > depth_cap:
-        raise DepthCapExceeded(f"depth {n} exceeds the cap {depth_cap}")
+    if n > DEFAULT_DEPTH_CAP:
+        raise DepthCapExceeded(f"depth {n} exceeds the cap {DEFAULT_DEPTH_CAP}")
     if lower_from is not None and n < lower_from:
         raise ValueError("the conditional lower bound needs n >= 2")
 
@@ -416,29 +416,29 @@ def _run(model, n, record, domain, backend, joint=False):
                      [trans] * (n - 1), n, record, domain)
 
 
-def finite_entropy(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
+def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
-    _check_depth(n, depth_cap)
+    _check_depth(n)
     domain = _domain(backend)
     with backend.ctx():
         return _run(model, n, {n}, domain, backend)[n]
 
 
-def conditional_increment(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
+def conditional_increment(model: HmpModel, n: int, backend=EXACT):
     """C_n = H_n - H_{n-1}, an upper bound on the entropy rate.
 
     Both entropies come from one traversal.  C_1 := H_1 by convention.
     """
-    return _windows(model, [n], backend, depth_cap)[0].increment
+    return _windows(model, [n], backend)[0].increment
 
 
-def lower_bound(model: HmpModel, n: int, backend=EXACT, depth_cap: int = DEFAULT_DEPTH_CAP):
+def lower_bound(model: HmpModel, n: int, backend=EXACT):
     """c_n = H(Y_n | X_1, [Y]_1^{n-1}), a lower bound on the entropy rate.
 
     It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from one walk whose first
     symbol is the pair (X_1, Y_1).
     """
-    _check_depth(n, depth_cap, lower_from=2)
+    _check_depth(n, lower_from=2)
     with backend.ctx():
         out = _run(model, n, {n - 1, n}, _domain(backend), backend, joint=True)
         return out[n] - out[n - 1]
@@ -454,10 +454,9 @@ class EntropyBracket:
     backend: str
 
 
-def entropy_rate_bracket(model: HmpModel, n: int, backend=EXACT,
-                         depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyBracket:
+def entropy_rate_bracket(model: HmpModel, n: int, backend=EXACT) -> EntropyBracket:
     """The sandwich c_n <= entropy rate <= C_n with midpoint and half-gap."""
-    return _bracket(_windows(model, [n], backend, depth_cap, lower_from=2)[0], backend)
+    return _bracket(_windows(model, [n], backend, lower_from=2)[0], backend)
 
 
 def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
@@ -467,21 +466,20 @@ def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
         return EntropyBracket(rep.n, lo, up, (lo + up) * half, (up - lo) * half, rep.backend)
 
 
-def total_probability(model: HmpModel, n: int, backend=EXACT,
-                      depth_cap: int = DEFAULT_DEPTH_CAP):
+def total_probability(model: HmpModel, n: int, backend=EXACT):
     """Sum of P([Y]_1^n) over all length-n observation sequences (= 1)."""
-    _check_depth(n, depth_cap)
+    _check_depth(n)
     with backend.ctx():
         return _run(model, n, {n}, _SumDomain(), backend)[n]
 
 
-def c2_closed_form(model: HmpModel, backend=EXACT, strict: bool = False):
+def c2_closed_form(model: HmpModel, backend=EXACT):
     """C_2 from the closed form over the pair marginal F = R^t diag(pi) M R.
 
     C_2 = sum_i (pi R)_i log (pi R)_i - sum_ij F_ij log F_ij.  When some
     pair probability vanishes the log is undefined there; the computation
     falls back to the direct two-step traversal, whose pruning implements
-    0*log(0) = 0 (or raises ZeroMarginal when strict).
+    0*log(0) = 0.
     """
     s = model.size
     pi, m, r = model.pi, model.M.rows, model.R.rows
@@ -495,8 +493,6 @@ def c2_closed_form(model: HmpModel, backend=EXACT, strict: bool = False):
     ]
     p1 = [sum(f[i][j] for j in range(s)) for i in range(s)]
     if any(x == 0 for row in f for x in row) or any(x == 0 for x in p1):
-        if strict:
-            raise ZeroMarginal("some pair of observable symbols has probability 0")
         return conditional_increment(model, 2, backend)
     with backend.ctx():
         sc, lg = backend.scalar, backend.log
@@ -509,12 +505,8 @@ def c2_closed_form(model: HmpModel, backend=EXACT, strict: bool = False):
         return total
 
 
-def sequence_log_probability(model: HmpModel, ys, backend=FLOAT64, with_steps: bool = False):
-    """log P([Y]_1^n = ys) via the scaled forward recursion (float domains).
-
-    With with_steps=True also returns the per-symbol log increments, whose
-    sum is the total.
-    """
+def sequence_log_probability(model: HmpModel, ys, backend=FLOAT64):
+    """log P([Y]_1^n = ys) via the scaled forward recursion (float domains)."""
     if backend.is_exact:
         raise ValueError("forward scaling is a floating-point computation")
     with backend.ctx():
@@ -533,8 +525,7 @@ def sequence_log_probability(model: HmpModel, ys, backend=FLOAT64, with_steps: b
                 raise ValueError(f"observation sequence has probability zero at step {t}")
             steps.append(lg(z))
             q = [a / z for a in alpha]
-        total = math.fsum(steps) if not backend.bits else sum(steps)
-        return (total, tuple(steps)) if with_steps else total
+        return math.fsum(steps) if not backend.bits else sum(steps)
 
 
 @dataclass(frozen=True)
@@ -548,13 +539,12 @@ class EntropyReport:
     backend: str
 
 
-def entropy_report(model: HmpModel, n: int, backend=EXACT,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> EntropyReport:
+def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
     """H_n, C_n and c_n (None at n = 1) of one window."""
-    return _windows(model, [n], backend, depth_cap, lower_from=1)[0]
+    return _windows(model, [n], backend, lower_from=1)[0]
 
 
-def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
+def _windows(model: HmpModel, ns, backend, lower_from=None):
     """One EntropyReport per n of ns, in list order, from one walk set.
 
     Every n is checked, in list order, before any walk.  One plain walk to
@@ -566,7 +556,7 @@ def _windows(model: HmpModel, ns, backend, depth_cap: int, lower_from=None):
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
-        _check_depth(n, depth_cap, lower_from)
+        _check_depth(n, lower_from)
     long = [n for n in ns if n >= 2]
     domain = _domain(backend)
     with backend.ctx():

@@ -48,11 +48,7 @@ class NonpositiveConstantTerm(HmpSeriesError):
 
 
 class DepthCapExceeded(HmpSeriesError):
-    """A finite-system depth beyond the configured traversal cap."""
-
-
-class ZeroMarginal(HmpSeriesError):
-    """An observable symbol has probability zero where positivity is assumed."""
+    """A window or jet depth beyond the fixed traversal cap DEFAULT_DEPTH_CAP."""
 
 
 class WeightCapExceeded(HmpSeriesError):

@@ -29,7 +29,6 @@ from fractions import Fraction
 from .backends import EXACT
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
-    DEFAULT_DEPTH_CAP,
     _check_depth,
     _Dense,
     _domain,
@@ -160,35 +159,32 @@ def _jet_run(spec, n, order, record, domain, backend):
     return _traverse(beta0, emit_at, trans_at, n, record, domain)
 
 
-def _increment_jets(spec, ns, order, backend, depth_cap):
+def _increment_jets(spec, ns, order, backend):
     """Jets of C_n for every n in the sorted ns, from one walk at max(ns)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if ns[0] < 2:
         raise ValueError("conditional increments need n >= 2")
-    _check_depth(ns[-1], depth_cap)
+    _check_depth(ns[-1])
     record = {d for n in ns for d in (n - 1, n)}
     with backend.ctx():
         out = _jet_run(spec, ns[-1], order, record, _domain(backend, order), backend)
         return {n: out[n] - out[n - 1] for n in ns}
 
 
-def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT,
-                  depth_cap: int = DEFAULT_DEPTH_CAP) -> TruncatedSeries:
+def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
     """Jet of C_n = H_n - H_{n-1} in the regime parameter, to the given order."""
-    return _increment_jets(spec, (n,), order, backend, depth_cap)[n]
+    return _increment_jets(spec, (n,), order, backend)[n]
 
 
-def probability_jet_total(spec: RegimeSpec, n: int, order: int, backend=EXACT,
-                          depth_cap: int = DEFAULT_DEPTH_CAP) -> TruncatedSeries:
+def probability_jet_total(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
     """Sum of all sequence-probability jets at depth n (identically 1)."""
-    _check_depth(n, depth_cap)
+    _check_depth(n)
     with backend.ctx():
         return TruncatedSeries(_jet_run(spec, n, order, {n}, _SumDomain(), backend)[n])
 
 
-def rate_series(spec: RegimeSpec, order: int, backend=EXACT,
-                depth_cap: int = DEFAULT_DEPTH_CAP) -> CoefficientTable:
+def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable:
     """Entropy-rate Taylor coefficients through the given order.
 
     One traversal at the deepest settled window n = ceil((order+3)/2)
@@ -196,7 +192,7 @@ def rate_series(spec: RegimeSpec, order: int, backend=EXACT,
     there because its own threshold is smaller.
     """
     n = settling_threshold(order)
-    jet = increment_jet(spec, n, order, backend, depth_cap)
+    jet = increment_jet(spec, n, order, backend)
     return CoefficientTable(
         regime=regime_kind(spec),
         values=jet.coeffs,
@@ -217,30 +213,26 @@ class SettlingReport:
     verdict: str
 
 
-def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT,
-                   rel_tol: float = 1e-10,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> SettlingReport:
+def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingReport:
     """Order-k coefficients of C_n across window sizes, with the onset.
 
     A value counts as settled when it matches the value at the largest
-    tested window: exact equality on the exact backend, relative tolerance
-    rel_tol on floating backends.
+    tested window: exact equality on the exact backend; on floating
+    backends, within a relative 1e-10 or an absolute 1e-14, as math.isclose
+    compares.  Every window must lie in 2..DEFAULT_DEPTH_CAP.
     """
     ns = tuple(sorted(set(int(n) for n in ns)))
     if not ns:
         raise ValueError("need at least one window size")
-    jets = _increment_jets(spec, ns, k, backend, depth_cap)
+    jets = _increment_jets(spec, ns, k, backend)
     values = tuple(jets[n].coeffs[k] for n in ns)
     ref = values[-1]
     if backend.is_exact:
         settled = tuple(v == ref for v in values)
     else:
-        import math
-
-        settled = tuple(
-            math.isclose(float(v), float(ref), rel_tol=rel_tol, abs_tol=1e-14)
-            for v in values
-        )
+        fs = [float(v) for v in values]
+        settled = tuple(abs(f - fs[-1]) <= max(1e-10 * max(abs(f), abs(fs[-1])), 1e-14)
+                        for f in fs)
     onset = None
     for i in range(len(ns)):
         if all(settled[i:]):

@@ -461,7 +461,7 @@ class _LLAccumulator:
     dict and emits an immutable value at the end.  The engine no longer
     uses it: the exact kernels sum integers per distinct constant term.  The
     benchmark's tracer wraps add_neg_plogp for its loglinear.scalar_leaf
-    metrics; ROADMAP item 1 drops them, and item 10 deletes this class.
+    metrics; ROADMAP item 1 drops them, and item 8 deletes this class.
     """
 
     __slots__ = ("rat", "logs")

@@ -57,25 +57,22 @@ class MultiSiteSpec:
         return sum(self.kvec)
 
 
-def _check_caps(mspec: MultiSiteSpec, weight_cap: int, site_cap: int):
-    if mspec.weight > weight_cap:
-        raise WeightCapExceeded(
-            f"total derivative weight {mspec.weight} exceeds cap {weight_cap}"
-        )
-    if mspec.n > site_cap:
-        raise WeightCapExceeded(f"window length {mspec.n} exceeds cap {site_cap}")
-    if mspec.n < 2:
-        raise ValueError("per-site derivatives need n >= 2")
+def _check_sites(n: int, what: str):
+    if n > SITE_CAP:
+        raise WeightCapExceeded(f"window length {n} exceeds cap {SITE_CAP}")
+    if n < 2:
+        raise ValueError(f"per-site {what} need n >= 2")
 
 
-def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
-                         weight_cap: int = WEIGHT_CAP, site_cap: int = SITE_CAP):
+def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     """F_n^{kvec}: the mixed partial derivative of H_n - H_{n-1} at 0.
 
     Exact backend returns a LogLinearValue; floating backends return their
     own scalar.
     """
-    _check_caps(mspec, weight_cap, site_cap)
+    if mspec.weight > WEIGHT_CAP:
+        raise WeightCapExceeded(f"total derivative weight {mspec.weight} exceeds cap {WEIGHT_CAP}")
+    _check_sites(mspec.n, "derivatives")
     n, caps = mspec.n, mspec.kvec
     with backend.ctx():
         beta0, emit_at, trans_at = _poly_tables(spec, n, caps, range(n), backend.scalar)
@@ -83,8 +80,7 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT,
         return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
 
 
-def multisite_value(spec: RegimeSpec, params, backend=EXACT,
-                    site_cap: int = SITE_CAP):
+def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     """F_n = H_n - H_{n-1} at explicit per-site parameter values.
 
     The window length is len(params).  No derivatives: this is the plain
@@ -93,10 +89,7 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT,
     """
     params = [parse_rational(v) for v in params]
     n = len(params)
-    if n < 2:
-        raise ValueError("per-site increments need n >= 2")
-    if n > site_cap:
-        raise WeightCapExceeded(f"window length {n} exceeds cap {site_cap}")
+    _check_sites(n, "increments")
     check = perturbed_identity if isinstance(spec, HighSnr) else perturbed_uniform
     sites = [check(spec.T, v) for v in params]  # OutOfRange at the first bad site
     sc = backend.scalar

@@ -20,13 +20,14 @@ from math import gcd
 import numpy as np
 
 from .backends import FLOAT64
-from .entropy import DEFAULT_DEPTH_CAP, _check_depth, entropy_rate_bracket
+from .entropy import _check_depth, entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
 from .expansion import CoefficientTable, rate_series
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
 
 _MIN_NONZERO = 4
 _ZERO_REL = 1e-12
+_SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,17 +209,18 @@ class BoundsScan:
     regime: str
     orders: tuple[int, ...]
     bound_depth: int
-    tolerance: float
     rows: tuple[ScanRow, ...]
 
 
 def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
-                bound_depth: int = 2, tolerance: float = 1e-9) -> BoundsScan:
+                bound_depth: int = 2) -> BoundsScan:
     """Partial sums against the [c_N, C_N] band across a parameter grid.
 
     Each grid point instantiates the model exactly and computes the band with
     backend; each requested truncation order contributes one row per point.
-    A point is inside when it lies within [lower - tol, upper + tol].
+    A point is inside when it lies within [lower - _SCAN_TOL, upper +
+    _SCAN_TOL], a fixed 1e-9.  bound_depth is checked against the depth cap
+    before the coefficient table is built.
     """
     grid = [parse_rational(g) for g in grid]
     if len(grid) < 1:
@@ -230,7 +232,7 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:
         raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
-    _check_depth(bound_depth, DEFAULT_DEPTH_CAP, lower_from=2)
+    _check_depth(bound_depth, lower_from=2)
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:
@@ -239,14 +241,14 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         gf = float(g)
         for k in orders:
             ps = table.partial_sum(gf, k)
-            if ps > up + tolerance:
+            if ps > up + _SCAN_TOL:
                 direction = 1
-            elif ps < lo - tolerance:
+            elif ps < lo - _SCAN_TOL:
                 direction = -1
             else:
                 direction = 0
             rows.append(ScanRow(gf, k, ps, lo, up, direction == 0, direction))
-    return BoundsScan(regime_kind(spec), orders, bound_depth, tolerance, tuple(rows))
+    return BoundsScan(regime_kind(spec), orders, bound_depth, tuple(rows))
 
 
 def rational_grid(start, stop, steps: int) -> tuple[Fraction, ...]:

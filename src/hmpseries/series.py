@@ -16,8 +16,6 @@ from fractions import Fraction
 from .errors import NonpositiveConstantTerm, OrderMismatch
 from .loglinear import LogLinearValue
 
-DEFAULT_ORDER = 13
-
 
 def _nnz(coeffs) -> int:
     return sum(1 for c in coeffs if c)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import inspect
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hmpseries
 from hmpseries import (HIGH_SNR_NOTE, FloatBackend, ParseError, entropy_report, get_backend,
                        load_model)
 from hmpseries.cli import main
@@ -86,6 +88,24 @@ def test_entropy_depth_cap_exit_1(capsys, model_file):
         code, out, err = run_cli(capsys, *argv, "--n", "")
         assert code == 1 and out == ""
         assert "need at least one window size" in err
+
+
+def test_caps_and_tolerances_are_not_options(capsys, model_file):
+    # the depth, weight and site caps and the float tolerances are module
+    # constants: no public function or constructor takes one as a parameter
+    knobs = {"depth_cap", "weight_cap", "site_cap", "rel_tol", "tolerance", "strict",
+             "with_steps"}
+    public = [getattr(hmpseries, name) for name in dir(hmpseries) if not name.startswith("_")]
+    public = [obj for obj in public  # exception classes have no Python signature
+              if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))]
+    assert len(public) > 50
+    for obj in public:
+        assert not knobs & set(inspect.signature(obj).parameters), obj.__name__
+    for command in ("entropy", "bounds"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file, "--n", "2", "--depth-cap", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_a_window_list_makes_one_walk_set_at_its_largest_n(capsys, walks):

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
+    DEFAULT_DEPTH_CAP,
     EXACT,
     FLOAT64,
     DepthCapExceeded,
     FloatBackend,
     LogLinearValue,
     StochasticMatrix,
-    ZeroMarginal,
     am_binary,
     binary_symmetric_chain,
     c2_closed_form,
@@ -24,11 +24,16 @@ from hmpseries import (
     entropy_report,
     finite_entropy,
     high_snr_binary,
+    increment_jet,
     instantiate,
     load_model,
     lower_bound,
+    probability_jet_total,
+    rate_series,
     sample_path,
     sequence_log_probability,
+    settling_check,
+    settling_threshold,
     TruncatedSeries,
     entropy_accumulate,
     factor_positive,
@@ -198,8 +203,6 @@ def test_c2_zero_marginal_fallback_and_strict():
     model = validate_model(binary_symmetric_chain("1/5"), silent)
     assert c2_closed_form(model) == conditional_increment(model, 2)
     assert c2_closed_form(model) == LogLinearValue.make(0)
-    with pytest.raises(ZeroMarginal):
-        c2_closed_form(model, strict=True)
 
 
 def test_bracket_tightens_with_window():
@@ -249,12 +252,29 @@ def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
         assert walks[0] == count, request.__name__
 
 
-def test_depth_cap():
-    model = instantiate(am_binary("3/5"), F(1, 10))
-    with pytest.raises(DepthCapExceeded):
-        finite_entropy(model, 15)
-    with pytest.raises(DepthCapExceeded):
-        finite_entropy(model, 3, depth_cap=2)
+_BEYOND = DEFAULT_DEPTH_CAP + 1
+# each entry point with a window or jet one deeper than the cap
+_PAST_THE_CAP = {
+    "finite_entropy": lambda model, spec: finite_entropy(model, _BEYOND),
+    "conditional_increment": lambda model, spec: conditional_increment(model, _BEYOND),
+    "lower_bound": lambda model, spec: lower_bound(model, _BEYOND),
+    "entropy_report": lambda model, spec: entropy_report(model, _BEYOND),
+    "entropy_rate_bracket": lambda model, spec: entropy_rate_bracket(model, _BEYOND),
+    "total_probability": lambda model, spec: total_probability(model, _BEYOND),
+    "increment_jet": lambda model, spec: increment_jet(spec, _BEYOND, 2),
+    "probability_jet_total": lambda model, spec: probability_jet_total(spec, _BEYOND, 2),
+    "rate_series": lambda model, spec: rate_series(spec, 26),
+    "settling_check": lambda model, spec: settling_check(spec, 2, (3, _BEYOND)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_THE_CAP))
+def test_depth_cap(walks, name):
+    assert DEFAULT_DEPTH_CAP == 14 and settling_threshold(26) == _BEYOND
+    spec = am_binary("3/5")
+    with pytest.raises(DepthCapExceeded, match=f"^depth {_BEYOND} exceeds the cap 14$"):
+        _PAST_THE_CAP[name](instantiate(spec, F(1, 10)), spec)
+    assert walks[0] == 0
 
 
 @given(hmp_models(2))
@@ -311,9 +331,11 @@ def test_sequence_log_probability_matches_enumeration(model):
 def test_sequence_log_probability_steps_sum():
     model = instantiate(high_snr_binary("1/5"), F(1, 5))
     _, ys = sample_path(model, 40, seed=2)
-    total, steps = sequence_log_probability(model, ys, with_steps=True)
-    assert len(steps) == 40
-    assert math.fsum(steps) == pytest.approx(total, rel=1e-12)
+    # the chain rule: the total is the sum of the per-symbol conditional logs
+    prefix = [sequence_log_probability(model, ys[:t]) for t in range(41)]
+    steps = [b - a for a, b in zip(prefix, prefix[1:])]
+    assert prefix[0] == 0
+    assert math.fsum(steps) == pytest.approx(prefix[-1], rel=1e-12)
     with pytest.raises(ValueError):
         sequence_log_probability(model, ys, backend=EXACT)
 

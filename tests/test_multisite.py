@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hmpseries import (
     EXACT,
     FLOAT64,
+    SITE_CAP,
+    WEIGHT_CAP,
     AlmostMemoryless,
     FloatBackend,
     HighSnr,
@@ -139,6 +141,9 @@ def test_weight_and_site_caps():
         multisite_derivative(MultiSiteSpec(3, (2, 2, 1)), spec)
     with pytest.raises(WeightCapExceeded):
         multisite_derivative(MultiSiteSpec(7, (1, 0, 0, 0, 0, 0, 0)), spec)
+    assert (WEIGHT_CAP, SITE_CAP) == (4, 6)
+    with pytest.raises(WeightCapExceeded, match=f"^window length {SITE_CAP + 1} exceeds cap 6$"):
+        multisite_value(spec, ["1/10"] * (SITE_CAP + 1))
 
 
 def test_zeroth_derivative_is_the_window_increment():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
-    DEFAULT_ORDER,
     DomainNotClosed,
     LogLinearValue,
     NonpositiveConstantTerm,
@@ -36,10 +35,6 @@ def exact_series(draw, order=4, positive_constant=False):
     )
     tail = [draw(small_fractions) for _ in range(order)]
     return series_of([c0] + tail)
-
-
-def test_default_order_constant():
-    assert DEFAULT_ORDER == 13
 
 
 def test_constructor_and_order():
