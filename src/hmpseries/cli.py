@@ -358,8 +358,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
     except ParseError as e:
@@ -372,8 +371,12 @@ def main(argv=None) -> int:
         print(f"hmpseries: {e}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            print(f"hmpseries: {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

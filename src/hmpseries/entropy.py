@@ -17,8 +17,8 @@ per-site polynomials walk as one dense type, _Dense, a coefficient list in
 the layout of a plan built once per caps and targets (_plan), and each table
 entry is a factor a + b*x_i.  Both kernels read that list and run one
 recurrence for log p over the plan; a scalar takes one log or one integer
-addition.  _SumDomain only adds up probabilities.  _traverse drives them all,
-in the tables and accumulators that each kernel prepares.
+addition.  _traverse drives both, in the tables and accumulators that each
+prepares, and each finish gives a list of per-target values.
 
 Exact scalars, jets and per-site polynomials walk on Python integers, from
 the tables of _integer_tables.  Each table (start vector, emission columns,
@@ -30,7 +30,8 @@ with one cell of integer sums per distinct constant term N_0 of a leaf, and
 one finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
 integer log sums go over Q_d into the value.  No N_0 is fully factored: the
 primes of Q_d leave it by trial division and loglinear's splitter takes the
-rest, so a large cofactor it cannot split stays one composite log base.
+rest, so a large cofactor it cannot split stays one composite log base.  The
+probability totals read sum N_t / Q_d from the cells instead (_cell_totals).
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
@@ -51,7 +52,6 @@ from .backends import EXACT, FLOAT64
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
 from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel
-from .series import TruncatedSeries
 
 DEFAULT_DEPTH_CAP = 14
 
@@ -121,6 +121,13 @@ def _finish_cells(acc, lcm, weights):
                     lg[prime] = lg.get(prime, 0) - nt * e
     return [LogLinearValue._of(-rat / q, q, _normalise(lg))
             for rat, lg in zip(rats, logs)]
+
+
+def _cell_totals(acc):
+    """Sum_leaves N_t / Q_d per target, from the N_t sums that open each cell."""
+    _, q, cells = acc
+    sums = [sum(col) for col in zip(*cells.values())]
+    return [Fraction(s, q) for s in sums[:len(sums) // 2]]
 
 
 @lru_cache(maxsize=256)
@@ -194,8 +201,8 @@ class _JetExactDomain:
     no Fraction and factors nothing.  A scalar only adds N_0.
     """
 
-    def __init__(self, plan=None, series=False):
-        self.plan, self.series = plan, series
+    def __init__(self, plan=None):
+        self.plan = plan
         self.weights = [w for _, w, _ in plan[2]] if plan else [0]
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
@@ -243,8 +250,7 @@ class _JetExactDomain:
             cell[top + i] += n0 * num
 
     def finish(self, acc):
-        values = _finish_cells(acc, self.lcm, self.weights)
-        return TruncatedSeries(values) if self.series else values[0]
+        return _finish_cells(acc, self.lcm, self.weights)
 
 
 def _log_ratio(n0, q_primes):
@@ -319,8 +325,8 @@ class _JetFloatDomain:
     the cell of each target t.
     """
 
-    def __init__(self, log, plan=None, series=False):
-        self._log, self.plan, self.series = log, plan, series
+    def __init__(self, log, plan=None):
+        self._log, self.plan = log, plan
 
     def prepare(self, start, emit_at, trans_at, n, record):
         """The tables as they are, and zero cells for each recorded depth."""
@@ -356,23 +362,7 @@ class _JetFloatDomain:
             cells[i] = cells[i] - term
 
     def finish(self, cells):
-        return TruncatedSeries(cells) if self.series else cells[0]
-
-
-class _SumDomain:
-    """Accumulates the plain sum of sequence probabilities (any domain)."""
-
-    @staticmethod
-    def prepare(start, emit_at, trans_at, n, record):
-        return start, emit_at, trans_at, {d: [None] for d in record}
-
-    @staticmethod
-    def add_term(acc, p):
-        acc[0] = p if acc[0] is None else acc[0] + p
-
-    @staticmethod
-    def finish(acc):
-        return acc[0]
+        return cells
 
 
 def _domain(backend, order=None, kvec=None):
@@ -384,22 +374,21 @@ def _domain(backend, order=None, kvec=None):
         plan = _plan(tuple(kvec), (tuple(kvec),))
     elif order is not None:
         plan = _plan((order,), tuple((k,) for k in range(order + 1)))
-    series = kvec is None and order is not None
     if backend.is_exact:
-        return _JetExactDomain(plan, series)
-    return _JetFloatDomain(backend.log, plan, series)
+        return _JetExactDomain(plan)
+    return _JetFloatDomain(backend.log, plan)
 
 
 def _traverse(start, emit_at, trans_at, n, record, domain):
     """One walk from the start vector, in the tables the kernel prepares;
-    {depth: finished value} for each recorded depth."""
+    {depth: the kernel's finished per-target values} for each recorded depth."""
     start, emit_at, trans_at, sums = domain.prepare(start, emit_at, trans_at, n, record)
     _walk(start, emit_at, trans_at, 0, n, sums, domain)
     return {d: domain.finish(a) for d, a in sums.items()}
 
 
 def _run(model, n, record, domain, backend, joint=False):
-    """The walk of the model to depth n in the backend's scalars.
+    """{depth: value}: the walk of the model to depth n in the backend's scalars.
 
     With joint, the first symbol is the pair (X_1, Y_1), so depth d records
     H(X_1, [Y]_1^d): the depth-0 emission table has one column per (i, y),
@@ -412,16 +401,16 @@ def _run(model, n, record, domain, backend, joint=False):
     trans = [[sc(model.M.rows[j][k]) for j in range(s)] for k in range(s)]
     first = [[c if j == i else sc(0) for j, c in enumerate(col)]
              for i in range(s) for col in emit] if joint else emit
-    return _traverse([sc(p) for p in model.pi], [first] + [emit] * (n - 1),
-                     [trans] * (n - 1), n, record, domain)
+    out = _traverse([sc(p) for p in model.pi], [first] + [emit] * (n - 1),
+                    [trans] * (n - 1), n, record, domain)
+    return {d: values[0] for d, values in out.items()}
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
     _check_depth(n)
-    domain = _domain(backend)
     with backend.ctx():
-        return _run(model, n, {n}, domain, backend)[n]
+        return _run(model, n, {n}, _domain(backend), backend)[n]
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -466,11 +455,13 @@ def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
         return EntropyBracket(rep.n, lo, up, (lo + up) * half, (up - lo) * half, rep.backend)
 
 
-def total_probability(model: HmpModel, n: int, backend=EXACT):
-    """Sum of P([Y]_1^n) over all length-n observation sequences (= 1)."""
+def total_probability(model: HmpModel, n: int):
+    """Sum of P([Y]_1^n) over all length-n observation sequences (= 1), exact:
+    the N_0 sums of the exact kernel's cells at depth n, with no log taken."""
     _check_depth(n)
-    with backend.ctx():
-        return _run(model, n, {n}, _SumDomain(), backend)[n]
+    domain = _domain(EXACT)
+    domain.finish = _cell_totals  # the cells' N_0 sums, not their logs
+    return _run(model, n, {n}, domain, EXACT)[n]
 
 
 def c2_closed_form(model: HmpModel, backend=EXACT):
@@ -517,6 +508,8 @@ def sequence_log_probability(model: HmpModel, ys, backend=FLOAT64):
         q = [sc(x) for x in model.pi]
         steps = []
         for t, y in enumerate(ys):
+            if not (isinstance(y, int) and 0 <= y < s):
+                raise ValueError(f"symbol {y!r} at step {t} is not in range({s})")
             if t:
                 q = [sum(q[i] * m[i][j] for i in range(s)) for j in range(s)]
             alpha = [q[j] * r[j][y] for j in range(s)]

@@ -11,9 +11,10 @@ order of the jet as a target: on the exact backend the jets walk with
 integer coefficients over one denominator per depth, and _JetExactDomain
 evaluates -p log p with an all-integer log recurrence, summed per distinct
 constant term, so each depth takes one log per distinct N_0; _JetFloatDomain
-runs the same recurrence in floats.  _regime_tables builds the tables of
-both regimes, and _poly_tables their coefficient-list form for jets here
-and per-site polynomials in the multisite module.
+runs the same recurrence in floats.  Each finishes a depth as a list of
+per-order values, wrapped here in a TruncatedSeries.  _regime_tables builds
+the tables of both regimes, and _poly_tables their coefficient-list form for
+jets here and per-site polynomials in the multisite module.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -30,12 +31,12 @@ from .backends import EXACT
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
     _check_depth,
+    _cell_totals,
     _Dense,
     _domain,
     _JetExactDomain,
     _JetFloatDomain,
     _plan,
-    _SumDomain,
     _traverse,
 )
 from .errors import OrderTooHigh, ValidationError
@@ -169,7 +170,7 @@ def _increment_jets(spec, ns, order, backend):
     record = {d for n in ns for d in (n - 1, n)}
     with backend.ctx():
         out = _jet_run(spec, ns[-1], order, record, _domain(backend, order), backend)
-        return {n: out[n] - out[n - 1] for n in ns}
+        return {n: TruncatedSeries(a - b for a, b in zip(out[n], out[n - 1])) for n in ns}
 
 
 def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
@@ -177,11 +178,13 @@ def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> Trunca
     return _increment_jets(spec, (n,), order, backend)[n]
 
 
-def probability_jet_total(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
-    """Sum of all sequence-probability jets at depth n (identically 1)."""
+def probability_jet_total(spec: RegimeSpec, n: int, order: int) -> TruncatedSeries:
+    """Sum of all sequence-probability jets at depth n (identically 1), exact:
+    the N_t sums of the exact kernel's cells at depth n, with no log taken."""
     _check_depth(n)
-    with backend.ctx():
-        return TruncatedSeries(_jet_run(spec, n, order, {n}, _SumDomain(), backend)[n])
+    domain = _domain(EXACT, order)
+    domain.finish = _cell_totals  # the cells' N_t sums, not their logs
+    return TruncatedSeries(_jet_run(spec, n, order, {n}, domain, EXACT)[n])
 
 
 def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable:

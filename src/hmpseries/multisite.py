@@ -77,7 +77,7 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     with backend.ctx():
         beta0, emit_at, trans_at = _poly_tables(spec, n, caps, range(n), backend.scalar)
         out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend, kvec=caps))
-        return (out[n] - out[n - 1]) * prod(factorial(k) for k in mspec.kvec)
+        return (out[n][0] - out[n - 1][0]) * prod(factorial(k) for k in mspec.kvec)
 
 
 def multisite_value(spec: RegimeSpec, params, backend=EXACT):
@@ -98,4 +98,4 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
             spec, n, sc, lambda a, b, i: sc(a + b * params[i]),
             lambda: [sc(x) for x in stationary_distribution(sites[0])])
         out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend))
-        return out[n] - out[n - 1]
+        return out[n][0] - out[n - 1][0]

@@ -67,6 +67,14 @@ def test_missing_file_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+def test_unwritable_out_exit_2(capsys, model_file, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "validate", "--model", model_file, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"hmpseries: {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_entropy_exact_renders(capsys, model_file):
     code, out, err = run_cli(capsys, "entropy", "--model", model_file, "--n", "1,2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Finite-window entropies against direct enumeration over all words."""
 
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -169,8 +170,8 @@ def test_exact_leaf_kernel_matches_series_log(data):
         jet.add_term(jet_acc, coeffs)  # a jet's plan positions are its orders
         scalar.add_term(scalar_acc, coeffs[0])
         expect = entropy_accumulate(TruncatedSeries([F(c, q) for c in coeffs]), expect)
-    assert jet.finish(jet_acc) == expect
-    assert scalar.finish(scalar_acc) == expect.coeffs[0]
+    assert jet.finish(jet_acc) == list(expect.coeffs)
+    assert scalar.finish(scalar_acc) == [expect.coeffs[0]]
 
 
 @given(hmp_models(3))
@@ -223,13 +224,33 @@ def test_total_probability_is_exactly_one(model):
         assert total_probability(model, n) == 1
 
 
-def test_total_probability_three_symbols():
+def test_total_probability_three_symbols(walks, monkeypatch):
     m = StochasticMatrix((("1/2", "1/4", "1/4"), ("1/6", "2/3", "1/6"),
                           ("1/3", "1/3", "1/3")))
     r = StochasticMatrix((("2/3", "1/3", 0), (0, "1/2", "1/2"),
                           ("1/4", "1/4", "1/2")))
     model = validate_model(m, r)
     assert total_probability(model, 4) == 1
+    # each total is one walk of the exact kernel over the integer tables,
+    # read from its cells; the prime anchor's Q_d has awkward prime factors
+    tables = [0]
+    integer_tables = entropy._integer_tables
+
+    def counting(*args):
+        tables[0] += 1
+        return integer_tables(*args)
+
+    monkeypatch.setattr(entropy, "_integer_tables", counting)
+    anchor = load_model(Path(__file__).parent / "golden" / "primes-anchor-model.json")
+    for n in range(2, 9):
+        walks[0] = tables[0] = 0
+        assert total_probability(anchor, n) == 1
+        assert walks[0] == tables[0] == 1, n
+    walks[0] = tables[0] = 0
+    assert probability_jet_total(am_binary("3/5"), 5, 4).coeffs == (1, 0, 0, 0, 0)
+    assert walks[0] == tables[0] == 1
+    for total in (total_probability, probability_jet_total):
+        assert "backend" not in inspect.signature(total).parameters
 
 
 THREE_STATE = Path(__file__).parent / "golden" / "three-state-zero-emission-model.json"
@@ -338,6 +359,14 @@ def test_sequence_log_probability_steps_sum():
     assert math.fsum(steps) == pytest.approx(prefix[-1], rel=1e-12)
     with pytest.raises(ValueError):
         sequence_log_probability(model, ys, backend=EXACT)
+
+
+@pytest.mark.parametrize("ys, bad", [([0, -1], "-1 at step 1"), ([0, 2], "2 at step 1"),
+                                     ([1.0], "1.0 at step 0")])
+def test_sequence_log_probability_rejects_symbols_outside_the_alphabet(ys, bad):
+    model = instantiate(high_snr_binary("1/5"), F(1, 5))
+    with pytest.raises(ValueError, match=f"symbol {bad} is not in range\\(2\\)"):
+        sequence_log_probability(model, ys, FLOAT64)
 
 
 def test_long_path_entropy_estimate_lands_in_the_bracket():
