@@ -24,6 +24,18 @@ from hmpseries import (
     stationary_distribution,
 )
 
+# 3-state regimes with entries over 12
+HS3 = HighSnr(
+    StochasticMatrix((("1/4", "5/12", "1/3"), ("1/6", "5/12", "5/12"),
+                      ("1/6", "5/12", "5/12"))),
+    PerturbationMatrix(((-2, 0, 2), (1, -1, 0), (1, 0, -1))),
+)
+AM3 = AlmostMemoryless(
+    StochasticMatrix((("1/6", "1/2", "1/3"), ("1/3", "1/3", "1/3"),
+                      ("1/6", "1/6", "2/3"))),
+    PerturbationMatrix(((1, 0, -1), (1, -2, 1), (0, -2, 2))),
+)
+
 
 def word_probability(model: HmpModel, ys) -> Fraction:
     """P([Y]_1^n = ys) by summing over all hidden paths (exact)."""
