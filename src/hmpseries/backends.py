@@ -69,6 +69,17 @@ class FloatBackend:
         return f"FloatBackend(bits={self.bits!r})"
 
 
+def _log_sum(backend, c, terms):
+    """log(c) + sum w*log(x) over the (x, w) terms with w != 0, in the
+    backend's scalars and in term order; call it inside backend.ctx()."""
+    sc, lg = backend.scalar, backend.log
+    total = lg(sc(c))
+    for x, w in terms:
+        if w:
+            total = total + lg(sc(x)) * sc(w)
+    return total
+
+
 EXACT = ExactBackend()
 FLOAT64 = FloatBackend()
 

@@ -20,12 +20,12 @@ recurrence for log p over the plan; a scalar takes one log or one integer
 addition.  _traverse drives both, in the tables and accumulators that each
 prepares, and each finish gives a list of per-target values.
 
-Exact scalars, jets and per-site polynomials walk on Python integers, from
-the tables of _integer_tables.  Each table (start vector, emission columns,
-transition columns) is scaled once by the lcm of its denominators, D_start,
-D_R and D_M, so a node at depth d carries integer numerators over
-Q_d = D_start * D_R^d * D_M^(d-1) (per-site tables multiply the factors of
-each depth).  The exact kernel keeps one accumulator per depth (_new_cells),
+Scalars walk the tables of one R matrix per depth and one M matrix per step
+(_matrix_tables), a model's own or a per-site value's.  Exact scalars, jets
+and per-site polynomials walk on Python integers (_integer_tables): each
+kind of table is scaled by one lcm, D_start, D_R or D_M, so a node at depth
+d carries integer numerators over Q_d = D_start * D_R^d * D_M^(d-1).  The
+exact kernel keeps one accumulator per depth (_new_cells),
 with one cell of integer sums per distinct constant term N_0 of a leaf, and
 one finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
 integer log sums go over Q_d into the value.  No N_0 is fully factored: the
@@ -48,10 +48,10 @@ from functools import lru_cache
 from itertools import product
 from operator import add
 
-from .backends import EXACT, FLOAT64
+from .backends import EXACT, FLOAT64, _log_sum
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
 from .loglinear import LogLinearValue, _normalise, _split, factor_positive
-from .model import HmpModel
+from .model import HmpModel, _matmul
 
 DEFAULT_DEPTH_CAP = 14
 
@@ -210,7 +210,7 @@ class _JetExactDomain:
     def prepare(self, start, emit_at, trans_at, n, record):
         """The tables on integers over Q_d, and the cells of each recorded depth."""
         start, emit_at, trans_at, primes_at = _integer_tables(
-            start, emit_at, trans_at, n, record, self.plan is not None)
+            start, emit_at, trans_at, record, self.plan is not None)
         return start, emit_at, trans_at, {d: _new_cells(primes_at[d]) for d in record}
 
     def add_term(self, acc, p):
@@ -274,46 +274,42 @@ def _log_ratio(n0, q_primes):
     return fac
 
 
-def _integer_tables(start, emit_at, trans_at, n, record, poly):
+def _integer_tables(start, emit_at, trans_at, record, poly):
     """The tables scaled to integers, and the primes of Q_d at each recorded depth.
 
-    Each distinct table is scaled once by the lcm of its denominators, and
-    each distinct scale is factored once (factor_positive); Q_d is the
-    product of the scale factors of the tables used to reach depth d: the
-    start vector, d emission and d - 1 transition tables.
-    The items are exact scalars or, with poly, coefficient lists in the
-    start vector and (a, b, shift) entries in the tables.
+    Each kind of table is scaled by one lcm of its denominators: the start
+    vector by D_start, every emission table by D_R and every transition
+    table by D_M, so Q_d = D_start * D_R^d * D_M^(d-1).  Each distinct table
+    is scaled once, and each distinct scale other than 1 is factored once
+    (factor_positive).  The items are exact scalars or, with poly,
+    coefficient lists in the start vector and (a, b, shift) entries in the
+    tables.
     """
-    def ints(rats, d):
-        return [q.numerator * (d // q.denominator) for q in rats]
+    def scale(tables, rats, make):  # the scaled tables of one kind, and their scale
+        distinct = {id(rows): rows for rows in tables}
+        d = math.lcm(*(q.denominator for rows in distinct.values() for row in rows
+                       for x in row for q in rats(x)))
+        done = {key: [[make([q.numerator * (d // q.denominator) for q in rats(x)], x)
+                       for x in row] for row in rows] for key, rows in distinct.items()}
+        return [done[id(rows)] for rows in tables], d
 
-    # per start vector and table: an item's rationals, the item from their integers
     if poly:
         kinds = ((lambda x: x, lambda m, x: _Dense(m)), (lambda x: x[:2], lambda m, x: (*m, x[2])))
     else:
         kinds = ((lambda x: (x,), lambda m, x: m[0]),) * 2
-    starts, scaled = [start], {}
-    for rows in [starts, *emit_at, *trans_at]:
-        if id(rows) not in scaled:
-            rats, make = kinds[rows is not starts]
-            d = math.lcm(*(q.denominator for row in rows for x in row for q in rats(x)))
-            scaled[id(rows)] = [[make(ints(rats(x), d), x) for x in row] for row in rows], d
-    factored = {d: factor_positive(d) for d in {d for _, d in scaled.values()}}
-    q_primes, primes_at = {}, {}
+    [[start]], d_start = scale([[start]], *kinds[0])
+    emit_at, d_r = scale(emit_at, *kinds[1])
+    trans_at, d_m = scale(trans_at, *kinds[1])
+    factored = {d: factor_positive(d) for d in {d_start, d_r, d_m} - {1}}
 
-    def absorb(rows):
-        for p, e in factored[scaled[id(rows)][1]]:
-            q_primes[p] = q_primes.get(p, 0) + e
+    def primes(depth):  # the primes of Q_depth
+        q = {}
+        for d, times in ((d_start, 1), (d_r, depth), (d_m, depth - 1)):
+            for p, e in factored.get(d, ()):
+                q[p] = q.get(p, 0) + e * times
+        return tuple((p, e) for p, e in q.items() if e)
 
-    absorb(starts)
-    for depth in range(1, n + 1):
-        if depth > 1:
-            absorb(trans_at[depth - 2])
-        absorb(emit_at[depth - 1])
-        if depth in record:
-            primes_at[depth] = tuple(q_primes.items())
-    return (scaled[id(starts)][0][0], [scaled[id(c)][0] for c in emit_at],
-            [scaled[id(c)][0] for c in trans_at], primes_at)
+    return start, emit_at, trans_at, {depth: primes(depth) for depth in record}
 
 
 class _JetFloatDomain:
@@ -387,6 +383,20 @@ def _traverse(start, emit_at, trans_at, n, record, domain):
     return {d: domain.finish(a) for d, a in sums.items()}
 
 
+def _matrix_tables(pi, emits, transs, sc):
+    """The start vector and the per-depth emission and transition columns of
+    a walk over one emission matrix R per depth and one transition matrix M
+    per step, in the backend's scalars; each distinct matrix is mapped once."""
+    cols = {}
+
+    def table(m):
+        if m not in cols:
+            cols[m] = [[sc(x) for x in col] for col in zip(*m.rows)]
+        return cols[m]
+
+    return [sc(p) for p in pi], [table(r) for r in emits], [table(m) for m in transs]
+
+
 def _run(model, n, record, domain, backend, joint=False):
     """{depth: value}: the walk of the model to depth n in the backend's scalars.
 
@@ -396,13 +406,13 @@ def _run(model, n, record, domain, backend, joint=False):
     multiplies and adds the same numbers in the same order as one walk per
     start state would.
     """
-    sc, s = backend.scalar, model.size
-    emit = [[sc(model.R.rows[j][y]) for j in range(s)] for y in range(s)]
-    trans = [[sc(model.M.rows[j][k]) for j in range(s)] for k in range(s)]
-    first = [[c if j == i else sc(0) for j, c in enumerate(col)]
-             for i in range(s) for col in emit] if joint else emit
-    out = _traverse([sc(p) for p in model.pi], [first] + [emit] * (n - 1),
-                    [trans] * (n - 1), n, record, domain)
+    start, emit_at, trans_at = _matrix_tables(model.pi, [model.R] * n, [model.M] * (n - 1),
+                                              backend.scalar)
+    if joint:
+        zero = backend.scalar(0)
+        emit_at[0] = [[c if j == i else zero for j, c in enumerate(col)]
+                      for i in range(model.size) for col in emit_at[0]]
+    out = _traverse(start, emit_at, trans_at, n, record, domain)
     return {d: values[0] for d, values in out.items()}
 
 
@@ -472,28 +482,13 @@ def c2_closed_form(model: HmpModel, backend=EXACT):
     falls back to the direct two-step traversal, whose pruning implements
     0*log(0) = 0.
     """
-    s = model.size
-    pi, m, r = model.pi, model.M.rows, model.R.rows
-    diag = [[pi[a] * m[a][b] for b in range(s)] for a in range(s)]
-    f = [
-        [
-            sum(r[a][i] * diag[a][b] * r[b][j] for a in range(s) for b in range(s))
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
-    p1 = [sum(f[i][j] for j in range(s)) for i in range(s)]
-    if any(x == 0 for row in f for x in row) or any(x == 0 for x in p1):
+    diag = [[p * x for x in row] for p, row in zip(model.pi, model.M.rows)]
+    f = _matmul(_matmul(list(zip(*model.R.rows)), diag), model.R.rows)
+    if not all(x for row in f for x in row):
         return conditional_increment(model, 2, backend)
     with backend.ctx():
-        sc, lg = backend.scalar, backend.log
-        total = 0
-        for x in p1:
-            total = total + lg(sc(x)) * sc(x)
-        for row in f:
-            for x in row:
-                total = total - lg(sc(x)) * sc(x)
-        return total
+        return _log_sum(backend, 1, [(sum(row), sum(row)) for row in f]
+                        + [(x, -x) for row in f for x in row])
 
 
 def sequence_log_probability(model: HmpModel, ys, backend=FLOAT64):

@@ -12,9 +12,9 @@ integer coefficients over one denominator per depth, and _JetExactDomain
 evaluates -p log p with an all-integer log recurrence, summed per distinct
 constant term, so each depth takes one log per distinct N_0; _JetFloatDomain
 runs the same recurrence in floats.  Each finishes a depth as a list of
-per-order values, wrapped here in a TruncatedSeries.  _regime_tables builds
-the tables of both regimes, and _poly_tables their coefficient-list form for
-jets here and per-site polynomials in the multisite module.
+per-order values, wrapped here in a TruncatedSeries.  _poly_tables builds
+the tables of both regimes as a + b*x_i entries, for jets here and per-site
+polynomials in the multisite module.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import EXACT
+from .backends import EXACT, _log_sum
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
     _check_depth,
@@ -48,6 +48,7 @@ from .model import (
     RegimeSpec,
     StochasticMatrix,
     parse_rational,
+    _matmul,
     regime_kind,
     stationary_distribution,
 )
@@ -99,60 +100,40 @@ class CoefficientTable:
 
 def stationary_series(t: PerturbationMatrix, order: int) -> tuple[TruncatedSeries, ...]:
     """Exact stationary jet of U + x*T: pi^(0) = u, pi^(k) = pi^(k-1) T."""
-    s = t.size
-    levels = [[Fraction(1, s)] * s]
+    levels = [[Fraction(1, t.size)] * t.size]
     for _ in range(order):
-        prev = levels[-1]
-        levels.append(
-            [sum(prev[i] * t.rows[i][j] for i in range(s)) for j in range(s)]
-        )
-    return tuple(
-        TruncatedSeries([levels[k][j] for k in range(order + 1)]) for j in range(s)
-    )
-
-
-def _regime_tables(spec: RegimeSpec, n: int, const, lin, am_start):
-    """The start vector and the per-depth emission and transition columns of
-    a regime at window length n.
-
-    lin(a, b, i) is the table entry a + b*x_i of site i: the emission at site
-    i in the high-SNR regime, the transition into site i in the
-    almost-memoryless one; an entry that does not move is lin(v, 0, 0).
-    The start vector is const(v) of the stationary vector in the high-SNR
-    regime and am_start(), the stationary vector at x_0, in the other.
-    """
-    if isinstance(spec, HighSnr):
-        s = spec.M.size
-        beta0 = [const(p) for p in stationary_distribution(spec.M)]
-        emit_at = [[[lin(1 if j == y else 0, spec.T.rows[j][y], i) for j in range(s)]
-                    for y in range(s)] for i in range(n)]
-        trans_at = [[[lin(spec.M.rows[j][k], 0, 0) for j in range(s)] for k in range(s)]] * (n - 1)
-    else:
-        s = spec.R.size
-        beta0 = am_start()
-        emit_at = [[[lin(spec.R.rows[j][y], 0, 0) for j in range(s)] for y in range(s)]] * n
-        trans_at = [[[lin(Fraction(1, s), spec.T.rows[j][k], i) for j in range(s)]
-                     for k in range(s)] for i in range(1, n)]
-    return beta0, emit_at, trans_at
+        levels += _matmul(levels[-1:], t.rows)
+    return tuple(TruncatedSeries(col) for col in zip(*levels))
 
 
 def _poly_tables(spec: RegimeSpec, n: int, caps, sites, sc):
     """A regime's tables for a walk of coefficient lists over the box of caps
     (the layout of every _plan with caps among its targets): the start
-    vector as coefficient lists, each table cell as an (a, b, shift) entry
-    in which site i moves variable sites[i], and the start variable 0.
+    vector as coefficient lists, each table cell as an (a, b, shift) entry,
+    the factor a + b*x_i, in which site i moves variable sites[i] (the
+    emission at site i in the high-SNR regime, the transition into site i in
+    the almost-memoryless one), and the start variable 0.
     """
     weights, _, _, shifts = _plan(caps, (caps,))
-    zero = sc(0)
+    s, t, zero = spec.T.size, spec.T.rows, sc(0)
 
-    def dense(coeffs):  # x_0^m is position m
+    def dense(coeffs):
         return _Dense(coeffs + [zero] * (len(weights) - len(coeffs)))
 
-    return _regime_tables(
-        spec, n, lambda v: dense([sc(v)]),
-        lambda a, b, i: (sc(a), sc(b), shifts[sites[i]]),
-        lambda: [dense([sc(c) for c in ser.coeffs])
-                 for ser in stationary_series(spec.T, caps[0])])
+    def fixed(m):  # the columns of a matrix that does not move
+        return [[(sc(m[j][k]), zero, shifts[0]) for j in range(s)] for k in range(s)]
+
+    def moved(a, i):  # the columns of a + x_i*T at site i
+        return [[(sc(a[j][k]), sc(t[j][k]), shifts[sites[i]]) for j in range(s)]
+                for k in range(s)]
+
+    if isinstance(spec, HighSnr):
+        beta0 = [dense([sc(p)]) for p in stationary_distribution(spec.M)]
+        eye = [[int(j == k) for k in range(s)] for j in range(s)]
+        return beta0, [moved(eye, i) for i in range(n)], [fixed(spec.M.rows)] * (n - 1)
+    beta0 = [dense([sc(c) for c in ser.coeffs]) for ser in stationary_series(spec.T, caps[0])]
+    uniform = [[Fraction(1, s)] * s] * s
+    return beta0, [fixed(spec.R.rows)] * n, [moved(uniform, i) for i in range(1, n)]
 
 
 def _jet_run(spec, n, order, record, domain, backend):
@@ -259,29 +240,16 @@ def first_order_high_snr(m: StochasticMatrix, t: PerturbationMatrix, backend=EXA
     F1 = T^t diag(pi) M + diag(pi) M T.
     """
     HighSnr(m, t)  # validates sizes, positivity, sign pattern
-    s = m.size
     pi = stationary_distribution(m)
-    mt = [
-        [sum(m.rows[i][b] * t.rows[b][j] for b in range(s)) for j in range(s)]
-        for i in range(s)
-    ]
-    pit = [sum(pi[i] * t.rows[i][j] for i in range(s)) for j in range(s)]
+    diag = [[p * x for x in row] for p, row in zip(pi, m.rows)]
+    f1 = [[a + b for a, b in zip(*rows)]
+          for rows in zip(_matmul(list(zip(*t.rows)), diag), _matmul(diag, t.rows))]
     with backend.ctx():
-        sc, lg = backend.scalar, backend.log
-        h0 = lg(sc(1))  # domain-typed zero
-        for i in range(s):
-            for j in range(s):
-                h0 = h0 - lg(sc(m.rows[i][j])) * sc(pi[i] * m.rows[i][j])
-        h1 = lg(sc(1))
-        for i in range(s):
-            if pit[i]:
-                h1 = h1 + lg(sc(pi[i])) * sc(pit[i])
-        for i in range(s):
-            for j in range(s):
-                f1 = sum(t.rows[a][i] * pi[a] * m.rows[a][j] for a in range(s))
-                f1 += pi[i] * mt[i][j]
-                if f1:
-                    h1 = h1 - lg(sc(pi[i] * m.rows[i][j])) * sc(f1)
+        h0 = _log_sum(backend, 1, [(x, -w) for row, ws in zip(m.rows, diag)
+                                   for x, w in zip(row, ws)])
+        h1 = _log_sum(backend, 1, [*zip(pi, _matmul([pi], t.rows)[0]),
+                                   *((x, -w) for row, ws in zip(diag, f1)
+                                     for x, w in zip(row, ws))])
         return h0, h1
 
 
@@ -295,25 +263,11 @@ def first_order_am(r: StochasticMatrix, t: PerturbationMatrix, backend=EXACT):
     AlmostMemoryless(r, t)  # validates sizes and column sums
     s = r.size
     rho = r.column_sums()
+    g = _matmul(_matmul(list(zip(*r.rows)), t.rows), r.rows)
     with backend.ctx():
-        sc, lg = backend.scalar, backend.log
-        h0 = lg(sc(s))
-        for y in range(s):
-            h0 = h0 - lg(sc(rho[y])) * sc(Fraction(rho[y], s))
-        h1 = lg(sc(1))  # domain-typed zero
-        for i in range(s):
-            for j in range(s):
-                g = Fraction(
-                    sum(
-                        r.rows[a][i] * t.rows[a][b] * r.rows[b][j]
-                        for a in range(s)
-                        for b in range(s)
-                    ),
-                    s,
-                )
-                if g:
-                    f0 = Fraction(rho[i] * rho[j], s * s)
-                    h1 = h1 - lg(sc(f0)) * sc(g)
+        h0 = _log_sum(backend, s, [(x, -x / s) for x in rho])
+        h1 = _log_sum(backend, 1, [(x * y / (s * s), -w / s)
+                                   for x, ws in zip(rho, g) for y, w in zip(rho, ws)])
         return h0, h1
 
 

@@ -149,6 +149,11 @@ def _solve_exact(a, b):
     return [rows[i][n] for i in range(n)]
 
 
+def _matmul(a, b):
+    """The exact product of two matrices given as rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def stationary_distribution(m: StochasticMatrix) -> tuple[Fraction, ...]:
     """The unique row vector pi with pi M = pi and sum(pi) = 1, exactly."""
     if not m.strictly_positive:

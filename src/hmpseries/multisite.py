@@ -12,8 +12,8 @@ degree caps k_i, walked as coefficient lists like the jets, from the tables
 of expansion._poly_tables in which site i moves variable i.  The leaf
 kernels are the entropy module's too, with kvec as their one target: the
 exact one walks integers over Q_d and takes one log per distinct constant
-term N_0 of a depth.  multisite_value evaluates the regime tables at the
-given parameters and uses the scalar kernel.
+term N_0 of a depth.  multisite_value walks its sites' own matrices, as
+perturbed_identity and perturbed_uniform check them, like a model's window.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .backends import EXACT
-from .entropy import _domain, _traverse
+from .entropy import _domain, _matrix_tables, _traverse
 from .errors import WeightCapExceeded
 from .model import (
     HighSnr,
@@ -32,7 +32,7 @@ from .model import (
     perturbed_uniform,
     stationary_distribution,
 )
-from .expansion import _poly_tables, _regime_tables
+from .expansion import _poly_tables
 
 WEIGHT_CAP = 4
 SITE_CAP = 6
@@ -92,10 +92,10 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     _check_sites(n, "increments")
     check = perturbed_identity if isinstance(spec, HighSnr) else perturbed_uniform
     sites = [check(spec.T, v) for v in params]  # OutOfRange at the first bad site
-    sc = backend.scalar
+    if isinstance(spec, HighSnr):
+        tables = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
+    else:
+        tables = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
     with backend.ctx():
-        beta0, emit_at, trans_at = _regime_tables(
-            spec, n, sc, lambda a, b, i: sc(a + b * params[i]),
-            lambda: [sc(x) for x in stationary_distribution(sites[0])])
-        out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend))
+        out = _traverse(*_matrix_tables(*tables, backend.scalar), n, {n - 1, n}, _domain(backend))
         return out[n][0] - out[n - 1][0]

@@ -14,7 +14,6 @@ from hmpseries import (
     FLOAT64,
     SITE_CAP,
     WEIGHT_CAP,
-    AlmostMemoryless,
     FloatBackend,
     HighSnr,
     LogLinearValue,
@@ -23,19 +22,27 @@ from hmpseries import (
     StochasticMatrix,
     WeightCapExceeded,
     am_binary,
+    conditional_increment,
+    entropy_rate_bracket,
     factor_positive,
     high_snr_binary,
     increment_jet,
+    instantiate,
+    load_model,
     multisite_derivative,
     multisite_value,
     perturbed_identity,
     perturbed_uniform,
+    rate_series,
     stationary_distribution,
 )
+from hmpseries import entropy
 
 from hmpseries.entropy import _Dense, _domain, _new_cells, _plan
 
 from util import (
+    AM3,
+    HS3,
     _poly_mul,
     am_specs,
     brute_multisite_derivative,
@@ -47,19 +54,6 @@ from util import (
 
 F = Fraction
 ZERO = LogLinearValue.make(0)
-
-# 3-state regimes with entries over 12
-HS3 = HighSnr(
-    StochasticMatrix((("1/4", "5/12", "1/3"), ("1/6", "5/12", "5/12"),
-                      ("1/6", "5/12", "5/12"))),
-    PerturbationMatrix(((-2, 0, 2), (1, -1, 0), (1, 0, -1))),
-)
-AM3 = AlmostMemoryless(
-    StochasticMatrix((("1/6", "1/2", "1/3"), ("1/3", "1/3", "1/3"),
-                      ("1/6", "1/6", "2/3"))),
-    PerturbationMatrix(((1, 0, -1), (1, -2, 1), (0, -2, 2))),
-)
-
 
 # ---------------------------------------------------------------------------
 # The walk's coefficient lists
@@ -258,6 +252,44 @@ def test_exact_per_site_value_matches_enumeration():
         expect = (_per_site_entropy(pi, emits, transs, 3)
                   - _per_site_entropy(pi, emits, transs, 2))
         assert multisite_value(spec, params) == expect
+
+
+@pytest.mark.parametrize("spec", [high_snr_binary(F(1, 5)), am_binary(F(3, 5)), HS3, AM3],
+                         ids=["high_snr", "am", "high_snr_3state", "am_3state"])
+def test_equal_site_values_are_the_model_walk(spec):
+    # equal parameters at every site give the window increment of the model
+    # at that parameter, digit for digit on every backend
+    for backend in (EXACT, FLOAT64, FloatBackend(128)):
+        with backend.ctx():
+            for v in (F(1, 10), F(1, 7)):
+                model = instantiate(spec, v)
+                for n in (2, 3, 4):
+                    got = multisite_value(spec, [v] * n, backend)
+                    assert got == conditional_increment(model, n, backend), (backend, v, n)
+
+
+def test_each_table_scale_is_factored_once(monkeypatch):
+    # one lcm per table kind, D_start, D_R and D_M, each factored once, also
+    # when every site has its own denominators
+    calls = [0]
+    factor = entropy.factor_positive
+
+    def counting(q):
+        calls[0] += 1
+        return factor(q)
+
+    monkeypatch.setattr(entropy, "factor_positive", counting)
+    params = (F(1, 7), F(2, 11), F(1, 13))
+    for spec in (high_snr_binary(F(1, 5)), am_binary(F(3, 5))):
+        calls[0] = 0
+        multisite_value(spec, params)
+        assert calls[0] <= 3, spec
+    quickstart = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
+    for request, most in ((lambda: entropy_rate_bracket(quickstart, 6), 4),
+                          (lambda: rate_series(am_binary(F(3, 5)), 9), 2)):
+        calls[0] = 0
+        request()
+        assert calls[0] <= most
 
 
 def test_blocking_float_backend_agrees():
