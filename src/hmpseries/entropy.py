@@ -386,13 +386,13 @@ def _traverse(start, emit_at, trans_at, n, record, domain):
 def _matrix_tables(pi, emits, transs, sc):
     """The start vector and the per-depth emission and transition columns of
     a walk over one emission matrix R per depth and one transition matrix M
-    per step, in the backend's scalars; each distinct matrix is mapped once."""
+    per step, in the backend's scalars; each matrix object is mapped once."""
     cols = {}
 
     def table(m):
-        if m not in cols:
-            cols[m] = [[sc(x) for x in col] for col in zip(*m.rows)]
-        return cols[m]
+        if id(m) not in cols:
+            cols[id(m)] = [[sc(x) for x in col] for col in zip(*m.rows)]
+        return cols[id(m)]
 
     return [sc(p) for p in pi], [table(r) for r in emits], [table(m) for m in transs]
 

@@ -90,11 +90,11 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     params = [parse_rational(v) for v in params]
     n = len(params)
     _check_sites(n, "increments")
-    check = perturbed_identity if isinstance(spec, HighSnr) else perturbed_uniform
-    sites = [check(spec.T, v) for v in params]  # OutOfRange at the first bad site
-    if isinstance(spec, HighSnr):
+    if isinstance(spec, HighSnr):  # OutOfRange at the first bad site
+        sites = [perturbed_identity(spec.T, v) for v in params]
         tables = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
     else:
+        sites = [perturbed_uniform(spec.T, v) for v in params]
         tables = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
     with backend.ctx():
         out = _traverse(*_matrix_tables(*tables, backend.scalar), n, {n - 1, n}, _domain(backend))
