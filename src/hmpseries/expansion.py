@@ -47,8 +47,8 @@ from .model import (
     PerturbationMatrix,
     RegimeSpec,
     StochasticMatrix,
-    parse_rational,
     _matmul,
+    parse_rational,
     regime_kind,
     stationary_distribution,
 )

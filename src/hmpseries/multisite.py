@@ -90,8 +90,8 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     params = [parse_rational(v) for v in params]
     n = len(params)
     _check_sites(n, "increments")
-    if isinstance(spec, HighSnr):  # OutOfRange at the first bad site
-        sites = [perturbed_identity(spec.T, v) for v in params]
+    if isinstance(spec, HighSnr):
+        sites = [perturbed_identity(spec.T, v) for v in params]  # OutOfRange at the first bad site
         tables = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
     else:
         sites = [perturbed_uniform(spec.T, v) for v in params]
