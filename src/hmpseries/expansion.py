@@ -117,7 +117,7 @@ def _poly_tables(spec: RegimeSpec, n: int, caps, sites, sc):
     weights, _, _, shifts = _plan(caps, (caps,))
     s, t, zero = spec.T.size, spec.T.rows, sc(0)
 
-    def dense(coeffs):
+    def dense(coeffs):  # x_0^m is position m
         return _Dense(coeffs + [zero] * (len(weights) - len(coeffs)))
 
     def fixed(m):  # the columns of a matrix that does not move
