@@ -13,25 +13,26 @@ The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
 and per-site polynomials alike (_domain picks one).  A jet of order K is the
 one-variable polynomial with cap K.  Scalars walk as plain numbers; jets and
-per-site polynomials walk as one dense type, _Dense, a coefficient list in
-the layout of a plan built once per caps and targets (_plan), and each table
-entry is a factor a + b*x_i.  Both kernels read that list and run one
+per-site polynomials walk as _Dense coefficient lists in the layout of a
+plan built once per caps and targets (_plan).  Both kernels run one
 recurrence for log p over the plan; a scalar takes one log or one integer
-addition.  _traverse drives both, in the tables and accumulators that each
-prepares, and each finish gives a list of per-target values.
+addition.  _traverse drives both, and each finish gives a list of
+per-target values.
 
-Scalars walk the tables of one R matrix per depth and one M matrix per step
-(_matrix_tables), a model's own or a per-site value's.  Exact scalars, jets
-and per-site polynomials walk on Python integers (_integer_tables): each
-kind of table is scaled by one lcm, D_start, D_R or D_M, so a node at depth
-d carries integer numerators over Q_d = D_start * D_R^d * D_M^(d-1).  The
-exact kernel keeps one accumulator per depth (_new_cells),
-with one cell of integer sums per distinct constant term N_0 of a leaf, and
-one finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
-integer log sums go over Q_d into the value.  No N_0 is fully factored: the
-primes of Q_d leave it by trial division and loglinear's splitter takes the
-rest, so a large cofactor it cannot split stays one composite log base.  The
-probability totals read sum N_t / Q_d from the cells instead (_cell_totals).
+Every walk is described once, as an exact source (_tables): a coefficient
+list per state and a table (A, B, i), the matrix A + x_i*B in rationals,
+per depth and per step.  Each kernel's prepare maps it once, by its own
+plan: the float kernel with the backend's scalar, the exact one straight to
+integers (_integer_tables), each kind of table scaled by one lcm, D_start,
+D_R or D_M, so a node at depth d carries integer numerators over
+Q_d = D_start * D_R^d * D_M^(d-1).  The exact kernel keeps one accumulator
+per depth (_new_cells), with one cell of integer sums per distinct constant
+term N_0 of a leaf, and one finish (_finish_cells): one log(N_0 / Q_d) per
+distinct N_0, and the integer log sums go over Q_d into the value.  No N_0
+is fully factored: the primes of Q_d leave it by trial division and
+loglinear's splitter takes the rest, so a large cofactor it cannot split
+stays one composite log base.  The probability totals read sum N_t / Q_d
+from the cells instead (_cell_totals).
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from operator import add
 
 from .backends import EXACT, FLOAT64, _log_sum
@@ -207,10 +208,9 @@ class _JetExactDomain:
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
-    def prepare(self, start, emit_at, trans_at, n, record):
-        """The tables on integers over Q_d, and the cells of each recorded depth."""
-        start, emit_at, trans_at, primes_at = _integer_tables(
-            start, emit_at, trans_at, record, self.plan is not None)
+    def prepare(self, source, record):
+        """The source's tables on integers over Q_d, and the cells of each recorded depth."""
+        start, emit_at, trans_at, primes_at = _integer_tables(source, self.plan, record)
         return start, emit_at, trans_at, {d: _new_cells(primes_at[d]) for d in record}
 
     def add_term(self, acc, p):
@@ -274,33 +274,59 @@ def _log_ratio(n0, q_primes):
     return fac
 
 
-def _integer_tables(start, emit_at, trans_at, record, poly):
-    """The tables scaled to integers, and the primes of Q_d at each recorded depth.
+def _tables(source, plan, maps):
+    """The walk tables of an exact source, in a kernel's scalars.
+
+    A source (start, emits, transs) holds one coefficient list per state, one
+    table per depth and one per step.  A table (A, B, i) is the matrix
+    A + x_i*B in exact rationals, B None for a fixed matrix, and the walk
+    reads its columns.  maps holds each kind's map of rationals: start,
+    emission, transition.  Scalars (plan None) take the constants and A.
+    Otherwise a start list, in powers of x_0, pads to a _Dense of the plan's
+    width (the plan puts x_0^m at position m), and an entry becomes the
+    factor (a, b, shift), shift the plan's pairs (e, e + 1_i).  Each distinct
+    (A, B, i) of a kind is mapped once, so the depths that share it share
+    its columns.
+    """
+    start, emits, transs = source
+    zero = maps[0](0)
+
+    def kind(tables, sc):
+        done = {}
+        for a, b, i in tables:
+            if (id(a), id(b), i) not in done:  # a B of None reads as zeros
+                cols = zip(zip(*a), zip(*b) if b is not None else repeat(repeat(0)))
+                done[id(a), id(b), i] = [[sc(x) if plan is None else (sc(x), sc(y), plan[3][i])
+                                          for x, y in zip(ca, cb)] for ca, cb in cols]
+        return [done[id(a), id(b), i] for a, b, i in tables]
+
+    if plan is None:
+        beta = [maps[0](coeffs[0]) for coeffs in start]
+    else:
+        beta = [_Dense([maps[0](c) for c in coeffs] + [zero] * (len(plan[0]) - len(coeffs)))
+                for coeffs in start]
+    return beta, kind(emits, maps[1]), kind(transs, maps[2])
+
+
+def _integer_tables(source, plan, record):
+    """The source's tables on integers, and the primes of Q_d at each recorded depth.
 
     Each kind of table is scaled by one lcm of its denominators: the start
-    vector by D_start, every emission table by D_R and every transition
-    table by D_M, so Q_d = D_start * D_R^d * D_M^(d-1).  Each distinct table
-    is scaled once, and each distinct scale other than 1 is factored once
-    (factor_positive).  The items are exact scalars or, with poly,
-    coefficient lists in the start vector and (a, b, shift) entries in the
-    tables.
+    lists by D_start, every emission table by D_R and every transition table
+    by D_M, so Q_d = D_start * D_R^d * D_M^(d-1).  The rationals map straight
+    to their integers (_tables), and each distinct scale other than 1 is
+    factored once (factor_positive).
     """
-    def scale(tables, rats, make):  # the scaled tables of one kind, and their scale
-        distinct = {id(rows): rows for rows in tables}
-        d = math.lcm(*(q.denominator for rows in distinct.values() for row in rows
-                       for x in row for q in rats(x)))
-        done = {key: [[make([q.numerator * (d // q.denominator) for q in rats(x)], x)
-                       for x in row] for row in rows] for key, rows in distinct.items()}
-        return [done[id(rows)] for rows in tables], d
+    start, emits, transs = source
 
-    if poly:
-        kinds = ((lambda x: x, lambda m, x: _Dense(m)), (lambda x: x[:2], lambda m, x: (*m, x[2])))
-    else:
-        kinds = ((lambda x: (x,), lambda m, x: m[0]),) * 2
-    [[start]], d_start = scale([[start]], *kinds[0])
-    emit_at, d_r = scale(emit_at, *kinds[1])
-    trans_at, d_m = scale(trans_at, *kinds[1])
-    factored = {d: factor_positive(d) for d in {d_start, d_r, d_m} - {1}}
+    def scale(tables):  # the lcm of the denominators in a kind's distinct matrices
+        mats = {id(m): m for a, b, _ in tables for m in (a, b) if m is not None}
+        return math.lcm(*(x.denominator for m in mats.values() for row in m for x in row))
+
+    scales = d_start, d_r, d_m = scale([(start, None, 0)]), scale(emits), scale(transs)
+    start, emit_at, trans_at = _tables(source, plan, [
+        lambda q, d=d: q.numerator * (d // q.denominator) for d in scales])
+    factored = {d: factor_positive(d) for d in set(scales) - {1}}
 
     def primes(depth):  # the primes of Q_depth
         q = {}
@@ -321,11 +347,14 @@ class _JetFloatDomain:
     the cell of each target t.
     """
 
-    def __init__(self, log, plan=None):
-        self._log, self.plan = log, plan
+    def __init__(self, backend, plan=None):
+        self._log, self._scalar, self.plan = backend.log, backend.scalar, plan
 
-    def prepare(self, start, emit_at, trans_at, n, record):
-        """The tables as they are, and zero cells for each recorded depth."""
+    def prepare(self, source, record):
+        """The source's tables in the backend's scalars, and zero cells for
+        each recorded depth."""
+        sc = lru_cache(maxsize=None)(self._scalar)  # each distinct rational once per walk
+        start, emit_at, trans_at = _tables(source, self.plan, (sc, sc, sc))
         top = len(self.plan[2]) if self.plan else 1
         return start, emit_at, trans_at, {d: [0] * top for d in record}
 
@@ -372,55 +401,41 @@ def _domain(backend, order=None, kvec=None):
         plan = _plan((order,), tuple((k,) for k in range(order + 1)))
     if backend.is_exact:
         return _JetExactDomain(plan)
-    return _JetFloatDomain(backend.log, plan)
+    return _JetFloatDomain(backend, plan)
 
 
-def _traverse(start, emit_at, trans_at, n, record, domain):
-    """One walk from the start vector, in the tables the kernel prepares;
-    {depth: the kernel's finished per-target values} for each recorded depth."""
-    start, emit_at, trans_at, sums = domain.prepare(start, emit_at, trans_at, n, record)
+def _traverse(source, n, record, domain):
+    """One walk of an exact source (_tables) to depth n, in the tables the
+    kernel prepares from it; {depth: the kernel's finished per-target values}
+    for each recorded depth."""
+    start, emit_at, trans_at, sums = domain.prepare(source, record)
     _walk(start, emit_at, trans_at, 0, n, sums, domain)
     return {d: domain.finish(a) for d, a in sums.items()}
 
 
-def _matrix_tables(pi, emits, transs, sc):
-    """The start vector and the per-depth emission and transition columns of
-    a walk over one emission matrix R per depth and one transition matrix M
-    per step, in the backend's scalars; each matrix object is mapped once."""
-    cols = {}
-
-    def table(m):
-        if id(m) not in cols:
-            cols[id(m)] = [[sc(x) for x in col] for col in zip(*m.rows)]
-        return cols[id(m)]
-
-    return [sc(p) for p in pi], [table(r) for r in emits], [table(m) for m in transs]
-
-
-def _run(model, n, record, domain, backend, joint=False):
-    """{depth: value}: the walk of the model to depth n in the backend's scalars.
+def _run(model, n, record, domain, joint=False):
+    """{depth: value}: the walk of the model to depth n.
 
     With joint, the first symbol is the pair (X_1, Y_1), so depth d records
-    H(X_1, [Y]_1^d): the depth-0 emission table has one column per (i, y),
-    i-major, holding R(i, y) at state i and 0 elsewhere.  The walk then
+    H(X_1, [Y]_1^d): the depth-0 emission matrix is s x s^2, and its column
+    (i, y), i-major, holds R(i, y) at state i and 0 elsewhere.  The walk then
     multiplies and adds the same numbers in the same order as one walk per
     start state would.
     """
-    start, emit_at, trans_at = _matrix_tables(model.pi, [model.R] * n, [model.M] * (n - 1),
-                                              backend.scalar)
+    r = model.R.rows
+    emits = [(r, None, 0)] * n
     if joint:
-        zero = backend.scalar(0)
-        emit_at[0] = [[c if j == i else zero for j, c in enumerate(col)]
-                      for i in range(model.size) for col in emit_at[0]]
-    out = _traverse(start, emit_at, trans_at, n, record, domain)
-    return {d: values[0] for d, values in out.items()}
+        emits[0] = ([[x if j == i else 0 for i in range(model.size) for x in row]
+                     for j, row in enumerate(r)], None, 0)
+    source = [[p] for p in model.pi], emits, [(model.M.rows, None, 0)] * (n - 1)
+    return {d: values[0] for d, values in _traverse(source, n, record, domain).items()}
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
     _check_depth(n)
     with backend.ctx():
-        return _run(model, n, {n}, _domain(backend), backend)[n]
+        return _run(model, n, {n}, _domain(backend))[n]
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -439,7 +454,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT):
     """
     _check_depth(n, lower_from=2)
     with backend.ctx():
-        out = _run(model, n, {n - 1, n}, _domain(backend), backend, joint=True)
+        out = _run(model, n, {n - 1, n}, _domain(backend), joint=True)
         return out[n] - out[n - 1]
 
 
@@ -471,7 +486,7 @@ def total_probability(model: HmpModel, n: int):
     _check_depth(n)
     domain = _domain(EXACT)
     domain.finish = _cell_totals  # the cells' N_0 sums, not their logs
-    return _run(model, n, {n}, domain, EXACT)[n]
+    return _run(model, n, {n}, domain)[n]
 
 
 def c2_closed_form(model: HmpModel, backend=EXACT):
@@ -548,11 +563,11 @@ def _windows(model: HmpModel, ns, backend, lower_from=None):
     long = [n for n in ns if n >= 2]
     domain = _domain(backend)
     with backend.ctx():
-        h = _run(model, max(ns), {d for n in ns for d in (n - 1, n) if d}, domain, backend)
+        h = _run(model, max(ns), {d for n in ns for d in (n - 1, n) if d}, domain)
         up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
         low = {}
         if lower_from is not None and long:
             out = _run(model, max(long), {d for n in long for d in (n - 1, n)},
-                       domain, backend, joint=True)
+                       domain, joint=True)
             low = {n: out[n] - out[n - 1] for n in long}
         return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

@@ -1,20 +1,20 @@
 """Taylor coefficients of the entropy rate in the two perturbative regimes.
 
 The engine runs the same shared-prefix traversal as the scalar entropies,
-but with jets as probabilities, walked as coefficient lists (entropy._Dense):
-in the high-SNR regime each emission factor is (delta_{x,y} + eps*t_{x,y});
-in the almost-memoryless regime each transition factor is (1/s + delta*t)
-and the starting distribution is the exact stationary jet of U + delta*T.
+with jets as probabilities.  _regime_source describes a regime's walk in
+exact rationals: in the high-SNR regime each emission matrix is
+I + eps*T; in the almost-memoryless regime each transition matrix is
+U + delta*T and the start is the exact stationary jet of U + delta*T.
 
 The leaf kernels are the entropy module's, one per backend, with every
-order of the jet as a target: on the exact backend the jets walk with
-integer coefficients over one denominator per depth, and _JetExactDomain
-evaluates -p log p with an all-integer log recurrence, summed per distinct
-constant term, so each depth takes one log per distinct N_0; _JetFloatDomain
-runs the same recurrence in floats.  Each finishes a depth as a list of
-per-order values, wrapped here in a TruncatedSeries.  _poly_tables builds
-the tables of both regimes as a + b*x_i entries, for jets here and per-site
-polynomials in the multisite module.
+order of the jet as a target; each maps the source to its own tables.  On
+the exact backend the jets walk with integer coefficients over one
+denominator per depth, and _JetExactDomain evaluates -p log p with an
+all-integer log recurrence, summed per distinct constant term, so each
+depth takes one log per distinct N_0; _JetFloatDomain runs the same
+recurrence in floats.  Each finishes a depth as a list of per-order values,
+wrapped here in a TruncatedSeries.  The multisite module walks the same
+regime source with one variable per site.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .backends import EXACT, _log_sum
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
     _check_depth,
     _cell_totals,
-    _Dense,
     _domain,
     _JetExactDomain,
     _JetFloatDomain,
-    _plan,
     _traverse,
 )
 from .errors import OrderTooHigh, ValidationError
@@ -106,39 +105,20 @@ def stationary_series(t: PerturbationMatrix, order: int) -> tuple[TruncatedSerie
     return tuple(TruncatedSeries(col) for col in zip(*levels))
 
 
-def _poly_tables(spec: RegimeSpec, n: int, caps, sites, sc):
-    """A regime's tables for a walk of coefficient lists over the box of caps
-    (the layout of every _plan with caps among its targets): the start
-    vector as coefficient lists, each table cell as an (a, b, shift) entry,
-    the factor a + b*x_i, in which site i moves variable sites[i] (the
-    emission at site i in the high-SNR regime, the transition into site i in
-    the almost-memoryless one), and the start variable 0.
+def _regime_source(spec: RegimeSpec, n: int, sites, cap: int):
+    """A regime's exact walk source to depth n (entropy._tables): site i
+    moves variable sites[i] (the emission at site i in the high-SNR regime,
+    the transition into site i in the almost-memoryless one), and the
+    almost-memoryless start is the stationary jet through order cap.
     """
-    weights, _, _, shifts = _plan(caps, (caps,))
-    s, t, zero = spec.T.size, spec.T.rows, sc(0)
-
-    def dense(coeffs):  # x_0^m is position m
-        return _Dense(coeffs + [zero] * (len(weights) - len(coeffs)))
-
-    def fixed(m):  # the columns of a matrix that does not move
-        return [[(sc(m[j][k]), zero, shifts[0]) for j in range(s)] for k in range(s)]
-
-    def moved(a, i):  # the columns of a + x_i*T at site i
-        return [[(sc(a[j][k]), sc(t[j][k]), shifts[sites[i]]) for j in range(s)]
-                for k in range(s)]
-
+    s, t = spec.T.size, spec.T.rows
     if isinstance(spec, HighSnr):
-        beta0 = [dense([sc(p)]) for p in stationary_distribution(spec.M)]
         eye = [[int(j == k) for k in range(s)] for j in range(s)]
-        return beta0, [moved(eye, i) for i in range(n)], [fixed(spec.M.rows)] * (n - 1)
-    beta0 = [dense([sc(c) for c in ser.coeffs]) for ser in stationary_series(spec.T, caps[0])]
+        return ([[p] for p in stationary_distribution(spec.M)],
+                [(eye, t, sites[i]) for i in range(n)], [(spec.M.rows, None, 0)] * (n - 1))
     uniform = [[Fraction(1, s)] * s] * s
-    return beta0, [fixed(spec.R.rows)] * n, [moved(uniform, i) for i in range(1, n)]
-
-
-def _jet_run(spec, n, order, record, domain, backend):
-    beta0, emit_at, trans_at = _poly_tables(spec, n, (order,), [0] * n, backend.scalar)
-    return _traverse(beta0, emit_at, trans_at, n, record, domain)
+    return ([list(ser.coeffs) for ser in stationary_series(spec.T, cap)],
+            [(spec.R.rows, None, 0)] * n, [(uniform, t, sites[i]) for i in range(1, n)])
 
 
 def _increment_jets(spec, ns, order, backend):
@@ -150,7 +130,8 @@ def _increment_jets(spec, ns, order, backend):
     _check_depth(ns[-1])
     record = {d for n in ns for d in (n - 1, n)}
     with backend.ctx():
-        out = _jet_run(spec, ns[-1], order, record, _domain(backend, order), backend)
+        source = _regime_source(spec, ns[-1], [0] * ns[-1], order)
+        out = _traverse(source, ns[-1], record, _domain(backend, order))
         return {n: TruncatedSeries(a - b for a, b in zip(out[n], out[n - 1])) for n in ns}
 
 
@@ -165,7 +146,7 @@ def probability_jet_total(spec: RegimeSpec, n: int, order: int) -> TruncatedSeri
     _check_depth(n)
     domain = _domain(EXACT, order)
     domain.finish = _cell_totals  # the cells' N_t sums, not their logs
-    return TruncatedSeries(_jet_run(spec, n, order, {n}, domain, EXACT)[n])
+    return TruncatedSeries(_traverse(_regime_source(spec, n, [0] * n, order), n, {n}, domain)[n])
 
 
 def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable:
@@ -205,7 +186,7 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     backends, within a relative 1e-10 or an absolute 1e-14, as math.isclose
     compares.  Every window must lie in 2..DEFAULT_DEPTH_CAP.
     """
-    ns = tuple(sorted(set(int(n) for n in ns)))
+    ns = tuple(sorted(set(index(n) for n in ns)))
     if not ns:
         raise ValueError("need at least one window size")
     jets = _increment_jets(spec, ns, k, backend)

@@ -8,11 +8,11 @@ F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
 The traversal is the entropy module's, over polynomials with per-variable
-degree caps k_i, walked as coefficient lists like the jets, from the tables
-of expansion._poly_tables in which site i moves variable i.  The leaf
-kernels are the entropy module's too, with kvec as their one target: the
-exact one walks integers over Q_d and takes one log per distinct constant
-term N_0 of a depth.  multisite_value walks its sites' own matrices, as
+degree caps k_i, walked as coefficient lists like the jets, from
+expansion._regime_source with site i moving variable i.  The leaf kernels
+are the entropy module's too, with kvec as their one target: the exact one
+walks integers over Q_d and takes one log per distinct constant term N_0 of
+a depth.  multisite_value describes its sites' own matrices, as
 perturbed_identity and perturbed_uniform check them, like a model's window.
 """
 
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import index
 
 from .backends import EXACT
-from .entropy import _domain, _matrix_tables, _traverse
+from .entropy import _domain, _traverse
 from .errors import WeightCapExceeded
 from .model import (
     HighSnr,
@@ -32,7 +33,7 @@ from .model import (
     perturbed_uniform,
     stationary_distribution,
 )
-from .expansion import _poly_tables
+from .expansion import _regime_source
 
 WEIGHT_CAP = 4
 SITE_CAP = 6
@@ -46,7 +47,7 @@ class MultiSiteSpec:
     kvec: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kvec", tuple(int(k) for k in self.kvec))
+        object.__setattr__(self, "kvec", tuple(index(k) for k in self.kvec))
         if len(self.kvec) != self.n:
             raise ValueError(f"kvec length {len(self.kvec)} != n = {self.n}")
         if any(k < 0 for k in self.kvec):
@@ -75,8 +76,8 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     _check_sites(mspec.n, "derivatives")
     n, caps = mspec.n, mspec.kvec
     with backend.ctx():
-        beta0, emit_at, trans_at = _poly_tables(spec, n, caps, range(n), backend.scalar)
-        out = _traverse(beta0, emit_at, trans_at, n, {n - 1, n}, _domain(backend, kvec=caps))
+        out = _traverse(_regime_source(spec, n, range(n), caps[0]), n, {n - 1, n},
+                        _domain(backend, kvec=caps))
         return (out[n][0] - out[n - 1][0]) * prod(factorial(k) for k in mspec.kvec)
 
 
@@ -92,10 +93,12 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     _check_sites(n, "increments")
     if isinstance(spec, HighSnr):
         sites = [perturbed_identity(spec.T, v) for v in params]  # OutOfRange at the first bad site
-        tables = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
+        pi, emits, transs = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
     else:
         sites = [perturbed_uniform(spec.T, v) for v in params]
-        tables = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
+        pi, emits, transs = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
+    source = ([[p] for p in pi], [(m.rows, None, 0) for m in emits],
+              [(m.rows, None, 0) for m in transs])
     with backend.ctx():
-        out = _traverse(*_matrix_tables(*tables, backend.scalar), n, {n - 1, n}, _domain(backend))
+        out = _traverse(source, n, {n - 1, n}, _domain(backend))
         return out[n][0] - out[n - 1][0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -227,7 +228,7 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("empty grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    orders = tuple(sorted(set(int(k) for k in orders)))
+    orders = tuple(sorted(set(index(k) for k in orders)))
     if not orders:
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:

@@ -43,8 +43,11 @@ from hmpseries import (
 )
 from hmpseries import entropy
 from hmpseries.entropy import _domain, _new_cells
+from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_value
 
 from util import (
+    AM3,
+    HS3,
     brute_finite_entropy,
     brute_increment,
     brute_lower_bound,
@@ -378,3 +381,95 @@ def test_long_path_entropy_estimate_lands_in_the_bracket():
     estimate = -sequence_log_probability(model, ys) / len(ys)
     slack = 0.02  # about twelve standard errors at this path length
     assert float(bracket.lower) - slack <= estimate <= float(bracket.upper) + slack
+
+
+def _recording(monkeypatch, kernel):
+    """Records (plan, source, prepared) for every prepare of a kernel class."""
+    seen = []
+    prepare = kernel.prepare
+
+    def recording(self, source, record):
+        out = prepare(self, source, record)
+        seen.append((self.plan, source, out))
+        return out
+
+    monkeypatch.setattr(kernel, "prepare", recording)
+    return seen
+
+
+def _denominators_lcm(matrices):
+    return math.lcm(*(F(x).denominator for m in matrices for row in m for x in row))
+
+
+def _assert_mapped(plan, source, prepared, scalar):
+    """The prepared tables are scalar(kind, q) of the source's rationals q
+    (kinds 0, 1, 2: start, emission, transition), and depths that share a
+    table (A, B, i) share its mapped columns."""
+    start, emits, transs = source
+    beta, emit_at, trans_at = prepared[:3]
+    width = len(plan[0]) if plan else 1
+    for coeffs, got in zip(start, beta, strict=True):
+        assert (list(got) if plan else [got]) == (
+            [scalar(0, c) for c in coeffs] + [scalar(0, 0)] * (width - len(coeffs)))
+    for kind, tables, mapped in ((1, emits, emit_at), (2, transs, trans_at)):
+        assert len(tables) == len(mapped)
+        for (a, b, i), cols in zip(tables, mapped):
+            assert len(cols) == len(a[0]) and all(len(col) == len(a) for col in cols)
+            for k, col in enumerate(cols):
+                for j, entry in enumerate(col):
+                    if plan is None:
+                        assert b is None and entry == scalar(kind, a[j][k])
+                        continue
+                    assert entry[:2] == (scalar(kind, a[j][k]),
+                                         scalar(kind, 0 if b is None else b[j][k]))
+                    assert b is None or entry[2] == plan[3][i]
+        for (t, cols) in zip(tables, mapped):
+            for (u, other) in zip(tables, mapped):
+                if t[0] is u[0] and t[1] is u[1] and t[2] == u[2]:
+                    assert cols is other
+
+
+QUICK = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
+
+
+@pytest.mark.parametrize("request_of, shared", [
+    (lambda b: finite_entropy(QUICK, 4, b), ""),
+    (lambda b: finite_entropy(load_model(THREE_STATE), 3, b), ""),
+    (lambda b: lower_bound(QUICK, 3, b), ""),
+    (lambda b: lower_bound(load_model(THREE_STATE), 3, b), ""),
+    (lambda b: multisite_value(am_binary("3/5"), ["1/10", "1/20", "1/30"], b), ""),
+    (lambda b: multisite_value(HS3, ["1/10", 0, "1/30"], b), ""),
+    (lambda b: increment_jet(am_binary("3/5"), 5, 3, b), "transs"),
+    (lambda b: increment_jet(high_snr_binary("1/5"), 5, 3, b), "emits"),
+    (lambda b: increment_jet(AM3, 3, 2, b), "transs"),
+    (lambda b: increment_jet(HS3, 3, 2, b), "emits"),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 0, 2)), am_binary("3/5"), b), ""),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (0, 1, 1)), HS3, b), ""),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 1, 0)), AM3, b), ""),
+], ids=["window", "window s=3", "joint first symbol", "joint first symbol s=3",
+        "per-site values am", "per-site values hs3", "jet am", "jet high-snr", "jet am3",
+        "jet hs3", "per-site derivative am", "per-site derivative hs3",
+        "per-site derivative am3"])
+def test_one_source_two_kernels(monkeypatch, request_of, shared):
+    # both kernels map the same exact source: the exact one to integers over
+    # D_start, D_R and D_M, the float one to backend.scalar of its rationals
+    exact = _recording(monkeypatch, entropy._JetExactDomain)
+    floats = _recording(monkeypatch, entropy._JetFloatDomain)
+    request_of(EXACT)
+    request_of(FLOAT64)
+    assert len(exact) == len(floats) >= 1
+    for (plan, source, prepared), (fplan, fsource, fprepared) in zip(exact, floats):
+        assert plan == fplan
+        start, emits, transs = source
+        scales = (_denominators_lcm([start]),
+                  *(_denominators_lcm(m for a, b, _ in tables for m in (a, b) if m is not None)
+                    for tables in (emits, transs)))
+        _assert_mapped(plan, source, prepared, lambda kind, q: q * scales[kind])
+        _assert_mapped(fplan, fsource, fprepared, lambda kind, q: FLOAT64.scalar(q))
+        d_start, d_r, d_m = scales
+        for depth, cells in prepared[3].items():
+            assert cells[1] == d_start * d_r**depth * d_m**(depth - 1)
+        if shared:  # a jet walk moves one variable, so every depth shares one table
+            at = {"emits": 1, "transs": 2}[shared]
+            for tables in (prepared[at], fprepared[at]):
+                assert len(tables) > 1 and len({id(t) for t in tables}) == 1

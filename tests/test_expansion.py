@@ -22,6 +22,7 @@ from hmpseries import (
     ValidationError,
     am_binary,
     am_binary_reference_series,
+    bounds_scan,
     entropy_accumulate,
     first_order_am,
     first_order_high_snr,
@@ -213,6 +214,19 @@ def test_settling_float_backend():
     report = settling_check(am_binary(F(3, 5)), 2, [3, 4, 5], FLOAT64)
     assert report.observed_onset == 3
     assert report.values[0] == pytest.approx(-162 / 625, rel=1e-12)
+
+
+@pytest.mark.parametrize("request_of", [
+    lambda: settling_check(am_binary(F(3, 5)), 2, [2.5, 3.9, 5]),
+    lambda: MultiSiteSpec(3, (1.7, 0, 1)),
+    lambda: bounds_scan(am_binary(F(3, 5)), [F(1, 10)], [2.9, 4]),
+    lambda: settling_check(am_binary(F(3, 5)), 2, ["3", 4]),
+], ids=["windows", "kvec", "orders", "numeric string"])
+def test_sizes_must_be_integers(request_of):
+    # a size that is not an integer is refused, as finite_entropy(model, 2.0)
+    # is, rather than truncated into a different request
+    with pytest.raises(TypeError):
+        request_of()
 
 
 @given(zero_sum_perturbations(2))
