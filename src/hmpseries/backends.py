@@ -44,7 +44,8 @@ class FloatBackend:
         self.tag = "float64" if bits is None else f"bigfloat:{bits}"
 
     def scalar(self, q):
-        q = Fraction(q)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
         if self.bits is None:
             return q.numerator / q.denominator
         import mpmath

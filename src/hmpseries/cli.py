@@ -10,6 +10,8 @@ values.  _emit writes JSON as the command, the payload and the rows (validate,
 radius and sample have JSON that is not row-shaped: the payload alone), and
 CSV by looking up each of the _COLUMNS in the row or else in the payload.  The
 entropy and bounds reports take their --n list from one walk set (_windows).
+main reads each input once, the model or regime and then the backend, and
+passes both to the handler; validate and sample take no --backend.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .backends import get_backend
 from .entropy import _bracket, _windows
 from .errors import HmpSeriesError, ParseError
 from .expansion import rate_series, settling_check
-from .loglinear import LogLinearValue
 from .model import (
     am_binary,
     high_snr_binary,
@@ -80,8 +81,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_io(sub, backend_default="exact"):
-    sub.add_argument("--backend", default=backend_default,
-                     help="exact | float64 | bigfloat:BITS")
+    """--format and --out, after --backend with this default unless it is None."""
+    if backend_default is not None:
+        sub.add_argument("--backend", default=backend_default,
+                         help="exact | float64 | bigfloat:BITS")
     sub.add_argument("--format", default="csv", choices=("csv", "json"),
                      dest="fmt", help="report format")
     sub.add_argument("--out", default=None, help="write the report to this path")
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("validate", help="check a model file, report its invariants",
                           description=_SCHEMAS["validate"])
     sub.add_argument("--model", required=True)
-    _add_io(sub)
+    _add_io(sub, backend_default=None)
 
     sub = subs.add_parser("entropy", help="finite-window entropies H_n, C_n, c_n",
                           description=_SCHEMAS["entropy"] + " (lower empty at n=1)")
@@ -155,13 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True)
     sub.add_argument("--n", required=True, help="path length")
     sub.add_argument("--seed", type=int, required=True)
-    _add_io(sub)
+    _add_io(sub, backend_default=None)
     return parser
 
 
 def _render_value(v, backend) -> str:
-    if isinstance(v, LogLinearValue):
-        return v.render()
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
@@ -207,17 +208,14 @@ def _regime_from_args(args):
     return load_regime(name)
 
 
-def _cmd_validate(args):
-    model = load_model(args.model)
+def _cmd_validate(args, model, backend):
     stationary = [str(x) for x in model.pi]
     row = {"s": model.size, "strictly_positive": model.M.strictly_positive,
            "stationary": " ".join(stationary)}
     return _emit(args, [row], {**row, "stationary": stationary, "ok": True}, row_json=False)
 
 
-def _cmd_entropy(args):
-    model = load_model(args.model)
-    backend = get_backend(args.backend)
+def _cmd_entropy(args, model, backend):
     reports = _windows(model, _int_list(args.n), backend, lower_from=1)
     rows = [
         {"n": rep.n, **_with_float("entropy", rep.entropy, backend),
@@ -228,9 +226,7 @@ def _cmd_entropy(args):
     return _emit(args, rows, {"backend": backend.tag})
 
 
-def _cmd_bounds(args):
-    model = load_model(args.model)
-    backend = get_backend(args.backend)
+def _cmd_bounds(args, model, backend):
     reports = _windows(model, _int_list(args.n), backend, lower_from=2)
     rows = []
     for br in (_bracket(rep, backend) for rep in reports):
@@ -241,9 +237,7 @@ def _cmd_bounds(args):
     return _emit(args, rows, {"backend": backend.tag})
 
 
-def _cmd_expand(args):
-    spec = _regime_from_args(args)
-    backend = get_backend(args.backend)
+def _cmd_expand(args, spec, backend):
     table = rate_series(spec, args.order, backend)
     rows = [
         {"k": k, "n_used": n_used, **_with_float("value", v, backend)}
@@ -258,9 +252,7 @@ def _cmd_expand(args):
     return _emit(args, rows, payload)
 
 
-def _cmd_settle(args):
-    spec = _regime_from_args(args)
-    backend = get_backend(args.backend)
+def _cmd_settle(args, spec, backend):
     rep = settling_check(spec, args.k, _int_list(args.n), backend)
     rows = [
         {"n": n, **_with_float("value", v, backend), "settled": ok}
@@ -276,9 +268,7 @@ def _cmd_settle(args):
     return _emit(args, rows, payload)
 
 
-def _cmd_radius(args):
-    spec = _regime_from_args(args)
-    backend = get_backend(args.backend)
+def _cmd_radius(args, spec, backend):
     table = rate_series(spec, args.order, backend)
     rows, jrows = [], []
     for est in all_estimates(table):
@@ -299,9 +289,7 @@ def _cmd_radius(args):
     return _emit(args, rows, payload, row_json=False)
 
 
-def _cmd_scan(args):
-    spec = _regime_from_args(args)
-    backend = get_backend(args.backend)
+def _cmd_scan(args, spec, backend):
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ParseError(f"--grid expects START:STOP:STEPS, got {args.grid!r}")
@@ -332,8 +320,7 @@ def _cmd_scan(args):
     return _emit(args, rows, payload)
 
 
-def _cmd_sample(args):
-    model = load_model(args.model)
+def _cmd_sample(args, model, backend):
     n = _int(args.n)
     xs, ys = sample_path(model, n, args.seed)
     rows = [{"t": t, "x": x, "y": y} for t, (x, y) in enumerate(zip(xs, ys))]
@@ -360,7 +347,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        given = load_model(args.model) if "model" in args else _regime_from_args(args)
+        backend = get_backend(args.backend) if "backend" in args else None
+        text = _COMMANDS[args.command](args, given, backend)
     except ParseError as e:
         print(f"hmpseries: {e}", file=sys.stderr)
         return 2

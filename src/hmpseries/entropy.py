@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
-from operator import add
+from operator import add, index
 
 from .backends import EXACT, FLOAT64, _log_sum
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
@@ -58,7 +58,7 @@ DEFAULT_DEPTH_CAP = 14
 
 
 def _check_depth(n: int, lower_from=None):
-    if n < 1:
+    if index(n) < 1:
         raise ValueError(f"window length must be positive, got {n}")
     if n > DEFAULT_DEPTH_CAP:
         raise DepthCapExceeded(f"depth {n} exceeds the cap {DEFAULT_DEPTH_CAP}")

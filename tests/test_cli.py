@@ -12,7 +12,7 @@ import pytest
 import hmpseries
 from hmpseries import (HIGH_SNR_NOTE, FloatBackend, ParseError, entropy_report, get_backend,
                        load_model)
-from hmpseries.cli import main
+from hmpseries.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,6 +209,15 @@ def test_unknown_backend_exit_2(capsys, model_file):
         code, _, _ = run_cli(capsys, "entropy", "--model", model_file,
                              "--n", "1", "--backend", tag)
         assert code == 2, tag
+    regime = ["--regime", "am", "--mu", "3/5"]
+    for argv in (["bounds", "--model", model_file, "--n", "2"],
+                 ["expand", *regime, "--order", "2"],
+                 ["settle", *regime, "--k", "2", "--n", "3"],
+                 ["radius", *regime, "--order", "2"],
+                 ["scan", *regime, "--grid", "0:1/10:1", "--orders", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--backend", "decimal")
+        assert (code, out) == (2, ""), argv
+        assert "unknown backend 'decimal'" in err, argv
 
 
 def test_low_bigfloat_precision_is_a_parse_error_only_on_the_command_line():
@@ -370,13 +379,24 @@ def test_parameter_with_regime_file_is_rejected(capsys, tmp_path):
     assert code == 2 and "built-in" in err
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["expand", "--regime", "am", "--mu", "1"])  # missing --order
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys, model_file):
+    for argv in (["expand", "--regime", "am", "--mu", "1"],  # missing --order
+                 ["no-such-command"],
+                 # validate and sample compute with no backend and take no --backend
+                 ["validate", "--model", model_file, "--backend", "float64"],
+                 ["sample", "--model", model_file, "--n", "3", "--seed", "1",
+                  "--backend", "float64"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_exactly_the_computing_subcommands_take_a_backend():
+    subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+    takes = {name for name, sub in subs.items()
+             if any(a.dest == "backend" for a in sub._actions)}
+    assert takes == {"entropy", "bounds", "expand", "settle", "radius", "scan"}
 
 
 def test_cli_import_leaves_sympy_and_mpmath_unloaded():

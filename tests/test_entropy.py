@@ -126,16 +126,13 @@ def test_exact_bracket_factors_only_the_table_scales(monkeypatch):
     assert len(calls) <= 6  # two walks (plain and joint first symbol), three scales each
 
 
-def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
-    # The log coefficients of a depth stay integer sums over Q_d from the
-    # leaves into the value, and C_n, c_n, the midpoint and the half-gap
-    # combine them on integers, so the Fractions of a warm bracket (its
-    # rational parts) do not grow with the thousands of log terms at n = 12.
+def _warm_bracket_fractions(monkeypatch, backend):
+    """Fractions built by a warm bracket on the quick-start model at n = 8 and 12."""
     model = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
     new = Fraction.__new__
     counts = []
     for n in (8, 12):
-        entropy_rate_bracket(model, n)  # warm every cache
+        entropy_rate_bracket(model, n, backend)  # warm every cache
         calls = [0]
 
         def counting(cls, *args, **kwargs):
@@ -143,10 +140,27 @@ def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        entropy_rate_bracket(model, n)
+        entropy_rate_bracket(model, n, backend)
         monkeypatch.undo()
         counts.append(calls[0])
+    return counts
+
+
+def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
+    # The log coefficients of a depth stay integer sums over Q_d from the
+    # leaves into the value, and C_n, c_n, the midpoint and the half-gap
+    # combine them on integers, so the Fractions of a warm bracket (its
+    # rational parts) do not grow with the thousands of log terms at n = 12.
+    counts = _warm_bracket_fractions(monkeypatch, EXACT)
     assert counts[0] == counts[1] <= 100
+
+
+@pytest.mark.parametrize("backend", [FLOAT64, FloatBackend(128)], ids=["float64", "bigfloat128"])
+def test_float_bracket_maps_rationals_without_a_new_fraction(monkeypatch, backend):
+    # FloatBackend.scalar divides the numerator and denominator of the int or
+    # Fraction it is given, so the walks of a warm float bracket build no
+    # Fraction: only _bracket's 1/2 is left.
+    assert _warm_bracket_fractions(monkeypatch, backend) == [1, 1]
 
 
 def _integer_jets(order):

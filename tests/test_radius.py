@@ -160,6 +160,7 @@ def test_bounds_scan_schema_and_gating():
 @pytest.mark.parametrize("depth, error, message", [
     (1, ValueError, "needs n >= 2"),
     (20, DepthCapExceeded, "exceeds the cap"),
+    (2.5, TypeError, "cannot be interpreted as an integer"),
 ])
 def test_bounds_scan_checks_bound_depth_before_building_the_table(
         monkeypatch, depth, error, message):
