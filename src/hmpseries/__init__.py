@@ -15,7 +15,6 @@ estimates.  All entropies are in nats.
 
 from .backends import EXACT, FLOAT64, ExactBackend, FloatBackend, get_backend
 from .entropy import (
-    DEFAULT_DEPTH_CAP,
     EntropyBracket,
     EntropyReport,
     c2_closed_form,
@@ -43,7 +42,6 @@ from .errors import (
     SingularSystem,
     TooFewCoefficients,
     ValidationError,
-    WeightCapExceeded,
 )
 from .expansion import (
     HIGH_SNR_NOTE,
@@ -91,8 +89,6 @@ from .model import (
     validate_model,
 )
 from .multisite import (
-    SITE_CAP,
-    WEIGHT_CAP,
     MultiSiteSpec,
     multisite_derivative,
     multisite_value,

@@ -37,7 +37,7 @@ from the cells instead (_cell_totals).
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
 each recording n - 1 and n of every listed n (_run).  finite_entropy and
-lower_bound record only what they report.
+lower_bound record only what they report.  No walk starts over COST_CAP (_cost).
 """
 
 from __future__ import annotations
@@ -54,16 +54,38 @@ from .errors import DepthCapExceeded, NonpositiveConstantTerm
 from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel, _matmul
 
-DEFAULT_DEPTH_CAP = 14
+COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
 
 
-def _check_depth(n: int, lower_from=None):
+def _check_depth(n: int, lower_from=None, cost=0):
+    """Refuses a window length below 1 or lower_from, and a cost over COST_CAP."""
     if index(n) < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    if n > DEFAULT_DEPTH_CAP:
-        raise DepthCapExceeded(f"depth {n} exceeds the cap {DEFAULT_DEPTH_CAP}")
+    if cost > COST_CAP:
+        raise DepthCapExceeded(f"predicted cost {cost:.3g} exceeds the cap {COST_CAP:.3g}")
     if lower_from is not None and n < lower_from:
         raise ValueError("the conditional lower bound needs n >= 2")
+
+
+def _nodes(s, width, d):
+    """width * (1 + s + ... + s^(d-1)), a walk's nodes at depths 1..d, saturating."""
+    return width * (math.expm1(min(d * math.log(s), 700)) / (s - 1) if s > 1 else d)
+
+
+def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
+    """A walk's predicted cost, in about microseconds of a cold run on a 2-core x86
+    machine: per node s(s+1) products of box-wide lists, per leaf of a recorded
+    depth _plan's pairs (in closed form) and a log and, if exact, one cell,
+    weighted to also hold peak memory near 0.5 GB at COST_CAP."""
+    if kvec is not None:
+        box = math.prod(k + 1 for k in kvec)
+        pairs = math.prod((k + 1) * (k + 2) // 2 for k in kvec) - box + 1
+    else:
+        box, pairs = (order or 0) + 1, (order or 0) ** 2 + 1
+    width = s * s if joint else s
+    leaves = sum(_nodes(s, width, d) - _nodes(s, width, d - 1) for d in record)
+    return (0.3 * _nodes(s, width, n) * s * (s + 1) * box
+            + (0.12 * pairs + (0.25 * pairs + 20) * backend.is_exact) * leaves)
 
 
 def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
@@ -433,7 +455,7 @@ def _run(model, n, record, domain, joint=False):
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
-    _check_depth(n)
+    _check_depth(n, cost=_cost(model.size, n, {n}, backend))
     with backend.ctx():
         return _run(model, n, {n}, _domain(backend))[n]
 
@@ -452,7 +474,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT):
     It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from one walk whose first
     symbol is the pair (X_1, Y_1).
     """
-    _check_depth(n, lower_from=2)
+    _check_depth(n, lower_from=2, cost=_cost(model.size, n, {n - 1, n}, backend, joint=True))
     with backend.ctx():
         out = _run(model, n, {n - 1, n}, _domain(backend), joint=True)
         return out[n] - out[n - 1]
@@ -483,7 +505,7 @@ def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
 def total_probability(model: HmpModel, n: int):
     """Sum of P([Y]_1^n) over all length-n observation sequences (= 1), exact:
     the N_0 sums of the exact kernel's cells at depth n, with no log taken."""
-    _check_depth(n)
+    _check_depth(n, cost=_cost(model.size, n, {n}, EXACT))
     domain = _domain(EXACT)
     domain.finish = _cell_totals  # the cells' N_0 sums, not their logs
     return _run(model, n, {n}, domain)[n]
@@ -550,24 +572,24 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
 def _windows(model: HmpModel, ns, backend, lower_from=None):
     """One EntropyReport per n of ns, in list order, from one walk set.
 
-    Every n is checked, in list order, before any walk.  One plain walk to
-    max(ns) records H_{n-1} and H_n of every listed n, so C_n = H_n - H_{n-1}
-    and C_1 = H_1.  With lower_from set, a window below it is refused, and
-    one walk over the joint first symbol (X_1, Y_1) to the largest n >= 2
-    does the same for c_n, which stays None at n = 1.
+    Every n is checked, in list order, then the cost of both walks, before
+    any walk.  One plain walk to max(ns) records H_{n-1} and H_n of every
+    listed n, so C_n = H_n - H_{n-1} and C_1 = H_1.  With lower_from set, a
+    window below it is refused, and one walk over the joint first symbol
+    (X_1, Y_1) to the largest n >= 2 does the same for c_n (None at n = 1).
     """
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
         _check_depth(n, lower_from)
-    long = [n for n in ns if n >= 2]
+    long = [n for n in ns if n >= 2] if lower_from is not None else []
+    rec, jrec = {d for n in ns for d in (n - 1, n) if d}, {d for n in long for d in (n - 1, n)}
+    _check_depth(max(ns), cost=_cost(model.size, max(ns), rec, backend)
+                 + (_cost(model.size, max(long), jrec, backend, True) if long else 0))
     domain = _domain(backend)
     with backend.ctx():
-        h = _run(model, max(ns), {d for n in ns for d in (n - 1, n) if d}, domain)
+        h = _run(model, max(ns), rec, domain)
         up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
-        low = {}
-        if lower_from is not None and long:
-            out = _run(model, max(long), {d for n in long for d in (n - 1, n)},
-                       domain, joint=True)
-            low = {n: out[n] - out[n - 1] for n in long}
+        out = _run(model, max(long), jrec, domain, joint=True) if long else {}
+        low = {n: out[n] - out[n - 1] for n in long}
         return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

@@ -48,11 +48,7 @@ class NonpositiveConstantTerm(HmpSeriesError):
 
 
 class DepthCapExceeded(HmpSeriesError):
-    """A window or jet depth beyond the fixed traversal cap DEFAULT_DEPTH_CAP."""
-
-
-class WeightCapExceeded(HmpSeriesError):
-    """A multisite derivative request beyond the supported weight/size caps."""
+    """A request whose predicted cost is over entropy.COST_CAP, refused before any walk."""
 
 
 class TooFewCoefficients(HmpSeriesError):

@@ -31,8 +31,9 @@ from operator import index
 from .backends import EXACT, _log_sum
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
 from .entropy import (
-    _check_depth,
     _cell_totals,
+    _check_depth,
+    _cost,
     _domain,
     _JetExactDomain,
     _JetFloatDomain,
@@ -127,8 +128,8 @@ def _increment_jets(spec, ns, order, backend):
         raise ValueError("order must be nonnegative")
     if ns[0] < 2:
         raise ValueError("conditional increments need n >= 2")
-    _check_depth(ns[-1])
     record = {d for n in ns for d in (n - 1, n)}
+    _check_depth(ns[-1], cost=_cost(spec.T.size, ns[-1], record, backend, order=order))
     with backend.ctx():
         source = _regime_source(spec, ns[-1], [0] * ns[-1], order)
         out = _traverse(source, ns[-1], record, _domain(backend, order))
@@ -143,7 +144,7 @@ def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> Trunca
 def probability_jet_total(spec: RegimeSpec, n: int, order: int) -> TruncatedSeries:
     """Sum of all sequence-probability jets at depth n (identically 1), exact:
     the N_t sums of the exact kernel's cells at depth n, with no log taken."""
-    _check_depth(n)
+    _check_depth(n, cost=_cost(spec.T.size, n, {n}, EXACT, order=order))
     domain = _domain(EXACT, order)
     domain.finish = _cell_totals  # the cells' N_t sums, not their logs
     return TruncatedSeries(_traverse(_regime_source(spec, n, [0] * n, order), n, {n}, domain)[n])
@@ -184,7 +185,7 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     A value counts as settled when it matches the value at the largest
     tested window: exact equality on the exact backend; on floating
     backends, within a relative 1e-10 or an absolute 1e-14, as math.isclose
-    compares.  Every window must lie in 2..DEFAULT_DEPTH_CAP.
+    compares.  Every window must be at least 2, and the cost cap holds.
     """
     ns = tuple(sorted(set(index(n) for n in ns)))
     if not ns:
@@ -198,11 +199,7 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
         fs = [float(v) for v in values]
         settled = tuple(abs(f - fs[-1]) <= max(1e-10 * max(abs(f), abs(fs[-1])), 1e-14)
                         for f in fs)
-    onset = None
-    for i in range(len(ns)):
-        if all(settled[i:]):
-            onset = ns[i]
-            break
+    onset = next((n for i, n in enumerate(ns) if all(settled[i:])), None)
     threshold = settling_threshold(k)
     if onset is not None and onset <= threshold:
         verdict = f"settled at N={onset} (theorem threshold {threshold})"

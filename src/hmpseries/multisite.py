@@ -14,6 +14,7 @@ are the entropy module's too, with kvec as their one target: the exact one
 walks integers over Q_d and takes one log per distinct constant term N_0 of
 a depth.  multisite_value describes its sites' own matrices, as
 perturbed_identity and perturbed_uniform check them, like a model's window.
+No weight or site count is capped: only the predicted cost (entropy._cost).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from math import factorial, prod
 from operator import index
 
 from .backends import EXACT
-from .entropy import _domain, _traverse
-from .errors import WeightCapExceeded
+from .entropy import _check_depth, _cost, _domain, _traverse
 from .model import (
     HighSnr,
     RegimeSpec,
@@ -34,9 +34,6 @@ from .model import (
     stationary_distribution,
 )
 from .expansion import _regime_source
-
-WEIGHT_CAP = 4
-SITE_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -58,23 +55,16 @@ class MultiSiteSpec:
         return sum(self.kvec)
 
 
-def _check_sites(n: int, what: str):
-    if n > SITE_CAP:
-        raise WeightCapExceeded(f"window length {n} exceeds cap {SITE_CAP}")
-    if n < 2:
-        raise ValueError(f"per-site {what} need n >= 2")
-
-
 def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     """F_n^{kvec}: the mixed partial derivative of H_n - H_{n-1} at 0.
 
     Exact backend returns a LogLinearValue; floating backends return their
     own scalar.
     """
-    if mspec.weight > WEIGHT_CAP:
-        raise WeightCapExceeded(f"total derivative weight {mspec.weight} exceeds cap {WEIGHT_CAP}")
-    _check_sites(mspec.n, "derivatives")
     n, caps = mspec.n, mspec.kvec
+    if n < 2:
+        raise ValueError("per-site derivatives need n >= 2")
+    _check_depth(n, cost=_cost(spec.T.size, n, {n - 1, n}, backend, kvec=caps))
     with backend.ctx():
         out = _traverse(_regime_source(spec, n, range(n), caps[0]), n, {n - 1, n},
                         _domain(backend, kvec=caps))
@@ -90,7 +80,9 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     """
     params = [parse_rational(v) for v in params]
     n = len(params)
-    _check_sites(n, "increments")
+    if n < 2:
+        raise ValueError("per-site increments need n >= 2")
+    _check_depth(n, cost=_cost(spec.T.size, n, {n - 1, n}, backend))
     if isinstance(spec, HighSnr):
         sites = [perturbed_identity(spec.T, v) for v in params]  # OutOfRange at the first bad site
         pi, emits, transs = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)

@@ -21,9 +21,9 @@ from operator import index
 import numpy as np
 
 from .backends import FLOAT64
-from .entropy import _check_depth, entropy_rate_bracket
+from .entropy import _check_depth, _cost, entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
-from .expansion import CoefficientTable, rate_series
+from .expansion import CoefficientTable, rate_series, settling_threshold
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
 
 _MIN_NONZERO = 4
@@ -220,8 +220,8 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
     Each grid point instantiates the model exactly and computes the band with
     backend; each requested truncation order contributes one row per point.
     A point is inside when it lies within [lower - _SCAN_TOL, upper +
-    _SCAN_TOL], a fixed 1e-9.  bound_depth is checked against the depth cap
-    before the coefficient table is built.
+    _SCAN_TOL], a fixed 1e-9.  bound_depth, and the predicted cost of the
+    table and of every bracket, are checked before the table is built.
     """
     grid = [parse_rational(g) for g in grid]
     if len(grid) < 1:
@@ -233,7 +233,9 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:
         raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
-    _check_depth(bound_depth, lower_from=2)
+    s, n, d = spec.T.size, settling_threshold(max(orders)), bound_depth
+    bracket = _cost(s, d, {d - 1, d}, backend) + _cost(s, d, {d - 1, d}, backend, True)
+    _check_depth(d, 2, _cost(s, n, {n - 1, n}, backend, order=max(orders)) + len(grid) * bracket)
     table = rate_series(spec, max(orders), backend)
     rows = []
     for g in grid:
@@ -242,12 +244,7 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         gf = float(g)
         for k in orders:
             ps = table.partial_sum(gf, k)
-            if ps > up + _SCAN_TOL:
-                direction = 1
-            elif ps < lo - _SCAN_TOL:
-                direction = -1
-            else:
-                direction = 0
+            direction = (ps > up + _SCAN_TOL) - (ps < lo - _SCAN_TOL)
             rows.append(ScanRow(gf, k, ps, lo, up, direction == 0, direction))
     return BoundsScan(regime_kind(spec), orders, bound_depth, tuple(rows))
 

@@ -3,16 +3,20 @@
 import csv
 import inspect
 import json
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hmpseries
 from hmpseries import (HIGH_SNR_NOTE, FloatBackend, ParseError, entropy_report, get_backend,
-                       load_model)
+                       load_model, model_to_dict, regime_to_dict)
 from hmpseries.cli import build_parser, main
+
+from util import AM3, FOUR
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,9 +91,19 @@ def test_entropy_exact_renders(capsys, model_file):
     assert float(rows[2][4]) == pytest.approx(0.5004024235381879, rel=1e-12)
 
 
-def test_entropy_depth_cap_exit_1(capsys, model_file):
-    code, _, err = run_cli(capsys, "entropy", "--model", model_file, "--n", "15")
-    assert code == 1 and "DepthCapExceeded" in err
+def test_entropy_depth_cap_exit_1(capsys, model_file, tmp_path):
+    # requests over the cost cap fail at once, naming the prediction and the cap
+    regime, four = tmp_path / "am3.json", tmp_path / "four.json"
+    regime.write_text(json.dumps(regime_to_dict(AM3)))
+    four.write_text(json.dumps(model_to_dict(FOUR)))
+    for argv in (["expand", "--regime", str(regime), "--order", "25"],
+                 ["bounds", "--model", str(four), "--n", "14"],
+                 ["entropy", "--model", model_file, "--n", "3,20"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "", argv
+        assert re.search(r"DepthCapExceeded: predicted cost \S+ exceeds the cap 6e\+07$", err), err
     # an empty window list fails alike in the three commands that take one
     for argv in (["entropy", "--model", model_file], ["bounds", "--model", model_file],
                  ["settle", "--regime", "am", "--mu", "3/5", "--k", "2"]):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmpseries import (
-    DEFAULT_DEPTH_CAP,
     EXACT,
     FLOAT64,
     DepthCapExceeded,
@@ -41,12 +40,14 @@ from hmpseries import (
     total_probability,
     validate_model,
 )
-from hmpseries import entropy
+from hmpseries import entropy, expansion
 from hmpseries.entropy import _domain, _new_cells
 from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_value
 
 from util import (
     AM3,
+    AM4,
+    FOUR,
     HS3,
     brute_finite_entropy,
     brute_increment,
@@ -290,29 +291,87 @@ def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
         assert walks[0] == count, request.__name__
 
 
-_BEYOND = DEFAULT_DEPTH_CAP + 1
-# each entry point with a window or jet one deeper than the cap
-_PAST_THE_CAP = {
-    "finite_entropy": lambda model, spec: finite_entropy(model, _BEYOND),
-    "conditional_increment": lambda model, spec: conditional_increment(model, _BEYOND),
-    "lower_bound": lambda model, spec: lower_bound(model, _BEYOND),
-    "entropy_report": lambda model, spec: entropy_report(model, _BEYOND),
-    "entropy_rate_bracket": lambda model, spec: entropy_rate_bracket(model, _BEYOND),
-    "total_probability": lambda model, spec: total_probability(model, _BEYOND),
-    "increment_jet": lambda model, spec: increment_jet(spec, _BEYOND, 2),
-    "probability_jet_total": lambda model, spec: probability_jet_total(spec, _BEYOND, 2),
-    "rate_series": lambda model, spec: rate_series(spec, 26),
-    "settling_check": lambda model, spec: settling_check(spec, 2, (3, _BEYOND)),
+# each entry point with a request over the cost cap: a 4-state model at n = 14,
+# or a 3-state regime at order 25, which walks to n = 14
+_OVER_THE_CAP = {
+    "finite_entropy": lambda: finite_entropy(FOUR, 14),
+    "conditional_increment": lambda: conditional_increment(FOUR, 14),
+    "lower_bound": lambda: lower_bound(FOUR, 14),
+    "entropy_report": lambda: entropy_report(FOUR, 14),
+    "entropy_rate_bracket": lambda: entropy_rate_bracket(FOUR, 14),
+    "total_probability": lambda: total_probability(FOUR, 14),
+    "increment_jet": lambda: increment_jet(AM3, 14, 25),
+    "probability_jet_total": lambda: probability_jet_total(AM3, 14, 25),
+    "rate_series": lambda: rate_series(AM3, 25),
+    "settling_check": lambda: settling_check(AM3, 25, (3, 14)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PAST_THE_CAP))
+@pytest.mark.parametrize("name", sorted(_OVER_THE_CAP))
 def test_depth_cap(walks, name):
-    assert DEFAULT_DEPTH_CAP == 14 and settling_threshold(26) == _BEYOND
-    spec = am_binary("3/5")
-    with pytest.raises(DepthCapExceeded, match=f"^depth {_BEYOND} exceeds the cap 14$"):
-        _PAST_THE_CAP[name](instantiate(spec, F(1, 10)), spec)
+    assert settling_threshold(25) == 14
+    with pytest.raises(DepthCapExceeded, match=r"^predicted cost \S+ exceeds the cap 6e\+07$"):
+        _OVER_THE_CAP[name]()
     assert walks[0] == 0
+
+
+def test_binary_exact_expansions_through_order_29_are_admitted(monkeypatch):
+    # the walk is replaced, so only the prediction runs: both anchors pass it
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(expansion, "_traverse", admitted)
+    for spec in (am_binary("3/5"), high_snr_binary("1/5")):
+        for order in range(26, 30):
+            with pytest.raises(Admitted):
+                rate_series(spec, order)
+
+
+# one walk each, with zero emissions (THREE_STATE, FOUR, the joint first symbol,
+# the noiseless sites of a high-SNR value) and zero perturbation entries in the
+# transitions (AM3, AM4) or emissions (HS3); no transition matrix itself has a
+# zero, since models and almost-memoryless sites are strictly positive
+_ONE_WALK = {
+    "scalar 2": (lambda: finite_entropy(QUICK, 6), 2, 2, 6),
+    "scalar 3": (lambda: finite_entropy(load_model(THREE_STATE), 5), 3, 3, 5),
+    "scalar 4": (lambda: finite_entropy(FOUR, 4), 4, 4, 4),
+    "joint 2": (lambda: lower_bound(QUICK, 6), 2, 4, 6),
+    "joint 3": (lambda: lower_bound(load_model(THREE_STATE), 5), 3, 9, 5),
+    "joint 4": (lambda: lower_bound(FOUR, 4), 4, 16, 4),
+    "jet 2": (lambda: increment_jet(high_snr_binary("1/5"), 6, 3), 2, 2, 6),
+    "jet 3": (lambda: increment_jet(HS3, 5, 3), 3, 3, 5),
+    "jet 4": (lambda: increment_jet(AM4, 4, 3), 4, 4, 4),
+    "per-site 2": (lambda: multisite_derivative(MultiSiteSpec(5, (1, 0, 0, 1, 1)),
+                                                am_binary("3/5")), 2, 2, 5),
+    "per-site 3": (lambda: multisite_derivative(MultiSiteSpec(4, (1, 0, 1, 0)), AM3), 3, 3, 4),
+    "per-site 4": (lambda: multisite_derivative(MultiSiteSpec(3, (1, 0, 1)), AM4), 4, 4, 3),
+    "per-site values 2": (lambda: multisite_value(high_snr_binary("1/5"), [0, "1/10", 0, 0, 0]),
+                          2, 2, 5),
+    "per-site values 3": (lambda: multisite_value(HS3, [0, "1/10", 0, "1/10"]), 3, 3, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_WALK))
+def test_predicted_nodes_bound_the_walk(walks, name):
+    request, s, width, n = _ONE_WALK[name]
+    request()
+    assert walks[0] == 1 and walks[1] <= entropy._nodes(s, width, n)
+
+
+@pytest.mark.parametrize("order, kvec", [(5, None), (None, (2, 0, 3)), (None, (1, 1, 1, 1)),
+                                         (None, (3, 3, 3))])
+def test_predicted_box_and_pairs_are_the_plans(order, kvec):
+    # _cost's closed form against _plan: its node term scales with the box, and
+    # a float leaf with the pairs plus one log, both 1 for a scalar
+    targets = (kvec,) if kvec else tuple((k,) for k in range(order + 1))
+    plan = entropy._plan(kvec or (order,), targets)
+    box, pairs = len(plan[0]), sum(len(p) for _, _, p in plan[1] + plan[2]) + 1
+    node, leaf = (entropy._cost(2, 3, record, FLOAT64) for record in (set(), {3}))
+    got = [entropy._cost(2, 3, record, FLOAT64, order=order, kvec=kvec) for record in (set(), {3})]
+    assert got == pytest.approx([node * box, node * box + (leaf - node) * pairs])
 
 
 @given(hmp_models(2))

@@ -12,15 +12,12 @@ from hypothesis import given, settings, strategies as st
 from hmpseries import (
     EXACT,
     FLOAT64,
-    SITE_CAP,
-    WEIGHT_CAP,
     FloatBackend,
     HighSnr,
     LogLinearValue,
     MultiSiteSpec,
     PerturbationMatrix,
     StochasticMatrix,
-    WeightCapExceeded,
     am_binary,
     conditional_increment,
     entropy_rate_bracket,
@@ -129,15 +126,15 @@ def test_entry_product_matches_the_dict_product(data):
 # Mixed derivatives
 # ---------------------------------------------------------------------------
 
-def test_weight_and_site_caps():
-    spec = am_binary(F(3, 5))
-    with pytest.raises(WeightCapExceeded):
-        multisite_derivative(MultiSiteSpec(3, (2, 2, 1)), spec)
-    with pytest.raises(WeightCapExceeded):
-        multisite_derivative(MultiSiteSpec(7, (1, 0, 0, 0, 0, 0, 0)), spec)
-    assert (WEIGHT_CAP, SITE_CAP) == (4, 6)
-    with pytest.raises(WeightCapExceeded, match=f"^window length {SITE_CAP + 1} exceeds cap 6$"):
-        multisite_value(spec, ["1/10"] * (SITE_CAP + 1))
+def test_requests_past_the_old_weight_and_site_caps_match_the_oracle():
+    # weight 5 and 6, 7 and 8 sites and 9 site values: admitted by their
+    # predicted cost, on both anchors
+    v = F(1, 10)
+    for spec in (high_snr_binary(F(1, 5)), am_binary(F(3, 5))):
+        for kvec in ((2, 2, 1), (2, 1, 1, 2), (1, 0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0, 1, 1)):
+            got = multisite_derivative(MultiSiteSpec(len(kvec), kvec), spec)
+            assert got == brute_multisite_derivative(spec, kvec), (spec, kvec)
+        assert multisite_value(spec, [v] * 9) == conditional_increment(instantiate(spec, v), 9)
 
 
 def test_zeroth_derivative_is_the_window_increment():

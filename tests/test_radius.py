@@ -157,13 +157,18 @@ def test_bounds_scan_schema_and_gating():
         bounds_scan(spec, [F(1, 4)], [-1, 5])
 
 
-@pytest.mark.parametrize("depth, error, message", [
-    (1, ValueError, "needs n >= 2"),
-    (20, DepthCapExceeded, "exceeds the cap"),
-    (2.5, TypeError, "cannot be interpreted as an integer"),
+@pytest.mark.parametrize("depth, orders, error, message", [
+    pytest.param(1, [9], ValueError, "needs n >= 2", id="1-ValueError-needs n >= 2"),
+    # ten float64 brackets at n = 20, about 14 s each on a 2-core x86 machine
+    pytest.param(20, [9], DepthCapExceeded, "exceeds the cap",
+                 id="20-DepthCapExceeded-exceeds the cap"),
+    pytest.param(2.5, [9], TypeError, "cannot be interpreted as an integer",
+                 id="2.5-TypeError-cannot be interpreted as an integer"),
+    pytest.param(24, [9], DepthCapExceeded, "exceeds the cap", id="over-budget bound_depth"),
+    pytest.param(2, [45], DepthCapExceeded, "exceeds the cap", id="over-budget table order"),
 ])
 def test_bounds_scan_checks_bound_depth_before_building_the_table(
-        monkeypatch, depth, error, message):
+        monkeypatch, depth, orders, error, message):
     built = []
 
     def recording(*args, **kwargs):
@@ -172,7 +177,8 @@ def test_bounds_scan_checks_bound_depth_before_building_the_table(
 
     monkeypatch.setattr(radius, "rate_series", recording)
     with pytest.raises(error, match=message):
-        bounds_scan(am_binary(F(3, 5)), [F(1, 10)], [9], bound_depth=depth)
+        bounds_scan(am_binary(F(3, 5)), rational_grid(F(1, 100), F(1, 10), 10), orders,
+                    bound_depth=depth)
     assert built == []
 
 

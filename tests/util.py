@@ -22,6 +22,7 @@ from hmpseries import (
     TruncatedSeries,
     entropy_accumulate,
     stationary_distribution,
+    validate_model,
 )
 
 # 3-state regimes with entries over 12
@@ -35,6 +36,14 @@ AM3 = AlmostMemoryless(
                       ("1/6", "1/6", "2/3"))),
     PerturbationMatrix(((1, 0, -1), (1, -2, 1), (0, -2, 2))),
 )
+# a 4-state model and regime whose emissions each miss two symbols
+R4 = StochasticMatrix((("1/2", "1/2", 0, 0), (0, "1/2", "1/2", 0), (0, 0, "1/2", "1/2"),
+                       ("1/2", 0, 0, "1/2")))
+M4 = StochasticMatrix((("1/4", "1/4", "1/4", "1/4"), ("1/2", "1/6", "1/6", "1/6"),
+                       ("1/10", "2/5", "1/4", "1/4"), ("1/3", "1/3", "1/6", "1/6")))
+FOUR = validate_model(M4, R4)
+AM4 = AlmostMemoryless(R4, PerturbationMatrix(((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1),
+                                               (-1, 0, 0, 1))))
 
 
 def word_probability(model: HmpModel, ys) -> Fraction:
