@@ -74,18 +74,25 @@ def _nodes(s, width, d):
 
 def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
     """A walk's predicted cost, in about microseconds of a cold run on a 2-core x86
-    machine: per node s(s+1) products of box-wide lists, per leaf of a recorded
-    depth _plan's pairs (in closed form) and a log and, if exact, one cell,
-    weighted to also hold peak memory near 0.5 GB at COST_CAP."""
+    machine, or inf if too large for a float: per node s(s+1) products of
+    box-wide lists, per leaf of a recorded depth _plan's pairs (in closed form)
+    and a log and, if exact, one cell, weighted to also hold peak memory near
+    0.5 GB at COST_CAP.  On bigfloat, mpmath's arithmetic weighs the float terms
+    by 20 + bits/32, and its log adds 10 + 2700 (bits/4096)^3 per leaf."""
     if kvec is not None:
         box = math.prod(k + 1 for k in kvec)
         pairs = math.prod((k + 1) * (k + 2) // 2 for k in kvec) - box + 1
     else:
         box, pairs = (order or 0) + 1, (order or 0) ** 2 + 1
+    bits = getattr(backend, "bits", None)
     width = s * s if joint else s
-    leaves = sum(_nodes(s, width, d) - _nodes(s, width, d - 1) for d in record)
-    return (0.3 * _nodes(s, width, n) * s * (s + 1) * box
-            + (0.12 * pairs + (0.25 * pairs + 20) * backend.is_exact) * leaves)
+    try:
+        w, log = (1, 0) if bits is None else (20 + bits / 32, 10 + 2700 * (bits / 4096) ** 3)
+        leaves = sum(_nodes(s, width, d) - _nodes(s, width, d - 1) for d in record)
+        return (w * 0.3 * _nodes(s, width, n) * s * (s + 1) * box
+                + (w * 0.12 * pairs + log + (0.25 * pairs + 20) * backend.is_exact) * leaves)
+    except OverflowError:
+        return math.inf
 
 
 def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):

@@ -199,7 +199,11 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
         fs = [float(v) for v in values]
         settled = tuple(abs(f - fs[-1]) <= max(1e-10 * max(abs(f), abs(fs[-1])), 1e-14)
                         for f in fs)
-    onset = next((n for i, n in enumerate(ns) if all(settled[i:])), None)
+    onset = None
+    for i in range(len(ns)):
+        if all(settled[i:]):
+            onset = ns[i]
+            break
     threshold = settling_threshold(k)
     if onset is not None and onset <= threshold:
         verdict = f"settled at N={onset} (theorem threshold {threshold})"

@@ -50,10 +50,6 @@ class MultiSiteSpec:
         if any(k < 0 for k in self.kvec):
             raise ValueError("derivative orders must be nonnegative")
 
-    @property
-    def weight(self) -> int:
-        return sum(self.kvec)
-
 
 def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     """F_n^{kvec}: the mixed partial derivative of H_n - H_{n-1} at 0.

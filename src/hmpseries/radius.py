@@ -244,7 +244,12 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         gf = float(g)
         for k in orders:
             ps = table.partial_sum(gf, k)
-            direction = (ps > up + _SCAN_TOL) - (ps < lo - _SCAN_TOL)
+            if ps > up + _SCAN_TOL:
+                direction = 1
+            elif ps < lo - _SCAN_TOL:
+                direction = -1
+            else:
+                direction = 0
             rows.append(ScanRow(gf, k, ps, lo, up, direction == 0, direction))
     return BoundsScan(regime_kind(spec), orders, bound_depth, tuple(rows))
 

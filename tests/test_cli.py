@@ -91,18 +91,25 @@ def test_entropy_exact_renders(capsys, model_file):
     assert float(rows[2][4]) == pytest.approx(0.5004024235381879, rel=1e-12)
 
 
-def test_entropy_depth_cap_exit_1(capsys, model_file, tmp_path):
-    # requests over the cost cap fail at once, naming the prediction and the cap
+def test_entropy_depth_cap_exit_1(capsys, model_file, tmp_path, walks):
+    # requests over the cost cap fail at once, before any walk, naming the
+    # prediction and the cap: bigfloat is priced above float64, and a window or
+    # order too large for a float is predicted as inf
     regime, four = tmp_path / "am3.json", tmp_path / "four.json"
     regime.write_text(json.dumps(regime_to_dict(AM3)))
     four.write_text(json.dumps(model_to_dict(FOUR)))
+    huge = "1" + "0" * 400
     for argv in (["expand", "--regime", str(regime), "--order", "25"],
                  ["bounds", "--model", str(four), "--n", "14"],
-                 ["entropy", "--model", model_file, "--n", "3,20"]):
+                 ["entropy", "--model", model_file, "--n", "3,20"],
+                 ["bounds", "--backend", "bigfloat:128", "--model", model_file, "--n", "22"],
+                 ["entropy", "--model", model_file, "--n", huge],
+                 ["expand", "--regime", "am", "--mu", "3/5", "--order", huge],
+                 ["bounds", "--backend", "bigfloat:" + huge, "--model", model_file, "--n", "2"]):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
-        assert code == 1 and out == "", argv
+        assert code == 1 and out == "" and walks[0] == 0, argv
         assert re.search(r"DepthCapExceeded: predicted cost \S+ exceeds the cap 6e\+07$", err), err
     # an empty window list fails alike in the three commands that take one
     for argv in (["entropy", "--model", model_file], ["bounds", "--model", model_file],
@@ -113,9 +120,9 @@ def test_entropy_depth_cap_exit_1(capsys, model_file, tmp_path):
 
 
 def test_caps_and_tolerances_are_not_options(capsys, model_file):
-    # the depth, weight and site caps and the float tolerances are module
-    # constants: no public function or constructor takes one as a parameter
-    knobs = {"depth_cap", "weight_cap", "site_cap", "rel_tol", "tolerance", "strict",
+    # the cost cap and the float tolerances are module constants: no public
+    # function or constructor takes one as a parameter
+    knobs = {"cost_cap", "depth_cap", "weight_cap", "site_cap", "rel_tol", "tolerance", "strict",
              "with_steps"}
     public = [getattr(hmpseries, name) for name in dir(hmpseries) if not name.startswith("_")]
     public = [obj for obj in public  # exception classes have no Python signature

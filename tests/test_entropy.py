@@ -330,6 +330,33 @@ def test_binary_exact_expansions_through_order_29_are_admitted(monkeypatch):
                 rate_series(spec, order)
 
 
+def test_bigfloat_is_priced_by_its_bits(monkeypatch, walks):
+    # mpmath's products and logs cost more than hardware floats', and more at
+    # more bits: a bigfloat:128 bracket runs to n = 17 and is refused at n = 18,
+    # where a float64 one runs, and bigfloat:4096 is refused at n = 13
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(entropy, "_traverse", admitted)
+    for n, backend, verdict in ((18, FLOAT64, Admitted), (17, FloatBackend(128), Admitted),
+                                (18, FloatBackend(128), DepthCapExceeded),
+                                (12, FloatBackend(4096), Admitted),
+                                (13, FloatBackend(4096), DepthCapExceeded)):
+        with pytest.raises(verdict):
+            entropy_rate_bracket(QUICK, n, backend)
+    costs = [entropy._cost(2, 16, {15, 16}, b) for b in (FLOAT64, FloatBackend(128),
+                                                          FloatBackend(512), FloatBackend(4096))]
+    assert costs == sorted(costs) and costs[1] > 20 * costs[0]
+    # a cost too large for a float is inf, not an OverflowError
+    assert entropy._cost(2, 10**400, {10**400}, FLOAT64) == math.inf
+    assert entropy._cost(2, 3, {3}, FloatBackend(10**400)) == math.inf
+    assert entropy._cost(2, 3, {3}, EXACT, kvec=(10**400, 0, 0)) == math.inf
+    assert walks[0] == 0
+
+
 # one walk each, with zero emissions (THREE_STATE, FOUR, the joint first symbol,
 # the noiseless sites of a high-SNR value) and zero perturbation entries in the
 # transitions (AM3, AM4) or emissions (HS3); no transition matrix itself has a

@@ -325,7 +325,6 @@ def test_multisite_spec_validation():
         MultiSiteSpec(2, (1, 0, 0))
     with pytest.raises(ValueError):
         MultiSiteSpec(2, (1, -1))
-    assert MultiSiteSpec(3, (1, 2, 0)).weight == 3
 
 
 # ---------------------------------------------------------------------------
