@@ -5,19 +5,25 @@ tree.  The state carried down the tree is the row vector
 beta_d(j) = P([Y]_1^d, X_{d+1} = j); extending by a symbol y multiplies by
 the emission column for y (giving the pre-transition vector gamma, whose sum
 is the sequence probability) and then by the transition matrix.  Starting
-from beta_0 = pi is valid uniformly because pi M = pi.  Subtrees with
-identically zero probability are pruned, which is exactly the 0*log(0)
+from beta_0 = pi is valid uniformly because pi M = pi.  Leaves with
+identically zero probability add nothing (the depth-first walk prunes their
+subtrees, the level-wise one skips them), which is exactly the 0*log(0)
 convention.
 
 The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
 and per-site polynomials alike (_domain picks one).  A jet of order K is the
-one-variable polynomial with cap K.  Scalars walk as plain numbers; jets and
-per-site polynomials walk as _Dense coefficient lists in the layout of a
-plan built once per caps and targets (_plan).  Both kernels run one
-recurrence for log p over the plan; a scalar takes one log or one integer
-addition.  _traverse drives both, and each finish gives a list of
-per-target values.
+one-variable polynomial with cap K.  Jets and per-site polynomials are
+coefficient lists in the layout of a plan built once per caps and targets
+(_plan).  Both kernels run one recurrence for log p over the plan; a scalar
+takes one log or one integer addition.  _traverse drives both, and each
+finish gives a list of per-target values.
+
+A walk starts at _walk.  The float kernel's walk recurses depth first, with
+scalars as plain numbers and coefficient lists as _Dense.  The exact one
+goes level by level (_level_walk), each coefficient of a level one integer
+with every node in a slot (_slot_bits), and its kernel runs once per
+distinct leaf of a recorded depth, times the leaf's multiplicity.
 
 Every walk is described once, as an exact source (_tables): a coefficient
 list per state and a table (A, B, i), the matrix A + x_i*B in rationals,
@@ -43,6 +49,8 @@ lower_bound record only what they report.  No walk starts over COST_CAP (_cost).
 from __future__ import annotations
 
 import math
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,7 +104,12 @@ def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
 
 
 def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
-    """One traversal layer; emit/trans column tables are indexed by depth."""
+    """One traversal layer, depth first; emit/trans column tables are indexed
+    by depth.  Every walk starts here at depth 0, where bench/tracer.py and
+    the tests count walks, and an exact one goes on level by level
+    (_level_walk)."""
+    if depth == 0 and isinstance(domain, _JetExactDomain):
+        return _level_walk(beta, emit_cols_at, trans_cols_at, n, sums, domain)
     cols = emit_cols_at[depth]
     last = depth + 1 == n
     acc = sums.get(depth + 1)
@@ -118,6 +131,108 @@ def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
                     t = t + gj * mj
                 nxt.append(t)
             _walk(nxt, emit_cols_at, trans_cols_at, depth + 1, n, sums, domain)
+
+
+def _slot_bits(start, emit_at, trans_at, n):
+    """Bits of a signed slot, a multiple of 8, that holds every coefficient of
+    every node to depth n of an integer walk (_integer_tables).
+
+    A node's coefficients sum in absolute value to at most the start lists',
+    times per depth the largest |a| + |b| of an emission entry and, before
+    the last, the largest sum of |a| + |b| along a row of the transition
+    table; truncation only drops terms.  A scalar entry x counts as (x, 0).
+    """
+    def size(x):
+        return abs(x) if type(x) is int else abs(x[0]) + abs(x[1])
+
+    bound = sum(abs(c) for coeffs in start for c in coeffs)
+    for depth in range(n):
+        bound *= max(size(x) for col in emit_at[depth] for x in col)
+        if depth + 1 < n:
+            bound *= max(map(sum, zip(*([size(x) for x in tc] for tc in trans_at[depth]))))
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def _dot(xs, entries, box):
+    """Sum_j xs_j * entries_j over packed coefficient lists; an entry (a, b,
+    shift) is the factor a + b*x_i, shift the plan's pairs (e, e + 1_i), and
+    an entry of a scalar walk is an integer."""
+    out = [0] * box
+    for x, entry in zip(xs, entries):
+        a, b, shift = (entry, 0, ()) if type(entry) is int else entry
+        if a:
+            out = [o + c * a for o, c in zip(out, x)]
+        if b:
+            for e, f in shift:
+                out[f] += x[e] * b
+    return out
+
+
+def _concat(blocks, shift):
+    """The packed lists of blocks, one level's children per symbol, as one
+    packed list: block y's nodes move up by y * shift bits."""
+    out = blocks[-1]
+    for block in reversed(blocks[:-1]):
+        out = [(hi << shift) + lo for hi, lo in zip(out, block)]
+    return out
+
+
+def _leaves(packed, count, bits):
+    """(coefficient list, multiplicity) of each distinct nonzero leaf among
+    the count nodes of a packed list.
+
+    Each node becomes one row of bytes, its slots in position order with
+    2^(bits-1) added to each, so that a signed slot reads as an unsigned
+    one; the rows are counted 2^16 nodes at a time.
+    """
+    size, box = bits // 8, len(packed)
+    half, zero = 1 << (bits - 1), (bytes(size - 1) + b"\x80") * box  # zero: a zero leaf's row
+    offset = int.from_bytes(zero[:size] * count, "little")
+    rows = bytearray(size * box * count)
+    while packed:  # each position's integer is freed once it is read
+        e = len(packed) - 1
+        buf = (packed.pop() + offset).to_bytes(size * count, "little")
+        for b in range(size):  # byte b of slot e of every node
+            rows[e * size + b::size * box] = buf[b::size]
+    step, view = size * box << 16, memoryview(rows)
+    for lo in range(0, len(rows), step):
+        chunk = struct.iter_unpack(f"{size * box}s", view[lo:lo + step])
+        for row, m in Counter([row for (row,) in chunk]).items():
+            if row != zero:
+                yield [int.from_bytes(row[i:i + size], "little") - half
+                       for i in range(0, size * box, size)], m
+
+
+def _level_walk(start, emit_at, trans_at, n, sums, domain):
+    """The exact walk, breadth first on packed integers.
+
+    A level holds, per state and coefficient position, one integer with
+    every node of the level in a signed slot of _slot_bits bits, node k at
+    bit k * bits.  A table entry a + b*x_i costs two big-integer products
+    and one add per level, and the children of symbol y take the block of
+    slots above those of y - 1.  At a recorded depth the leaves are read
+    once, and the kernel runs once per distinct nonzero leaf with its
+    multiplicity (_leaves).
+    """
+    plan = domain.plan
+    box = len(plan[0]) if plan else 1
+    level, width = [list(c) if plan else [c] for c in start], 1
+    bits = _slot_bits(level, emit_at, trans_at, n)
+    for depth in range(n):
+        cols, acc = emit_at[depth], sums.get(depth + 1)
+        tcols = trans_at[depth] if depth + 1 < n else ()
+        leaves, blocks = [], []
+        for col in cols:
+            gamma = [_dot((x,), (entry,), box) for x, entry in zip(level, col)]
+            if acc is not None:
+                leaves.append([sum(c) for c in zip(*gamma)])
+            blocks.append([_dot(gamma, tc, box) for tc in tcols])
+        shift, width = width * bits, width * len(cols)
+        level = [_concat(states, shift) for states in zip(*blocks)]  # none below depth n
+        leaves = _leaves(_concat(leaves, shift), width, bits) if acc is not None else ()
+        del gamma, blocks  # freed before the kernel's cells grow
+        for p, m in leaves:
+            domain.add_term(acc, p if plan else p[0], m)
 
 
 def _new_cells(q_primes):
@@ -242,7 +357,8 @@ class _JetExactDomain:
         start, emit_at, trans_at, primes_at = _integer_tables(source, self.plan, record)
         return start, emit_at, trans_at, {d: _new_cells(primes_at[d]) for d in record}
 
-    def add_term(self, acc, p):
+    def add_term(self, acc, p, m=1):
+        """Adds the leaf p, m times, to the cell of its N_0."""
         plan = self.plan
         n0 = p[0] if plan else p
         if n0 <= 0:
@@ -252,7 +368,7 @@ class _JetExactDomain:
         if cell is None:
             cell = acc[2][n0] = [0] * (2 * len(self.weights))
         if plan is None:
-            cell[0] += n0
+            cell[0] += m * n0
             return
         weight, box, tops, _ = plan
         pw = [1]
@@ -270,13 +386,13 @@ class _JetExactDomain:
             b[e], lam[e] = v, v * (lcm // w)  # lam_e = lcm N_0^|e| W_e
         top = len(tops)
         for i, (t, _, pairs) in enumerate(tops):
-            cell[i] += p[t]
+            cell[i] += m * p[t]
             num = 0
             for g, h in pairs:
                 tg = tail[g]
                 if tg:
                     num += tg * lam[h]
-            cell[top + i] += n0 * num
+            cell[top + i] += m * n0 * num
 
     def finish(self, acc):
         return _finish_cells(acc, self.lcm, self.weights)

@@ -8,11 +8,12 @@ U + delta*T and the start is the exact stationary jet of U + delta*T.
 
 The leaf kernels are the entropy module's, one per backend, with every
 order of the jet as a target; each maps the source to its own tables.  On
-the exact backend the jets walk with integer coefficients over one
-denominator per depth, and _JetExactDomain evaluates -p log p with an
-all-integer log recurrence, summed per distinct constant term, so each
-depth takes one log per distinct N_0; _JetFloatDomain runs the same
-recurrence in floats.  Each finishes a depth as a list of per-order values,
+the exact backend the jets walk level by level, each coefficient of a level
+one packed integer over one denominator per depth, and _JetExactDomain
+evaluates -p log p with an all-integer log recurrence once per distinct
+leaf jet, summed per distinct constant term, so each depth takes one log
+per distinct N_0; _JetFloatDomain runs the same recurrence in floats, leaf
+by leaf.  Each finishes a depth as a list of per-order values,
 wrapped here in a TruncatedSeries.  The multisite module walks the same
 regime source with one variable per site.
 

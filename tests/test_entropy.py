@@ -2,8 +2,10 @@
 
 import inspect
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -12,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 from hmpseries import (
     EXACT,
     FLOAT64,
+    AlmostMemoryless,
     DepthCapExceeded,
     FloatBackend,
+    HighSnr,
     LogLinearValue,
+    NonpositiveConstantTerm,
     StochasticMatrix,
     am_binary,
     binary_symmetric_chain,
@@ -51,10 +56,14 @@ from util import (
     HS3,
     brute_finite_entropy,
     brute_increment,
+    brute_increment_jet,
     brute_lower_bound,
+    emission_perturbations,
     hmp_models,
     ll_close,
+    stochastic_rows,
     word_probability,
+    zero_sum_perturbations,
 )
 
 F = Fraction
@@ -573,3 +582,100 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared):
             at = {"emits": 1, "transs": 2}[shared]
             for tables in (prepared[at], fprepared[at]):
                 assert len(tables) > 1 and len({id(t) for t in tables}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The packed level-wise walk of the exact kernel
+# ---------------------------------------------------------------------------
+
+def _recursive(start, emit_at, trans_at, n, sums, domain):
+    """The recursive _walk on the integer tables of an exact walk: _walk goes
+    depth first for any kernel but the exact one, so it gets its add_term."""
+    entropy._walk(start, emit_at, trans_at, 0, n, sums, SimpleNamespace(add_term=domain.add_term))
+
+
+# exact requests with zero emissions (THREE_STATE, FOUR, the joint first symbol
+# of every report), zero perturbation entries (AM3, AM4, HS3), 3 and 4 symbols,
+# and am jets, whose T has negative entries
+_PACKED = {
+    "scalar 2": lambda: entropy_report(QUICK, 7),
+    "scalar 3": lambda: entropy_report(load_model(THREE_STATE), 5),
+    "scalar 4": lambda: entropy_report(FOUR, 4),
+    "jet am 2": lambda: rate_series(am_binary("3/5"), 11).values,
+    "jet high-snr 2": lambda: rate_series(high_snr_binary("1/5"), 9).values,
+    "jet am 3": lambda: increment_jet(AM3, 5, 4),
+    "jet high-snr 3": lambda: increment_jet(HS3, 5, 3),
+    "jet am 4": lambda: increment_jet(AM4, 4, 3),
+    "per-site am 2": lambda: multisite_derivative(MultiSiteSpec(5, (1, 0, 2, 0, 1)),
+                                                  am_binary("3/5")),
+    "per-site am 3": lambda: multisite_derivative(MultiSiteSpec(4, (1, 0, 1, 0)), AM3),
+    "per-site values high-snr 3": lambda: multisite_value(HS3, [0, "1/10", 0, "1/10"]),
+    "totals": lambda: (total_probability(FOUR, 4), probability_jet_total(AM3, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PACKED))
+def test_packed_walk_matches_the_recursive_walk(monkeypatch, name):
+    packed = _PACKED[name]()
+    monkeypatch.setattr(entropy, "_level_walk", _recursive)
+    assert packed == _PACKED[name]()
+
+
+def test_packed_walk_matches_enumeration_on_three_and_four_symbols():
+    for model in (load_model(THREE_STATE), FOUR):
+        for n in (2, 3):
+            assert finite_entropy(model, n) == brute_finite_entropy(model, n)
+            assert lower_bound(model, n) == brute_lower_bound(model, n)
+    for spec, n, order in ((AM3, 3, 3), (HS3, 3, 3), (AM4, 3, 2)):
+        assert increment_jet(spec, n, order) == brute_increment_jet(spec, n, order)
+
+
+@st.composite
+def _large_regimes(draw):
+    # entries of up to 10^6 over denominators of up to 2 * 10^6 (3 * 10^6 for
+    # 3 symbols), and perturbations of either sign
+    s, big = draw(st.sampled_from([2, 3])), 10**6
+    if draw(st.booleans()):
+        return AlmostMemoryless(draw(stochastic_rows(s, big)), draw(zero_sum_perturbations(s, big)))
+    return HighSnr(draw(stochastic_rows(s, big)), draw(emission_perturbations(s, big)))
+
+
+@given(_large_regimes(), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_no_slot_overflows(spec, n, data):
+    # the packed walk reads the recursive walk's leaves back, with their
+    # multiplicities, and _slot_bits bounds every coefficient of them
+    if data.draw(st.booleans()):
+        kvec = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                        min_size=n, max_size=n)))
+        plan, sites, cap = _domain(EXACT, kvec=kvec).plan, range(n), kvec[0]
+    else:
+        cap = data.draw(st.integers(min_value=0, max_value=4))
+        plan, sites = _domain(EXACT, cap).plan, [0] * n
+    record = set(range(1, n + 1))
+    source = expansion._regime_source(spec, n, sites, cap)
+    start, emit_at, trans_at, _ = entropy._integer_tables(source, plan, record)
+    leaves = []
+    for walk in (entropy._level_walk, _recursive):
+        sums = {d: Counter() for d in record}
+        walk(start, emit_at, trans_at, n, sums,
+             SimpleNamespace(plan=plan, add_term=lambda acc, p, m=1: acc.update({tuple(p): m})))
+        leaves.append(sums)
+    assert leaves[0] == leaves[1]
+    bits = entropy._slot_bits(start, emit_at, trans_at, n)
+    assert bits % 8 == 0
+    assert all(abs(c) < 2 ** (bits - 1) for sums in leaves[1].values() for p in sums for c in p)
+
+
+def test_a_leaf_with_zero_constant_term_is_refused():
+    # symbol 1 has probability x at every state, so its leaves have a zero
+    # constant term but a nonzero jet; a zero leaf would be pruned instead
+    half = F(1, 2)
+    emit = ([[1, 0], [1, 0]], [[-1, 1], [-1, 1]], 0)
+    source = [[half], [half]], [emit] * 2, [([[half, half], [half, half]], None, 0)]
+    for walk in (entropy._level_walk, _recursive):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(entropy, "_level_walk", walk)
+            with pytest.raises(NonpositiveConstantTerm,
+                               match=r"^sequence probability has constant term 0$"):
+                entropy._traverse(source, 2, {1, 2}, _domain(EXACT, 2))

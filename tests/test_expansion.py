@@ -98,6 +98,24 @@ def test_exact_jets_take_one_log_per_distinct_constant_term(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("order, runs", [(13, 108), (21, 1580)])
+def test_the_exact_kernel_runs_once_per_distinct_leaf(monkeypatch, order, runs):
+    # the 128 + 256 leaves of the recorded depths at order 13, and 2,048 +
+    # 4,096 at order 21, carry 108 and 1,580 distinct jets, counted per depth
+    calls = []
+    add_term = entropy._JetExactDomain.add_term
+
+    def counting(self, acc, p, m=1):
+        calls.append(m)
+        return add_term(self, acc, p, m)
+
+    monkeypatch.setattr(entropy._JetExactDomain, "add_term", counting)
+    table = rate_series(am_binary(F(3, 5)), order)
+    assert len(calls) == runs and sum(calls) == 3 * 2 ** (settling_threshold(order) - 1)
+    if order <= 13:
+        assert table.values == am_binary_reference_series(F(3, 5), order).values
+
+
 def test_reference_series_degenerate_channel():
     table = am_binary_reference_series(0, 13)
     assert table.values[0] == LOG2

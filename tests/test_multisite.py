@@ -382,6 +382,33 @@ def test_exact_kernel_matches_the_log1p_series(data):
     assert domain.finish(acc) == [expect]
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_kernel_weighs_repeated_leaves(data):
+    # a leaf added with multiplicity m fills its cell as m single additions
+    # do, and the values match m times the log1p series oracle's term
+    kvec = tuple(data.draw(_small_kvecs()))
+    q = data.draw(st.integers(min_value=1, max_value=10**4))
+    box = _layout(kvec)
+    coeff = st.integers(min_value=-10**4, max_value=10**4)
+    domain = _domain(EXACT, kvec=kvec)
+    folded, single = _new_cells(factor_positive(q)), _new_cells(factor_positive(q))
+    expect = ZERO
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        terms = {e: data.draw(coeff) for e in box}
+        terms[box[0]] = data.draw(st.integers(min_value=1, max_value=10**4))
+        leaf, m = [terms[e] for e in box], data.draw(st.integers(min_value=1, max_value=5))
+        domain.add_term(folded, leaf, m)
+        for _ in range(m):
+            domain.add_term(single, leaf)
+        p = {e: F(c, q) for e, c in terms.items()}
+        c0 = p[box[0]]
+        expect = (expect - (LogLinearValue.log_of(c0) * p[kvec]
+                            + _poly_mul(p, log1p_part(p, c0, kvec), kvec).get(kvec, 0)) * m)
+    assert folded[2] == single[2]
+    assert domain.finish(folded) == [expect]
+
+
 def _mp(value):
     """A LogLinearValue as an mpmath number at the working precision."""
     out = mpmath.mpf(value.rat.numerator) / value.rat.denominator
