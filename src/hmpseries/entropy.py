@@ -6,9 +6,8 @@ beta_d(j) = P([Y]_1^d, X_{d+1} = j); extending by a symbol y multiplies by
 the emission column for y (giving the pre-transition vector gamma, whose sum
 is the sequence probability) and then by the transition matrix.  Starting
 from beta_0 = pi is valid uniformly because pi M = pi.  Leaves with
-identically zero probability add nothing (the depth-first walk prunes their
-subtrees, the level-wise one skips them), which is exactly the 0*log(0)
-convention.
+identically zero probability add nothing (the walk skips them, and their
+subtrees stay zero), which is exactly the 0*log(0) convention.
 
 The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
@@ -19,26 +18,27 @@ coefficient lists in the layout of a plan built once per caps and targets
 takes one log or one integer addition.  _traverse drives both, and each
 finish gives a list of per-target values.
 
-A walk starts at _walk.  The float kernel's walk recurses depth first, with
-scalars as plain numbers and coefficient lists as _Dense.  The exact one
-goes level by level (_level_walk), each coefficient of a level one integer
-with every node in a slot (_slot_bits), and its kernel runs once per
-distinct leaf of a recorded depth, times the leaf's multiplicity.
+Every walk is described once, as an exact source: a coefficient list per
+state and a table (A, B, i), the matrix A + x_i*B in rationals, per depth
+and per step.  _integer_tables maps it once, for every backend, straight to
+integers: each kind of table scaled by one lcm, D_start, D_R or D_M, so a
+node at depth d carries integer numerators over
+Q_d = D_start * D_R^d * D_M^(d-1).  _walk walks those tables level by
+level, each coefficient of a level one integer with every node in a slot
+(_slot_bits), and the kernel runs once per distinct leaf of a recorded
+depth, times the leaf's multiplicity.
 
-Every walk is described once, as an exact source (_tables): a coefficient
-list per state and a table (A, B, i), the matrix A + x_i*B in rationals,
-per depth and per step.  Each kernel's prepare maps it once, by its own
-plan: the float kernel with the backend's scalar, the exact one straight to
-integers (_integer_tables), each kind of table scaled by one lcm, D_start,
-D_R or D_M, so a node at depth d carries integer numerators over
-Q_d = D_start * D_R^d * D_M^(d-1).  The exact kernel keeps one accumulator
-per depth (_new_cells), with one cell of integer sums per distinct constant
-term N_0 of a leaf, and one finish (_finish_cells): one log(N_0 / Q_d) per
-distinct N_0, and the integer log sums go over Q_d into the value.  No N_0
-is fully factored: the primes of Q_d leave it by trial division and
-loglinear's splitter takes the rest, so a large cofactor it cannot split
-stays one composite log base.  The probability totals read sum N_t / Q_d
-from the cells instead (_cell_totals).
+The exact kernel keeps one accumulator per depth (_new_cells), with one
+cell of integer sums per distinct constant term N_0 of a leaf, and one
+finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
+integer log sums go over Q_d into the value.  No N_0 is fully factored:
+the primes of Q_d, from the three scales factored once (factor_positive),
+leave it by trial division and loglinear's splitter takes the rest, so a
+large cofactor it cannot split stays one composite log base.  The
+probability totals read sum N_t / Q_d from the cells instead
+(_cell_totals).  The float kernel reads each leaf by dividing its
+integers, with Q_d in closed form, so it factors nothing and never imports
+sympy.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
-from operator import add, index
+from operator import index, truediv
 
 from .backends import EXACT, FLOAT64, _log_sum
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
@@ -63,6 +63,7 @@ from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel, _matmul
 
 COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
+_BLOCK = 1 << 16  # leaves counted, and float terms kept, at a time
 
 
 def _check_depth(n: int, lower_from=None, cost=0):
@@ -101,36 +102,6 @@ def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
                 + (w * 0.12 * pairs + log + (0.25 * pairs + 20) * backend.is_exact) * leaves)
     except OverflowError:
         return math.inf
-
-
-def _walk(beta, emit_cols_at, trans_cols_at, depth, n, sums, domain):
-    """One traversal layer, depth first; emit/trans column tables are indexed
-    by depth.  Every walk starts here at depth 0, where bench/tracer.py and
-    the tests count walks, and an exact one goes on level by level
-    (_level_walk)."""
-    if depth == 0 and isinstance(domain, _JetExactDomain):
-        return _level_walk(beta, emit_cols_at, trans_cols_at, n, sums, domain)
-    cols = emit_cols_at[depth]
-    last = depth + 1 == n
-    acc = sums.get(depth + 1)
-    tcols = None if last else trans_cols_at[depth]
-    for col in cols:
-        gamma = [bj * cj for bj, cj in zip(beta, col)]
-        p = gamma[0]
-        for g in gamma[1:]:
-            p = p + g
-        if not p:
-            continue
-        if acc is not None:
-            domain.add_term(acc, p)
-        if not last:
-            nxt = []
-            for tc in tcols:
-                t = gamma[0] * tc[0]
-                for gj, mj in zip(gamma[1:], tc[1:]):
-                    t = t + gj * mj
-                nxt.append(t)
-            _walk(nxt, emit_cols_at, trans_cols_at, depth + 1, n, sums, domain)
 
 
 def _slot_bits(start, emit_at, trans_at, n):
@@ -183,7 +154,7 @@ def _leaves(packed, count, bits):
 
     Each node becomes one row of bytes, its slots in position order with
     2^(bits-1) added to each, so that a signed slot reads as an unsigned
-    one; the rows are counted 2^16 nodes at a time.
+    one; the rows are counted _BLOCK nodes at a time.
     """
     size, box = bits // 8, len(packed)
     half, zero = 1 << (bits - 1), (bytes(size - 1) + b"\x80") * box  # zero: a zero leaf's row
@@ -194,7 +165,7 @@ def _leaves(packed, count, bits):
         buf = (packed.pop() + offset).to_bytes(size * count, "little")
         for b in range(size):  # byte b of slot e of every node
             rows[e * size + b::size * box] = buf[b::size]
-    step, view = size * box << 16, memoryview(rows)
+    step, view = size * box * _BLOCK, memoryview(rows)
     for lo in range(0, len(rows), step):
         chunk = struct.iter_unpack(f"{size * box}s", view[lo:lo + step])
         for row, m in Counter([row for (row,) in chunk]).items():
@@ -203,8 +174,10 @@ def _leaves(packed, count, bits):
                        for i in range(0, size * box, size)], m
 
 
-def _level_walk(start, emit_at, trans_at, n, sums, domain):
-    """The exact walk, breadth first on packed integers.
+def _walk(start, emit_at, trans_at, depth, n, sums, domain):
+    """The walk of integer tables (_integer_tables) from the start lists at
+    depth to depth n, breadth first on packed integers.  Every walk starts
+    here at depth 0, where bench/tracer.py and the tests count walks.
 
     A level holds, per state and coefficient position, one integer with
     every node of the level in a signed slot of _slot_bits bits, node k at
@@ -216,9 +189,9 @@ def _level_walk(start, emit_at, trans_at, n, sums, domain):
     """
     plan = domain.plan
     box = len(plan[0]) if plan else 1
-    level, width = [list(c) if plan else [c] for c in start], 1
+    level, width = start, 1
     bits = _slot_bits(level, emit_at, trans_at, n)
-    for depth in range(n):
+    for depth in range(depth, n):
         cols, acc = emit_at[depth], sums.get(depth + 1)
         tcols = trans_at[depth] if depth + 1 < n else ()
         leaves, blocks = [], []
@@ -306,35 +279,6 @@ def _plan(caps, targets):
     return tuple(sum(e) for e in vecs), box, tops, shifts
 
 
-class _Dense(list):
-    """A jet or per-site polynomial walked as coefficients in a plan's layout.
-
-    A table entry (a, b, shift) is the factor a + b*x_i, with shift the
-    plan's pairs (e, e + 1_i): multiplying by it is a scale plus one
-    shift-add, and a sum is a zip-add.  Zero products are skipped, so each
-    product coefficient is the sum of its nonzero terms p_e*a and
-    p_(e-1_i)*b, and no -0.0 appears.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Dense(map(add, self, other))
-
-    def __mul__(self, entry):
-        a, b, shift = entry
-        out = _Dense([c * a if c else c for c in self] if a else [a] * len(self))
-        if b:
-            for e, f in shift:
-                c = self[e]
-                if c:
-                    out[f] = out[f] + c * b
-        return out
-
-    def __bool__(self):
-        return any(self)
-
-
 class _JetExactDomain:
     """The exact -p log p kernel for scalars, jets and per-site polynomials.
 
@@ -352,18 +296,26 @@ class _JetExactDomain:
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
-    def prepare(self, source, record):
-        """The source's tables on integers over Q_d, and the cells of each recorded depth."""
-        start, emit_at, trans_at, primes_at = _integer_tables(source, self.plan, record)
-        return start, emit_at, trans_at, {d: _new_cells(primes_at[d]) for d in record}
+    def prepare(self, scales, record):
+        """The cells of each recorded depth, from the table scales (D_start,
+        D_R, D_M): each distinct scale other than 1 is factored once
+        (factor_positive), and Q_d's primes follow."""
+        factored = {d: factor_positive(d) for d in set(scales) - {1}}
 
-    def add_term(self, acc, p, m=1):
+        def primes(depth):  # the primes of Q_depth
+            q = {}
+            for d, times in zip(scales, (1, depth, depth - 1)):
+                for p, e in factored.get(d, ()):
+                    q[p] = q.get(p, 0) + e * times
+            return tuple((p, e) for p, e in q.items() if e)
+
+        return {d: _new_cells(primes(d)) for d in record}
+
+    def add_term(self, acc, p, m):
         """Adds the leaf p, m times, to the cell of its N_0."""
         plan = self.plan
         n0 = p[0] if plan else p
-        if n0 <= 0:
-            raise NonpositiveConstantTerm(
-                f"sequence probability has constant term {Fraction(n0, acc[1])}")
+        _check_constant(n0, acc[1])
         cell = acc[2].get(n0)
         if cell is None:
             cell = acc[2][n0] = [0] * (2 * len(self.weights))
@@ -419,48 +371,28 @@ def _log_ratio(n0, q_primes):
     return fac
 
 
-def _tables(source, plan, maps):
-    """The walk tables of an exact source, in a kernel's scalars.
+def _check_constant(n0, q):
+    """Refuses a leaf whose constant term N_0 / Q_d is not positive."""
+    if n0 <= 0:
+        raise NonpositiveConstantTerm(f"sequence probability has constant term {Fraction(n0, q)}")
+
+
+def _integer_tables(source, plan):
+    """The walk tables of an exact source on integers, and their scales.
 
     A source (start, emits, transs) holds one coefficient list per state, one
     table per depth and one per step.  A table (A, B, i) is the matrix
     A + x_i*B in exact rationals, B None for a fixed matrix, and the walk
-    reads its columns.  maps holds each kind's map of rationals: start,
-    emission, transition.  Scalars (plan None) take the constants and A.
-    Otherwise a start list, in powers of x_0, pads to a _Dense of the plan's
-    width (the plan puts x_0^m at position m), and an entry becomes the
-    factor (a, b, shift), shift the plan's pairs (e, e + 1_i).  Each distinct
+    reads its columns.  Each kind of table is scaled by one lcm of its
+    denominators: the start lists by D_start, every emission table by D_R
+    and every transition table by D_M, so a node at depth d carries integer
+    numerators over Q_d = D_start * D_R^d * D_M^(d-1).  A start list, in
+    powers of x_0, pads to the plan's width (the plan puts x_0^m at position
+    m).  An entry becomes its integer a or, on a plan, the factor
+    (a, b, shift), shift the plan's pairs (e, e + 1_i).  Each distinct
     (A, B, i) of a kind is mapped once, so the depths that share it share
-    its columns.
-    """
-    start, emits, transs = source
-    zero = maps[0](0)
-
-    def kind(tables, sc):
-        done = {}
-        for a, b, i in tables:
-            if (id(a), id(b), i) not in done:  # a B of None reads as zeros
-                cols = zip(zip(*a), zip(*b) if b is not None else repeat(repeat(0)))
-                done[id(a), id(b), i] = [[sc(x) if plan is None else (sc(x), sc(y), plan[3][i])
-                                          for x, y in zip(ca, cb)] for ca, cb in cols]
-        return [done[id(a), id(b), i] for a, b, i in tables]
-
-    if plan is None:
-        beta = [maps[0](coeffs[0]) for coeffs in start]
-    else:
-        beta = [_Dense([maps[0](c) for c in coeffs] + [zero] * (len(plan[0]) - len(coeffs)))
-                for coeffs in start]
-    return beta, kind(emits, maps[1]), kind(transs, maps[2])
-
-
-def _integer_tables(source, plan, record):
-    """The source's tables on integers, and the primes of Q_d at each recorded depth.
-
-    Each kind of table is scaled by one lcm of its denominators: the start
-    lists by D_start, every emission table by D_R and every transition table
-    by D_M, so Q_d = D_start * D_R^d * D_M^(d-1).  The rationals map straight
-    to their integers (_tables), and each distinct scale other than 1 is
-    factored once (factor_positive).
+    its columns.  Returns the start lists, the columns per depth of the
+    emission and transition tables, and (D_start, D_R, D_M).
     """
     start, emits, transs = source
 
@@ -468,71 +400,91 @@ def _integer_tables(source, plan, record):
         mats = {id(m): m for a, b, _ in tables for m in (a, b) if m is not None}
         return math.lcm(*(x.denominator for m in mats.values() for row in m for x in row))
 
+    def scaled(q, d):  # the rational q times its kind's scale d, an integer
+        return q.numerator * (d // q.denominator)
+
+    def kind(tables, d):
+        done = {}
+        for a, b, i in tables:
+            if (id(a), id(b), i) not in done:  # a B of None reads as zeros
+                cols = zip(zip(*a), zip(*b) if b is not None else repeat(repeat(0)))
+                done[id(a), id(b), i] = [
+                    [scaled(x, d) if plan is None else (scaled(x, d), scaled(y, d), plan[3][i])
+                     for x, y in zip(ca, cb)] for ca, cb in cols]
+        return [done[id(a), id(b), i] for a, b, i in tables]
+
     scales = d_start, d_r, d_m = scale([(start, None, 0)]), scale(emits), scale(transs)
-    start, emit_at, trans_at = _tables(source, plan, [
-        lambda q, d=d: q.numerator * (d // q.denominator) for d in scales])
-    factored = {d: factor_positive(d) for d in set(scales) - {1}}
-
-    def primes(depth):  # the primes of Q_depth
-        q = {}
-        for d, times in ((d_start, 1), (d_r, depth), (d_m, depth - 1)):
-            for p, e in factored.get(d, ()):
-                q[p] = q.get(p, 0) + e * times
-        return tuple((p, e) for p, e in q.items() if e)
-
-    return start, emit_at, trans_at, {depth: primes(depth) for depth in record}
+    width = len(plan[0]) if plan else 1
+    beta = [[scaled(c, d_start) for c in coeffs] + [0] * (width - len(coeffs)) for coeffs in start]
+    return beta, kind(emits, d_r), kind(transs, d_m), scales
 
 
 class _JetFloatDomain:
     """The float -p log p kernel for scalars, jets and per-site polynomials.
 
-    A scalar takes one log and one multiply.  Otherwise W = log(p / c0)
-    follows W_e = (|e| p_e - sum_{0<g<e} p_g |e-g| W_(e-g)) / (|e| c0) over
-    the plan's box (_plan), and a leaf subtracts p_t log(c0) + [p W]_t from
-    the cell of each target t.
+    A leaf's integer numerators N_e over Q_d are read by division, p_0 =
+    N_0 / Q_d and r_e = N_e / N_0: float64 divides the integers, correctly
+    rounded at any size, and bigfloat converts the numerator at its working
+    precision.  A scalar takes one log.  Otherwise W = log(p / p_0) depends on
+    the ratios r alone, W_e = r_e - sum_{0<g<e} r_g |e-g| W_(e-g) / |e| over
+    the plan's box (_plan), and a leaf adds m times
+    -p_0 (r_t log(p_0) + [r W]_t) to the terms of each target t.  The terms
+    are summed with fsum (Shewchuk, DCG 18, 1997; mpmath's at the working
+    precision on bigfloat) every _BLOCK terms and at the finish.
     """
 
     def __init__(self, backend, plan=None):
-        self._log, self._scalar, self.plan = backend.log, backend.scalar, plan
+        self._log, self.plan = backend.log, plan
+        if backend.bits is None:
+            self._ratio, self._fsum = truediv, math.fsum
+        else:
+            import mpmath
 
-    def prepare(self, source, record):
-        """The source's tables in the backend's scalars, and zero cells for
-        each recorded depth."""
-        sc = lru_cache(maxsize=None)(self._scalar)  # each distinct rational once per walk
-        start, emit_at, trans_at = _tables(source, self.plan, (sc, sc, sc))
+            self._ratio, self._fsum = (lambda n, q: mpmath.mpf(n) / q), mpmath.fsum
+
+    def prepare(self, scales, record):
+        """Q_d and one list of terms per target for each recorded depth, from
+        the table scales (D_start, D_R, D_M) in closed form."""
+        d_start, d_r, d_m = scales
         top = len(self.plan[2]) if self.plan else 1
-        return start, emit_at, trans_at, {d: [0] * top for d in record}
+        return {d: (d_start * d_r**d * d_m**(d - 1), [[] for _ in range(top)]) for d in record}
 
-    def add_term(self, cells, p):
-        plan = self.plan
-        c0 = p[0] if plan else p
-        if not c0 > 0:
-            raise NonpositiveConstantTerm(f"sequence probability has constant term {c0!r}")
+    def add_term(self, acc, p, m):
+        """Adds -p log p of the leaf p, m times, to the terms of each target."""
+        q, sums = acc
+        plan, ratio = self.plan, self._ratio
+        n0 = p[0] if plan else p
+        _check_constant(n0, q)
+        c0 = ratio(n0, q)
         lg0 = self._log(c0)
         if plan is None:
-            cells[0] = cells[0] - c0 * lg0
-            return
-        _, box, tops, _ = plan
-        c = p[:]  # a plain list, which CPython indexes faster than the walk's _Dense
-        lg, wlg = [0] * len(c), [0] * len(c)  # W_e and |e| W_e
-        for e, w, pairs in box:
-            acc = w * c[e]
-            for g, h in pairs:
-                cg = c[g]
-                if cg:
-                    acc = acc - cg * wlg[h]
-            lg[e] = acc / (w * c0)
-            wlg[e] = w * lg[e]
-        for i, (t, _, pairs) in enumerate(tops):
-            term = c[t] * lg0
-            for g, h in pairs:
-                cg = c[g]
-                if cg:
-                    term = term + cg * lg[h]
-            cells[i] = cells[i] - term
+            terms = (c0 * lg0,)
+        else:
+            _, box, tops, _ = plan
+            r = [ratio(x, n0) if x else 0 for x in p]  # p_e / p_0, W's only input
+            lg, wlg = [0] * len(r), [0] * len(r)  # W_e and |e| W_e
+            for e, w, pairs in box:
+                v = w * r[e]
+                for g, h in pairs:
+                    rg = r[g]
+                    if rg:
+                        v = v - rg * wlg[h]
+                lg[e], wlg[e] = v / w, v
+            terms = []
+            for t, _, pairs in tops:
+                term = r[t] * lg0
+                for g, h in pairs:
+                    rg = r[g]
+                    if rg:
+                        term = term + rg * lg[h]
+                terms.append(c0 * term)
+        for out, term in zip(sums, terms):
+            out.append(-m * term)
+            if len(out) == _BLOCK:
+                out[:] = [self._fsum(out)]
 
-    def finish(self, cells):
-        return cells
+    def finish(self, acc):
+        return [self._fsum(out) for out in acc[1]]
 
 
 def _domain(backend, order=None, kvec=None):
@@ -550,10 +502,12 @@ def _domain(backend, order=None, kvec=None):
 
 
 def _traverse(source, n, record, domain):
-    """One walk of an exact source (_tables) to depth n, in the tables the
-    kernel prepares from it; {depth: the kernel's finished per-target values}
-    for each recorded depth."""
-    start, emit_at, trans_at, sums = domain.prepare(source, record)
+    """One walk of an exact source to depth n on its integer tables
+    (_integer_tables), into the accumulators the kernel prepares from their
+    scales; {depth: the kernel's finished per-target values} for each
+    recorded depth."""
+    start, emit_at, trans_at, scales = _integer_tables(source, domain.plan)
+    sums = domain.prepare(scales, record)
     _walk(start, emit_at, trans_at, 0, n, sums, domain)
     return {d: domain.finish(a) for d, a in sums.items()}
 

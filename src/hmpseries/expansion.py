@@ -7,15 +7,16 @@ I + eps*T; in the almost-memoryless regime each transition matrix is
 U + delta*T and the start is the exact stationary jet of U + delta*T.
 
 The leaf kernels are the entropy module's, one per backend, with every
-order of the jet as a target; each maps the source to its own tables.  On
-the exact backend the jets walk level by level, each coefficient of a level
-one packed integer over one denominator per depth, and _JetExactDomain
-evaluates -p log p with an all-integer log recurrence once per distinct
-leaf jet, summed per distinct constant term, so each depth takes one log
-per distinct N_0; _JetFloatDomain runs the same recurrence in floats, leaf
-by leaf.  Each finishes a depth as a list of per-order values,
-wrapped here in a TruncatedSeries.  The multisite module walks the same
-regime source with one variable per site.
+order of the jet as a target.  On every backend the jets walk level by
+level on the source's integer tables, each coefficient of a level one
+packed integer over one denominator per depth, and the kernel runs once
+per distinct leaf jet.  _JetExactDomain evaluates -p log p with an
+all-integer log recurrence, summed per distinct constant term, so each
+depth takes one log per distinct N_0; _JetFloatDomain reads the leaf's
+integers as floats and runs the same recurrence on them.  Each finishes a
+depth as a list of per-order values, wrapped here in a TruncatedSeries.
+The multisite module walks the same regime source with one variable per
+site.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -108,10 +109,10 @@ def stationary_series(t: PerturbationMatrix, order: int) -> tuple[TruncatedSerie
 
 
 def _regime_source(spec: RegimeSpec, n: int, sites, cap: int):
-    """A regime's exact walk source to depth n (entropy._tables): site i
-    moves variable sites[i] (the emission at site i in the high-SNR regime,
-    the transition into site i in the almost-memoryless one), and the
-    almost-memoryless start is the stationary jet through order cap.
+    """A regime's exact walk source to depth n (entropy._integer_tables):
+    site i moves variable sites[i] (the emission at site i in the high-SNR
+    regime, the transition into site i in the almost-memoryless one), and
+    the almost-memoryless start is the stationary jet through order cap.
     """
     s, t = spec.T.size, spec.T.rows
     if isinstance(spec, HighSnr):

@@ -432,6 +432,22 @@ def test_cli_import_leaves_sympy_and_mpmath_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_float_requests_leave_sympy_unloaded():
+    # the float kernel reads Q_d in closed form; only the exact kernel factors
+    # the table scales, which loads sympy
+    model = GOLDEN / "quickstart-model.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pathlib import Path; from hmpseries import *; "
+         f"model = load_model(Path({str(model)!r})); "
+         "rate_series(am_binary('3/5'), 9, FLOAT64); entropy_rate_bracket(model, 6, FLOAT64); "
+         "entropy_rate_bracket(model, 6, FloatBackend(128)); print('sympy' in sys.modules); "
+         "entropy_rate_bracket(model, 6); print('sympy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "hmpseries", "expand", "--regime", "am",

@@ -61,6 +61,8 @@ from util import (
     emission_perturbations,
     hmp_models,
     ll_close,
+    mp_value,
+    recursive_walk,
     stochastic_rows,
     word_probability,
     zero_sum_perturbations,
@@ -167,9 +169,8 @@ def test_exact_bracket_builds_no_fraction_per_log_term(monkeypatch):
 
 @pytest.mark.parametrize("backend", [FLOAT64, FloatBackend(128)], ids=["float64", "bigfloat128"])
 def test_float_bracket_maps_rationals_without_a_new_fraction(monkeypatch, backend):
-    # FloatBackend.scalar divides the numerator and denominator of the int or
-    # Fraction it is given, so the walks of a warm float bracket build no
-    # Fraction: only _bracket's 1/2 is left.
+    # the float kernel divides the integers of the walk's leaves, so the walks
+    # of a warm float bracket build no Fraction: only _bracket's 1/2 is left.
     assert _warm_bracket_fractions(monkeypatch, backend) == [1, 1]
 
 
@@ -194,8 +195,8 @@ def test_exact_leaf_kernel_matches_series_log(data):
     scalar_acc = _new_cells(factor_positive(q))
     expect = TruncatedSeries([F(0)] * (order + 1))
     for coeffs in leaves:
-        jet.add_term(jet_acc, coeffs)  # a jet's plan positions are its orders
-        scalar.add_term(scalar_acc, coeffs[0])
+        jet.add_term(jet_acc, coeffs, 1)  # a jet's plan positions are its orders
+        scalar.add_term(scalar_acc, coeffs[0], 1)
         expect = entropy_accumulate(TruncatedSeries([F(c, q) for c in coeffs]), expect)
     assert jet.finish(jet_acc) == list(expect.coeffs)
     assert scalar.finish(scalar_acc) == [expect.coeffs[0]]
@@ -434,6 +435,29 @@ def test_bigfloat_backend_tracks_exact_value():
     assert big.tag == "bigfloat:200"
 
 
+def test_float64_brackets_are_within_2e_15_of_exact():
+    # floats read the exact leaves, once per distinct leaf, and sum with fsum
+    for model, n in ((QUICK, 12), (load_model(THREE_STATE), 8)):
+        exact, fast = entropy_rate_bracket(model, n), entropy_rate_bracket(model, n, FLOAT64)
+        with mpmath.workprec(256):
+            for name in ("lower", "upper", "midpoint", "half_gap"):
+                assert abs(getattr(fast, name) - mp_value(getattr(exact, name))) <= 2e-15, name
+
+
+def test_blocks_of_leaves_and_terms_leave_the_values(monkeypatch):
+    # _leaves counts its rows, and the float kernel sums its terms, _BLOCK at
+    # a time; blocks of 3 keep every exact value and each float one within
+    # rounding (a block dropped or counted twice is far off)
+    def requests(backend):
+        return [*rate_series(am_binary("3/5"), 9, backend).values,
+                *vars(entropy_report(load_model(THREE_STATE), 5, backend)).values()]
+
+    exact, floats = requests(EXACT), requests(FLOAT64)
+    monkeypatch.setattr(entropy, "_BLOCK", 3)
+    assert requests(EXACT) == exact
+    assert requests(FLOAT64) == pytest.approx(floats, rel=1e-13, abs=1e-15)
+
+
 def test_bigfloat_midpoint_and_half_gap_keep_the_backend_precision():
     model = instantiate(high_snr_binary("1/5"), F(1, 5))
     br = entropy_rate_bracket(model, 4, FloatBackend(bits=128))
@@ -492,17 +516,23 @@ def test_long_path_entropy_estimate_lands_in_the_bracket():
     assert float(bracket.lower) - slack <= estimate <= float(bracket.upper) + slack
 
 
-def _recording(monkeypatch, kernel):
-    """Records (plan, source, prepared) for every prepare of a kernel class."""
+def _recording(monkeypatch):
+    """Records [plan, source, tables, accumulators] of every walk: the
+    integer tables of its source and the accumulators its kernel prepares."""
     seen = []
-    prepare = kernel.prepare
+    integer_tables, walk = entropy._integer_tables, entropy._walk
 
-    def recording(self, source, record):
-        out = prepare(self, source, record)
-        seen.append((self.plan, source, out))
+    def tables(source, plan):
+        out = integer_tables(source, plan)
+        seen.append([plan, source, out])
         return out
 
-    monkeypatch.setattr(kernel, "prepare", recording)
+    def walking(start, emit_at, trans_at, depth, n, sums, domain):
+        seen[-1].append(sums)
+        return walk(start, emit_at, trans_at, depth, n, sums, domain)
+
+    monkeypatch.setattr(entropy, "_integer_tables", tables)
+    monkeypatch.setattr(entropy, "_walk", walking)
     return seen
 
 
@@ -510,30 +540,29 @@ def _denominators_lcm(matrices):
     return math.lcm(*(F(x).denominator for m in matrices for row in m for x in row))
 
 
-def _assert_mapped(plan, source, prepared, scalar):
-    """The prepared tables are scalar(kind, q) of the source's rationals q
+def _assert_mapped(plan, source, tables, scales):
+    """The tables are the source's rationals q times their kind's scale
     (kinds 0, 1, 2: start, emission, transition), and depths that share a
     table (A, B, i) share its mapped columns."""
     start, emits, transs = source
-    beta, emit_at, trans_at = prepared[:3]
+    beta, emit_at, trans_at = tables
     width = len(plan[0]) if plan else 1
     for coeffs, got in zip(start, beta, strict=True):
-        assert (list(got) if plan else [got]) == (
-            [scalar(0, c) for c in coeffs] + [scalar(0, 0)] * (width - len(coeffs)))
-    for kind, tables, mapped in ((1, emits, emit_at), (2, transs, trans_at)):
-        assert len(tables) == len(mapped)
-        for (a, b, i), cols in zip(tables, mapped):
+        assert got == [c * scales[0] for c in coeffs] + [0] * (width - len(coeffs))
+    for kind, tabs, mapped in ((1, emits, emit_at), (2, transs, trans_at)):
+        assert len(tabs) == len(mapped)
+        for (a, b, i), cols in zip(tabs, mapped):
             assert len(cols) == len(a[0]) and all(len(col) == len(a) for col in cols)
             for k, col in enumerate(cols):
                 for j, entry in enumerate(col):
                     if plan is None:
-                        assert b is None and entry == scalar(kind, a[j][k])
+                        assert b is None and entry == a[j][k] * scales[kind]
                         continue
-                    assert entry[:2] == (scalar(kind, a[j][k]),
-                                         scalar(kind, 0 if b is None else b[j][k]))
+                    assert entry[:2] == (a[j][k] * scales[kind],
+                                         (0 if b is None else b[j][k]) * scales[kind])
                     assert b is None or entry[2] == plan[3][i]
-        for (t, cols) in zip(tables, mapped):
-            for (u, other) in zip(tables, mapped):
+        for (t, cols) in zip(tabs, mapped):
+            for (u, other) in zip(tabs, mapped):
                 if t[0] is u[0] and t[1] is u[1] and t[2] == u[2]:
                     assert cols is other
 
@@ -560,39 +589,35 @@ QUICK = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
         "jet hs3", "per-site derivative am", "per-site derivative hs3",
         "per-site derivative am3"])
 def test_one_source_two_kernels(monkeypatch, request_of, shared):
-    # both kernels map the same exact source: the exact one to integers over
-    # D_start, D_R and D_M, the float one to backend.scalar of its rationals
-    exact = _recording(monkeypatch, entropy._JetExactDomain)
-    floats = _recording(monkeypatch, entropy._JetFloatDomain)
+    # both kernels walk the same integer tables of the same exact source, its
+    # rationals times D_start, D_R and D_M, and read their leaves over the same
+    # Q_d: the exact kernel from the factored scales, the float one in closed form
+    seen = _recording(monkeypatch)
     request_of(EXACT)
+    exact = seen[:]
+    seen.clear()
     request_of(FLOAT64)
-    assert len(exact) == len(floats) >= 1
-    for (plan, source, prepared), (fplan, fsource, fprepared) in zip(exact, floats):
-        assert plan == fplan
+    assert len(exact) == len(seen) >= 1
+    for (plan, source, tables, cells), (fplan, _, ftables, fsums) in zip(exact, seen):
+        assert plan == fplan and tables == ftables
         start, emits, transs = source
         scales = (_denominators_lcm([start]),
-                  *(_denominators_lcm(m for a, b, _ in tables for m in (a, b) if m is not None)
-                    for tables in (emits, transs)))
-        _assert_mapped(plan, source, prepared, lambda kind, q: q * scales[kind])
-        _assert_mapped(fplan, fsource, fprepared, lambda kind, q: FLOAT64.scalar(q))
+                  *(_denominators_lcm(m for a, b, _ in tabs for m in (a, b) if m is not None)
+                    for tabs in (emits, transs)))
+        assert tables[3] == scales
+        _assert_mapped(plan, source, tables[:3], scales)
         d_start, d_r, d_m = scales
-        for depth, cells in prepared[3].items():
-            assert cells[1] == d_start * d_r**depth * d_m**(depth - 1)
+        assert cells.keys() == fsums.keys()
+        for depth, acc in cells.items():
+            assert acc[1] == fsums[depth][0] == d_start * d_r**depth * d_m**(depth - 1)
         if shared:  # a jet walk moves one variable, so every depth shares one table
             at = {"emits": 1, "transs": 2}[shared]
-            for tables in (prepared[at], fprepared[at]):
-                assert len(tables) > 1 and len({id(t) for t in tables}) == 1
+            assert len(tables[at]) > 1 and len({id(t) for t in tables[at]}) == 1
 
 
 # ---------------------------------------------------------------------------
-# The packed level-wise walk of the exact kernel
+# The packed level-wise walk, against the recursive walk of tests/util.py
 # ---------------------------------------------------------------------------
-
-def _recursive(start, emit_at, trans_at, n, sums, domain):
-    """The recursive _walk on the integer tables of an exact walk: _walk goes
-    depth first for any kernel but the exact one, so it gets its add_term."""
-    entropy._walk(start, emit_at, trans_at, 0, n, sums, SimpleNamespace(add_term=domain.add_term))
-
 
 # exact requests with zero emissions (THREE_STATE, FOUR, the joint first symbol
 # of every report), zero perturbation entries (AM3, AM4, HS3), 3 and 4 symbols,
@@ -617,7 +642,7 @@ _PACKED = {
 @pytest.mark.parametrize("name", sorted(_PACKED))
 def test_packed_walk_matches_the_recursive_walk(monkeypatch, name):
     packed = _PACKED[name]()
-    monkeypatch.setattr(entropy, "_level_walk", _recursive)
+    monkeypatch.setattr(entropy, "_walk", recursive_walk)
     assert packed == _PACKED[name]()
 
 
@@ -654,12 +679,12 @@ def test_no_slot_overflows(spec, n, data):
         plan, sites = _domain(EXACT, cap).plan, [0] * n
     record = set(range(1, n + 1))
     source = expansion._regime_source(spec, n, sites, cap)
-    start, emit_at, trans_at, _ = entropy._integer_tables(source, plan, record)
+    start, emit_at, trans_at, _ = entropy._integer_tables(source, plan)
     leaves = []
-    for walk in (entropy._level_walk, _recursive):
+    for walk in (entropy._walk, recursive_walk):
         sums = {d: Counter() for d in record}
-        walk(start, emit_at, trans_at, n, sums,
-             SimpleNamespace(plan=plan, add_term=lambda acc, p, m=1: acc.update({tuple(p): m})))
+        walk(start, emit_at, trans_at, 0, n, sums,
+             SimpleNamespace(plan=plan, add_term=lambda acc, p, m: acc.update({tuple(p): m})))
         leaves.append(sums)
     assert leaves[0] == leaves[1]
     bits = entropy._slot_bits(start, emit_at, trans_at, n)
@@ -673,9 +698,10 @@ def test_a_leaf_with_zero_constant_term_is_refused():
     half = F(1, 2)
     emit = ([[1, 0], [1, 0]], [[-1, 1], [-1, 1]], 0)
     source = [[half], [half]], [emit] * 2, [([[half, half], [half, half]], None, 0)]
-    for walk in (entropy._level_walk, _recursive):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(entropy, "_level_walk", walk)
-            with pytest.raises(NonpositiveConstantTerm,
-                               match=r"^sequence probability has constant term 0$"):
-                entropy._traverse(source, 2, {1, 2}, _domain(EXACT, 2))
+    for walk in (entropy._walk, recursive_walk):
+        for backend in (EXACT, FLOAT64, FloatBackend(128)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(entropy, "_walk", walk)
+                with pytest.raises(NonpositiveConstantTerm,
+                                   match=r"^sequence probability has constant term 0$"):
+                    entropy._traverse(source, 2, {1, 2}, _domain(backend, 2))

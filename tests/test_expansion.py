@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -42,6 +43,7 @@ from util import (
     brute_increment_jet,
     emission_perturbations,
     high_snr_specs,
+    mp_value,
     stochastic_rows,
     word_probability_jets,
     zero_sum_perturbations,
@@ -321,6 +323,19 @@ def test_float_jets_track_exact_jets(spec):
     bounds = float_jet_error_bounds(spec, 6)
     for a, b, bound in zip(exact.value_floats(), fast.values, bounds):
         assert abs(b - a) <= bound
+
+
+def test_float64_am_coefficients_are_within_5e_14_of_exact():
+    # floats read the exact leaves, once per distinct leaf, and sum with fsum,
+    # so every coefficient through order 25 keeps its relative accuracy; the
+    # vanishing odd orders come out as zero
+    exact = rate_series(am_binary(F(3, 5)), 25).values
+    with mpmath.workprec(256):
+        want = [mp_value(v) for v in exact]
+        for order in (21, 25):
+            fast = rate_series(am_binary(F(3, 5)), order, FLOAT64).values
+            for k, (got, w) in enumerate(zip(fast, want)):
+                assert abs(got - w) <= 5e-14 * abs(w), (order, k)
 
 
 def test_increment_jet_input_checks():

@@ -35,7 +35,7 @@ from hmpseries import (
 )
 from hmpseries import entropy
 
-from hmpseries.entropy import _Dense, _domain, _new_cells, _plan
+from hmpseries.entropy import _domain, _dot, _new_cells, _plan
 
 from util import (
     AM3,
@@ -47,6 +47,7 @@ from util import (
     high_snr_specs,
     ll_close,
     log1p_part,
+    mp_value,
 )
 
 F = Fraction
@@ -65,61 +66,59 @@ def _layout(caps):
 def _linear(caps, i):
     """x_i as a coefficient list, with the entry factors (0, 1, shift_j) of each x_j."""
     _, _, _, shifts = _plan(caps, (caps,))
-    one = _Dense([F(0)] * len(_layout(caps)))
-    one[0] = F(1)
-    return one * (F(0), F(1), shifts[i]), [(F(0), F(1), s) for s in shifts]
+    box = len(_layout(caps))
+    one = [1] + [0] * (box - 1)
+    return _dot((one,), ((0, 1, shifts[i]),), box), [(0, 1, s) for s in shifts]
 
 
 def test_multipoly_arithmetic_with_caps():
     caps = (2, 1)
+    box = len(_layout(caps))
     coefficient = dict(map(reversed, enumerate(_layout(caps))))
     x, (tx, ty) = _linear(caps, 0)
     y, _ = _linear(caps, 1)
-    s = x + y
-    p = s * tx + s * ty
+    s = _dot((x, y), (1, 1), box)
+    p = _dot((s, s), (tx, ty), box)
     assert p[coefficient[(2, 0)]] == 1
     assert p[coefficient[(1, 1)]] == 2
     assert (0, 2) not in coefficient  # over the per-variable cap, dropped
     assert sum(p) == 3
-    cube = p * tx
+    cube = _dot((p,), (tx,), box)
     assert (3, 0) not in coefficient  # over the cap on the first variable
     assert cube[coefficient[(2, 1)]] == 2
     assert sum(cube) == 2
-    assert (x * ty)[coefficient[(1, 1)]] == 1
+    assert _dot((x,), (ty,), box)[coefficient[(1, 1)]] == 1
 
 
 def test_multipoly_constant_and_zero():
     caps = (1, 1)
     shift = _plan(caps, (caps,))[3][0]
-    one = _Dense([F(1), F(0), F(0), F(0)])
-    zero = _Dense([F(0)] * 4)
-    assert bool(one) and not bool(zero)
-    assert one + one * (F(-1), F(0), shift) == zero
-    assert one * (F(0), F(0), shift) == zero
+    one, zero = [1, 0, 0, 0], [0] * 4
+    assert _dot((one, one), (1, (-1, 0, shift)), 4) == zero
+    assert _dot((one,), ((0, 0, shift),), 4) == zero
+    assert _dot((one,), ((1, 0, shift),), 4) == one
+
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_entry_product_matches_the_dict_product(data):
-    # p times the table entry a + b*x_i, truncated at the caps, against util's
-    # dict product; over integers, float coefficients are exact and the float
-    # product must agree with no -0.0
+    # p times the table entry a + b*x_i, truncated at the caps, and a sum of
+    # two such products, against util's dict product
     caps = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=3),
                                     min_size=1, max_size=3)))
     i = data.draw(st.integers(min_value=0, max_value=len(caps) - 1))
     coeff = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
     layout = _layout(caps)
-    p = [data.draw(coeff) for _ in layout]
-    a, b = data.draw(coeff), data.draw(coeff)
+    p, r = ([data.draw(coeff) for _ in layout] for _ in range(2))
+    a, b, c = data.draw(coeff), data.draw(coeff), data.draw(coeff)
     shift = _plan(caps, (caps,))[3][i]
     unit = tuple(int(j == i) for j in range(len(caps)))
     want = _poly_mul({e: F(c) for e, c in zip(layout, p)}, {(0,) * len(caps): F(a), unit: F(b)},
                      caps)
-    got = _Dense(map(F, p)) * (F(a), F(b), shift)
+    got = _dot((p,), ((a, b, shift),), len(layout))
     assert {e: c for e, c in zip(layout, got) if c} == want
-    fgot = _Dense(map(float, p)) * (float(a), float(b), shift)
-    assert fgot == [float(c) for c in got]
-    assert all(math.copysign(1, c) > 0 for c in fgot if not c)
-    assert bool(got) == bool(want)
+    total = _dot((p, r), ((a, b, shift), c), len(layout))
+    assert total == [g + c * x for g, x in zip(got, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ def test_exact_kernel_matches_the_log1p_series(data):
         # small constant terms make leaves share the cell of their N_0
         terms[box[0]] = data.draw(st.one_of(st.integers(min_value=1, max_value=3),
                                             st.integers(min_value=1, max_value=10**4)))
-        domain.add_term(acc, [terms[e] for e in box])
+        domain.add_term(acc, [terms[e] for e in box], 1)
         p = {e: F(c, q) for e, c in terms.items()}
         c0 = p[box[0]]
         expect = (expect - LogLinearValue.log_of(c0) * p[kvec]
@@ -400,7 +399,7 @@ def test_exact_kernel_weighs_repeated_leaves(data):
         leaf, m = [terms[e] for e in box], data.draw(st.integers(min_value=1, max_value=5))
         domain.add_term(folded, leaf, m)
         for _ in range(m):
-            domain.add_term(single, leaf)
+            domain.add_term(single, leaf, 1)
         p = {e: F(c, q) for e, c in terms.items()}
         c0 = p[box[0]]
         expect = (expect - (LogLinearValue.log_of(c0) * p[kvec]
@@ -409,32 +408,24 @@ def test_exact_kernel_weighs_repeated_leaves(data):
     assert domain.finish(folded) == [expect]
 
 
-def _mp(value):
-    """A LogLinearValue as an mpmath number at the working precision."""
-    out = mpmath.mpf(value.rat.numerator) / value.rat.denominator
-    for prime, c in value.logs:
-        out += mpmath.log(prime) * mpmath.mpf(c.numerator) / c.denominator
-    return out
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_float_kernel_matches_the_log1p_series(data):
-    # the float64 kernel on leaves N/q against the exact series oracle.  Its
-    # rounding is bounded by scale: the kvec coefficient of |p| times
-    # -log(1 - |q|), whose coefficients bound every term of the recurrence
+    # the float64 kernel on leaves N/q, read from their integers over Q_1 = q,
+    # against the exact series oracle.  Its rounding is bounded by scale: the
+    # kvec coefficient of |p| times -log(1 - |q|), whose coefficients bound
+    # every term of the recurrence
     kvec = tuple(data.draw(_small_kvecs()))
     q = data.draw(st.integers(min_value=1, max_value=10**4))
     box = _layout(kvec)
     coeff = st.integers(min_value=-10**4, max_value=10**4)
     domain = _domain(FLOAT64, kvec=kvec)
-    _, _, _, sums = domain.prepare(([], [], []), {1})
-    acc = sums[1]
+    acc = domain.prepare((q, 1, 1), {1})[1]
     expect, scale = ZERO, 0.0
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         terms = {e: data.draw(coeff) for e in box}
         terms[box[0]] = data.draw(st.integers(min_value=1, max_value=10**4))
-        domain.add_term(acc, [terms[e] / q for e in box])
+        domain.add_term(acc, [terms[e] for e in box], 1)
         p = {e: F(c, q) for e, c in terms.items()}
         c0 = p[box[0]]
         expect = (expect - LogLinearValue.log_of(c0) * p[kvec]
@@ -445,7 +436,7 @@ def test_float_kernel_matches_the_log1p_series(data):
                   - float(_poly_mul(size, log1p_part(under, c0, kvec), kvec).get(kvec, 0)))
     with mpmath.workprec(256):
         [value] = domain.finish(acc)
-        assert abs(value - _mp(expect)) <= 1e-12 * scale
+        assert abs(value - mp_value(expect)) <= 1e-12 * scale
 
 
 KVECS_N3 = [k for k in product(range(5), repeat=3) if sum(k) <= 4]
@@ -462,7 +453,7 @@ def test_float_derivatives_track_exact_for_every_order_at_n3(spec):
         slow = multisite_derivative(mspec, spec, big)
         assert isinstance(fast, float) and isinstance(slow, mpmath.mpf)
         with mpmath.workprec(256):
-            want = _mp(exact)
+            want = mp_value(exact)
             tol = max(1, abs(want))
             assert abs(fast - want) <= 1e-12 * tol, kvec
             assert abs(slow - want) <= mpmath.mpf(2) ** -110 * tol, kvec

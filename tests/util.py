@@ -267,6 +267,46 @@ def log1p_part(p: dict, c0, caps) -> dict:
     return total
 
 
+def _times(x: list, entry) -> list:
+    """A coefficient list times a table entry: an integer, or the factor
+    a + b*x_i as (a, b, shift) with shift the position pairs (e, e + 1_i)."""
+    if isinstance(entry, int):
+        return [c * entry for c in x]
+    a, b, shift = entry
+    out = [c * a for c in x]
+    for e, f in shift:
+        out[f] += x[e] * b
+    return out
+
+
+def recursive_walk(start, emit_at, trans_at, depth, n, sums, domain):
+    """The walk of entropy._walk, depth first and one node at a time, on the
+    same integer tables: the kernel gets every nonzero leaf once, with
+    multiplicity 1, and a zero node's subtree is pruned."""
+    acc, last = sums.get(depth + 1), depth + 1 == n
+    for col in emit_at[depth]:
+        gamma = [_times(x, entry) for x, entry in zip(start, col)]
+        p = [sum(c) for c in zip(*gamma)]
+        if not any(p):
+            continue
+        if acc is not None:
+            domain.add_term(acc, p if domain.plan else p[0], 1)
+        if not last:
+            nxt = [[sum(c) for c in zip(*(_times(g, e) for g, e in zip(gamma, tc)))]
+                   for tc in trans_at[depth]]
+            recursive_walk(nxt, emit_at, trans_at, depth + 1, n, sums, domain)
+
+
+def mp_value(value: LogLinearValue):
+    """An exact value as an mpmath number at the working precision."""
+    import mpmath
+
+    out = mpmath.mpf(value.rat.numerator) / value.rat.denominator
+    for prime, c in value.logs:
+        out += mpmath.log(prime) * mpmath.mpf(c.numerator) / c.denominator
+    return out
+
+
 def ll_close(a, b, rel=1e-12) -> bool:
     """Float agreement between two values of possibly different kinds."""
     fa, fb = float(a), float(b)
