@@ -93,17 +93,6 @@ from .multisite import (
     multisite_derivative,
     multisite_value,
 )
-from .radius import (
-    BoundsScan,
-    RadiusEstimate,
-    ScanRow,
-    all_estimates,
-    bounds_scan,
-    cauchy_hadamard_estimate,
-    domb_sykes_estimate,
-    ratio_estimate,
-    rational_grid,
-)
 from .series import (
     TruncatedSeries,
     entropy_accumulate,
@@ -112,3 +101,23 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# radius alone imports numpy (one Domb-Sykes fit), so its names bind on first
+# use (PEP 562) and a process that never asks for them never loads numpy
+_RADIUS = ("BoundsScan", "RadiusEstimate", "ScanRow", "all_estimates", "bounds_scan",
+           "cauchy_hadamard_estimate", "domb_sykes_estimate", "ratio_estimate",
+           "rational_grid")
+__all__ = [name for name in globals() if not name.startswith("_")] + ["radius", *_RADIUS]
+
+
+def __getattr__(name):
+    if name in _RADIUS or name == "radius":
+        from importlib import import_module
+
+        radius = import_module(".radius", __name__)
+        return radius if name == "radius" else getattr(radius, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

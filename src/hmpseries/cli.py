@@ -35,6 +35,7 @@ from .model import (
     parse_rational,
     sample_path,
 )
+# eager: the radius and scan subcommands need it, as does bench/run.py's import probe
 from .radius import all_estimates, bounds_scan, rational_grid
 
 _EPILOG = """\

@@ -86,8 +86,9 @@ def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
     machine, or inf if too large for a float: per node s(s+1) products of
     box-wide lists, per leaf of a recorded depth _plan's pairs (in closed form)
     and a log and, if exact, one cell, weighted to also hold peak memory near
-    0.5 GB at COST_CAP.  On bigfloat, mpmath's arithmetic weighs the float terms
-    by 20 + bits/32, and its log adds 10 + 2700 (bits/4096)^3 per leaf."""
+    0.5 GB at COST_CAP.  Every backend walks integers; on bigfloat, mpmath's
+    arithmetic weighs the leaf's pairs by 20 + bits/32, and its log adds
+    10 + 2700 (bits/4096)^3 per leaf."""
     if kvec is not None:
         box = math.prod(k + 1 for k in kvec)
         pairs = math.prod((k + 1) * (k + 2) // 2 for k in kvec) - box + 1
@@ -98,7 +99,7 @@ def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
     try:
         w, log = (1, 0) if bits is None else (20 + bits / 32, 10 + 2700 * (bits / 4096) ** 3)
         leaves = sum(_nodes(s, width, d) - _nodes(s, width, d - 1) for d in record)
-        return (w * 0.3 * _nodes(s, width, n) * s * (s + 1) * box
+        return (0.3 * _nodes(s, width, n) * s * (s + 1) * box
                 + (w * 0.12 * pairs + log + (0.25 * pairs + 20) * backend.is_exact) * leaves)
     except OverflowError:
         return math.inf

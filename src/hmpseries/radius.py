@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-import numpy as np
+import numpy as np  # kept here: the package binds radius lazily, so only its users load numpy
 
 from .backends import FLOAT64
 from .entropy import _check_depth, _cost, entropy_rate_bracket

@@ -4,6 +4,7 @@ import inspect
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,6 +53,7 @@ from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_v
 from util import (
     AM3,
     AM4,
+    BASE3,
     FOUR,
     HS3,
     brute_finite_entropy,
@@ -63,6 +65,7 @@ from util import (
     ll_close,
     mp_value,
     recursive_walk,
+    relabel,
     stochastic_rows,
     word_probability,
     zero_sum_perturbations,
@@ -341,9 +344,10 @@ def test_binary_exact_expansions_through_order_29_are_admitted(monkeypatch):
 
 
 def test_bigfloat_is_priced_by_its_bits(monkeypatch, walks):
-    # mpmath's products and logs cost more than hardware floats', and more at
-    # more bits: a bigfloat:128 bracket runs to n = 17 and is refused at n = 18,
-    # where a float64 one runs, and bigfloat:4096 is refused at n = 13
+    # every backend walks integers, but mpmath's leaf arithmetic and logs cost
+    # more than hardware floats', and more at more bits: a bigfloat:128 bracket
+    # runs to n = 19 and is refused at n = 20, and bigfloat:4096 is refused at
+    # n = 13
     class Admitted(Exception):
         pass
 
@@ -351,20 +355,35 @@ def test_bigfloat_is_priced_by_its_bits(monkeypatch, walks):
         raise Admitted
 
     monkeypatch.setattr(entropy, "_traverse", admitted)
-    for n, backend, verdict in ((18, FLOAT64, Admitted), (17, FloatBackend(128), Admitted),
-                                (18, FloatBackend(128), DepthCapExceeded),
+    for n, backend, verdict in ((18, FLOAT64, Admitted), (19, FloatBackend(128), Admitted),
+                                (20, FloatBackend(128), DepthCapExceeded),
                                 (12, FloatBackend(4096), Admitted),
                                 (13, FloatBackend(4096), DepthCapExceeded)):
         with pytest.raises(verdict):
             entropy_rate_bracket(QUICK, n, backend)
     costs = [entropy._cost(2, 16, {15, 16}, b) for b in (FLOAT64, FloatBackend(128),
                                                           FloatBackend(512), FloatBackend(4096))]
-    assert costs == sorted(costs) and costs[1] > 20 * costs[0]
+    assert costs == sorted(costs) and costs[1] > 6 * costs[0]
     # a cost too large for a float is inf, not an OverflowError
     assert entropy._cost(2, 10**400, {10**400}, FLOAT64) == math.inf
     assert entropy._cost(2, 3, {3}, FloatBackend(10**400)) == math.inf
     assert entropy._cost(2, 3, {3}, EXACT, kvec=(10**400, 0, 0)) == math.inf
     assert walks[0] == 0
+
+
+@pytest.mark.parametrize("backend", [FLOAT64, FloatBackend(128)], ids=["float64", "bigfloat128"])
+def test_float_reports_are_bitwise_invariant_under_relabelling(backend):
+    # each distinct leaf is read once from the exact integers and each target
+    # summed by one fsum, so the order in which a walk meets the leaves does
+    # not show: all 36 relabellings of hidden states and symbols give H_n, C_n
+    # and c_n equal to the last bit
+    m, r = BASE3.M.rows, BASE3.R.rows
+    want = [entropy_report(BASE3, n, backend) for n in (1, 2, 5, 7)]
+    for states in permutations(range(3)):
+        for symbols in permutations(range(3)):
+            model = validate_model(StochasticMatrix(relabel(m, states)),
+                                   StochasticMatrix(relabel(r, states, symbols)))
+            assert [entropy_report(model, n, backend) for n in (1, 2, 5, 7)] == want
 
 
 # one walk each, with zero emissions (THREE_STATE, FOUR, the joint first symbol,

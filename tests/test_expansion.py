@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from types import SimpleNamespace
 
 import mpmath
@@ -14,6 +15,8 @@ from hmpseries import (
     HIGH_SNR_NOTE,
     AlmostMemoryless,
     CoefficientTable,
+    FloatBackend,
+    HighSnr,
     LogLinearValue,
     MultiSiteSpec,
     OrderTooHigh,
@@ -39,11 +42,14 @@ from hmpseries import (
 from hmpseries import entropy
 
 from util import (
+    AM3,
+    HS3,
     am_specs,
     brute_increment_jet,
     emission_perturbations,
     high_snr_specs,
     mp_value,
+    relabel,
     stochastic_rows,
     word_probability_jets,
     zero_sum_perturbations,
@@ -336,6 +342,23 @@ def test_float64_am_coefficients_are_within_5e_14_of_exact():
             fast = rate_series(am_binary(F(3, 5)), order, FLOAT64).values
             for k, (got, w) in enumerate(zip(fast, want)):
                 assert abs(got - w) <= 5e-14 * abs(w), (order, k)
+
+
+@pytest.mark.parametrize("backend", [FLOAT64, FloatBackend(128)], ids=["float64", "bigfloat128"])
+def test_float_jets_are_bitwise_invariant_under_relabelling(backend):
+    # the float kernel reads each distinct leaf from the exact integers and
+    # sums each coefficient with one fsum, so relabelling the hidden states
+    # (and, in the almost-memoryless regime, the symbols) keeps every bit; in
+    # the high-SNR regime R = I + eps*T ties the symbols to the states
+    am, hs = (rate_series(spec, 7, backend).values for spec in (AM3, HS3))
+    for states in permutations(range(3)):
+        got = HighSnr(StochasticMatrix(relabel(HS3.M.rows, states)),
+                      PerturbationMatrix(relabel(HS3.T.rows, states)))
+        assert rate_series(got, 7, backend).values == hs, states
+        for symbols in permutations(range(3)):
+            got = AlmostMemoryless(StochasticMatrix(relabel(AM3.R.rows, states, symbols)),
+                                   PerturbationMatrix(relabel(AM3.T.rows, states)))
+            assert rate_series(got, 7, backend).values == am, (states, symbols)
 
 
 def test_increment_jet_input_checks():

@@ -1,5 +1,7 @@
 """Radius-of-convergence estimators and the bounds scan."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,3 +202,29 @@ def test_bounds_scan_small_parameters_stay_inside():
     spec = am_binary(F(3, 5))
     scan = bounds_scan(spec, rational_grid("1/100", "1/10", 4), [6, 8])
     assert all(row.inside for row in scan.rows)
+
+
+_LAZY = """
+import sys
+import hmpseries
+names = {"BoundsScan", "RadiusEstimate", "ScanRow", "all_estimates", "bounds_scan",
+         "cauchy_hadamard_estimate", "domb_sykes_estimate", "ratio_estimate", "rational_grid"}
+assert not {"numpy", "sympy", "mpmath"} & set(sys.modules), sys.modules.keys()
+assert names | {"radius"} <= set(dir(hmpseries)) and "numpy" not in sys.modules
+assert hmpseries.all_estimates is hmpseries.radius.all_estimates and "numpy" in sys.modules
+from hmpseries import ratio_estimate
+assert ratio_estimate is hmpseries.radius.ratio_estimate
+star = {}
+exec("from hmpseries import *", star)
+assert all(star[name] is getattr(hmpseries.radius, name) for name in names)
+assert star["radius"] is hmpseries.radius and star["entropy_report"] is hmpseries.entropy_report
+"""
+
+
+def test_the_package_loads_numpy_only_when_a_radius_name_is_used():
+    # radius is the only numpy user (one Domb-Sykes fit), so the package binds
+    # its names on first use: a library process that never touches them loads
+    # neither numpy nor, before an exact or bigfloat request, sympy or mpmath;
+    # dir() and star imports still list every radius name
+    proc = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -46,6 +46,20 @@ AM4 = AlmostMemoryless(R4, PerturbationMatrix(((1, -1, 0, 0), (0, 1, -1, 0), (0,
                                                (-1, 0, 0, 1))))
 
 
+# a 3-state model with no zero entry and no symmetry between its states
+BASE3 = validate_model(
+    StochasticMatrix((("1/2", "1/4", "1/4"), ("1/8", "3/4", "1/8"), ("1/4", "1/4", "1/2"))),
+    StochasticMatrix((("3/4", "1/8", "1/8"), ("1/8", "3/4", "1/8"), ("1/4", "1/4", "1/2"))),
+)
+
+
+def relabel(rows, states, symbols=None):
+    """A matrix with its rows relabelled by states and its columns by symbols
+    (default: states): entry (i, j) is rows[states[i]][symbols[j]]."""
+    symbols = states if symbols is None else symbols
+    return tuple(tuple(rows[a][b] for b in symbols) for a in states)
+
+
 def word_probability(model: HmpModel, ys) -> Fraction:
     """P([Y]_1^n = ys) by summing over all hidden paths (exact)."""
     s = model.size
