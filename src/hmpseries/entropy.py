@@ -10,13 +10,13 @@ identically zero probability add nothing (the walk skips them, and their
 subtrees stay zero), which is exactly the 0*log(0) convention.
 
 The traversal is generic over an accumulation domain.  Each backend has
-one -p log p kernel, _JetExactDomain and _JetFloatDomain, for scalars, jets
-and per-site polynomials alike (_domain picks one).  A jet of order K is the
-one-variable polynomial with cap K.  Jets and per-site polynomials are
-coefficient lists in the layout of a plan built once per caps and targets
-(_plan).  Both kernels run one recurrence for log p over the plan; a scalar
-takes one log or one integer addition.  _traverse drives both, and each
-finish gives a list of per-target values.
+one -p log p kernel, _JetExactDomain and _JetFloatDomain (_domain picks
+one), for one leaf shape: a coefficient list laid out by a plan built once
+per caps and targets (_plan).  A jet of order K is the one-variable
+polynomial with cap K, and a scalar is the jet of order 0.  Both kernels run
+one recurrence for log p over the plan's box; the box of order 0 is empty,
+and there they take one log or one integer addition.  _traverse drives
+both, and each finish gives a list of per-target values.
 
 Every walk is described once, as an exact source: a coefficient list per
 state and a table (A, B, i), the matrix A + x_i*B in rationals, per depth
@@ -42,8 +42,8 @@ sympy.
 
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
-each recording n - 1 and n of every listed n (_run).  finite_entropy and
-lower_bound record only what they report.  No walk starts over COST_CAP (_cost).
+each recording n - 1 and n of every listed n (_window_walks).  finite_entropy
+and lower_bound record only what they report.  No walk starts over COST_CAP.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _nodes(s, width, d):
     return width * (math.expm1(min(d * math.log(s), 700)) / (s - 1) if s > 1 else d)
 
 
-def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
+def _cost(s, n, record, backend, joint=False, order=0, kvec=None):
     """A walk's predicted cost, in about microseconds of a cold run on a 2-core x86
     machine, or inf if too large for a float: per node s(s+1) products of
     box-wide lists, per leaf of a recorded depth _plan's pairs (in closed form)
@@ -93,7 +93,7 @@ def _cost(s, n, record, backend, joint=False, order=None, kvec=None):
         box = math.prod(k + 1 for k in kvec)
         pairs = math.prod((k + 1) * (k + 2) // 2 for k in kvec) - box + 1
     else:
-        box, pairs = (order or 0) + 1, (order or 0) ** 2 + 1
+        box, pairs = order + 1, order**2 + 1
     bits = getattr(backend, "bits", None)
     width = s * s if joint else s
     try:
@@ -112,26 +112,23 @@ def _slot_bits(start, emit_at, trans_at, n):
     A node's coefficients sum in absolute value to at most the start lists',
     times per depth the largest |a| + |b| of an emission entry and, before
     the last, the largest sum of |a| + |b| along a row of the transition
-    table; truncation only drops terms.  A scalar entry x counts as (x, 0).
+    table; truncation only drops terms.
     """
-    def size(x):
-        return abs(x) if type(x) is int else abs(x[0]) + abs(x[1])
-
     bound = sum(abs(c) for coeffs in start for c in coeffs)
     for depth in range(n):
-        bound *= max(size(x) for col in emit_at[depth] for x in col)
+        bound *= max(abs(a) + abs(b) for col in emit_at[depth] for a, b, _ in col)
         if depth + 1 < n:
-            bound *= max(map(sum, zip(*([size(x) for x in tc] for tc in trans_at[depth]))))
+            rows = zip(*([abs(a) + abs(b) for a, b, _ in tc] for tc in trans_at[depth]))
+            bound *= max(map(sum, rows))
     return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _dot(xs, entries, box):
     """Sum_j xs_j * entries_j over packed coefficient lists; an entry (a, b,
-    shift) is the factor a + b*x_i, shift the plan's pairs (e, e + 1_i), and
-    an entry of a scalar walk is an integer."""
+    shift) is the factor a + b*x_i, shift the plan's pairs (e, e + 1_i), which
+    a scalar walk's plan of order 0 leaves empty."""
     out = [0] * box
-    for x, entry in zip(xs, entries):
-        a, b, shift = (entry, 0, ()) if type(entry) is int else entry
+    for x, (a, b, shift) in zip(xs, entries):
         if a:
             out = [o + c * a for o, c in zip(out, x)]
         if b:
@@ -185,11 +182,10 @@ def _walk(start, emit_at, trans_at, depth, n, sums, domain):
     bit k * bits.  A table entry a + b*x_i costs two big-integer products
     and one add per level, and the children of symbol y take the block of
     slots above those of y - 1.  At a recorded depth the leaves are read
-    once, and the kernel runs once per distinct nonzero leaf with its
-    multiplicity (_leaves).
+    once, and the kernel runs once per distinct nonzero leaf, a coefficient
+    list of the plan's width (1 for a scalar), with its multiplicity (_leaves).
     """
-    plan = domain.plan
-    box = len(plan[0]) if plan else 1
+    box = len(domain.plan[0])
     level, width = start, 1
     bits = _slot_bits(level, emit_at, trans_at, n)
     for depth in range(depth, n):
@@ -206,7 +202,7 @@ def _walk(start, emit_at, trans_at, depth, n, sums, domain):
         leaves = _leaves(_concat(leaves, shift), width, bits) if acc is not None else ()
         del gamma, blocks  # freed before the kernel's cells grow
         for p, m in leaves:
-            domain.add_term(acc, p if plan else p[0], m)
+            domain.add_term(acc, p, m)
 
 
 def _new_cells(q_primes):
@@ -288,12 +284,12 @@ class _JetExactDomain:
     B_e = |e| N_e N_0^(|e|-1) - sum_{0<g<e} N_g N_0^(|g|-1) B_(e-g) over the
     plan's box (_plan).  For each target t a leaf adds N_t and the numerator
     of [N W]_t over lcm(1..|t|) N_0^|t| to the cell of its N_0, so it builds
-    no Fraction and factors nothing.  A scalar only adds N_0.
+    no Fraction and factors nothing.  On an empty box (order 0) it adds N_0.
     """
 
-    def __init__(self, plan=None):
+    def __init__(self, plan):
         self.plan = plan
-        self.weights = [w for _, w, _ in plan[2]] if plan else [0]
+        self.weights = [w for _, w, _ in plan[2]]
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
@@ -314,16 +310,15 @@ class _JetExactDomain:
 
     def add_term(self, acc, p, m):
         """Adds the leaf p, m times, to the cell of its N_0."""
-        plan = self.plan
-        n0 = p[0] if plan else p
+        n0 = p[0]
         _check_constant(n0, acc[1])
         cell = acc[2].get(n0)
         if cell is None:
             cell = acc[2][n0] = [0] * (2 * len(self.weights))
-        if plan is None:
+        weight, box, tops, _ = self.plan
+        if not box:  # the plan of order 0: N_0 alone
             cell[0] += m * n0
             return
-        weight, box, tops, _ = plan
         pw = [1]
         for _ in range(self.top):
             pw.append(pw[-1] * n0)
@@ -389,8 +384,8 @@ def _integer_tables(source, plan):
     and every transition table by D_M, so a node at depth d carries integer
     numerators over Q_d = D_start * D_R^d * D_M^(d-1).  A start list, in
     powers of x_0, pads to the plan's width (the plan puts x_0^m at position
-    m).  An entry becomes its integer a or, on a plan, the factor
-    (a, b, shift), shift the plan's pairs (e, e + 1_i).  Each distinct
+    m).  An entry becomes the factor (a, b, shift), shift the plan's pairs
+    (e, e + 1_i), none at order 0.  Each distinct
     (A, B, i) of a kind is mapped once, so the depths that share it share
     its columns.  Returns the start lists, the columns per depth of the
     emission and transition tables, and (D_start, D_R, D_M).
@@ -409,14 +404,13 @@ def _integer_tables(source, plan):
         for a, b, i in tables:
             if (id(a), id(b), i) not in done:  # a B of None reads as zeros
                 cols = zip(zip(*a), zip(*b) if b is not None else repeat(repeat(0)))
-                done[id(a), id(b), i] = [
-                    [scaled(x, d) if plan is None else (scaled(x, d), scaled(y, d), plan[3][i])
-                     for x, y in zip(ca, cb)] for ca, cb in cols]
+                done[id(a), id(b), i] = [[(scaled(x, d), scaled(y, d), plan[3][i])
+                                          for x, y in zip(ca, cb)] for ca, cb in cols]
         return [done[id(a), id(b), i] for a, b, i in tables]
 
     scales = d_start, d_r, d_m = scale([(start, None, 0)]), scale(emits), scale(transs)
-    width = len(plan[0]) if plan else 1
-    beta = [[scaled(c, d_start) for c in coeffs] + [0] * (width - len(coeffs)) for coeffs in start]
+    beta = [[scaled(c, d_start) for c in coeffs] + [0] * (len(plan[0]) - len(coeffs))
+            for coeffs in start]
     return beta, kind(emits, d_r), kind(transs, d_m), scales
 
 
@@ -426,15 +420,15 @@ class _JetFloatDomain:
     A leaf's integer numerators N_e over Q_d are read by division, p_0 =
     N_0 / Q_d and r_e = N_e / N_0: float64 divides the integers, correctly
     rounded at any size, and bigfloat converts the numerator at its working
-    precision.  A scalar takes one log.  Otherwise W = log(p / p_0) depends on
-    the ratios r alone, W_e = r_e - sum_{0<g<e} r_g |e-g| W_(e-g) / |e| over
-    the plan's box (_plan), and a leaf adds m times
+    precision.  An empty box takes one log.  Otherwise W = log(p / p_0)
+    depends on the ratios r alone, W_e = r_e - sum_{0<g<e} r_g |e-g| W_(e-g)
+    / |e| over the plan's box (_plan), and a leaf adds m times
     -p_0 (r_t log(p_0) + [r W]_t) to the terms of each target t.  The terms
     are summed with fsum (Shewchuk, DCG 18, 1997; mpmath's at the working
     precision on bigfloat) every _BLOCK terms and at the finish.
     """
 
-    def __init__(self, backend, plan=None):
+    def __init__(self, backend, plan):
         self._log, self.plan = backend.log, plan
         if backend.bits is None:
             self._ratio, self._fsum = truediv, math.fsum
@@ -447,21 +441,19 @@ class _JetFloatDomain:
         """Q_d and one list of terms per target for each recorded depth, from
         the table scales (D_start, D_R, D_M) in closed form."""
         d_start, d_r, d_m = scales
-        top = len(self.plan[2]) if self.plan else 1
-        return {d: (d_start * d_r**d * d_m**(d - 1), [[] for _ in range(top)]) for d in record}
+        return {d: (d_start * d_r**d * d_m**(d - 1), [[] for _ in self.plan[2]]) for d in record}
 
     def add_term(self, acc, p, m):
         """Adds -p log p of the leaf p, m times, to the terms of each target."""
         q, sums = acc
-        plan, ratio = self.plan, self._ratio
-        n0 = p[0] if plan else p
+        ratio, (_, box, tops, _) = self._ratio, self.plan
+        n0 = p[0]
         _check_constant(n0, q)
         c0 = ratio(n0, q)
         lg0 = self._log(c0)
-        if plan is None:
+        if not box:  # the plan of order 0: one log
             terms = (c0 * lg0,)
         else:
-            _, box, tops, _ = plan
             r = [ratio(x, n0) if x else 0 for x in p]  # p_e / p_0, W's only input
             lg, wlg = [0] * len(r), [0] * len(r)  # W_e and |e| W_e
             for e, w, pairs in box:
@@ -488,14 +480,13 @@ class _JetFloatDomain:
         return [self._fsum(out) for out in acc[1]]
 
 
-def _domain(backend, order=None, kvec=None):
-    """The backend's -p log p kernel: for scalars by default, for jets to
-    the given order, or for the kvec coefficient of per-site polynomials
-    with caps kvec."""
-    plan = None
+def _domain(backend, order=0, kvec=None):
+    """The backend's -p log p kernel for jets to the given order, or for the
+    kvec coefficient of per-site polynomials with caps kvec.  A scalar is the
+    jet of order 0, the default: one position and one target of weight 0."""
     if kvec is not None:
         plan = _plan(tuple(kvec), (tuple(kvec),))
-    elif order is not None:
+    else:
         plan = _plan((order,), tuple((k,) for k in range(order + 1)))
     if backend.is_exact:
         return _JetExactDomain(plan)
@@ -647,6 +638,18 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
     return _windows(model, [n], backend, lower_from=1)[0]
 
 
+def _window_walks(ns, lower_from=None):
+    """(depth, record, joint) of each walk of _windows(model, ns, backend, lower_from)."""
+    long = [n for n in ns if n >= 2] if lower_from is not None else []
+    walks = [(max(ns), {d for n in ns for d in (n - 1, n) if d}, False)]
+    return walks + ([(max(long), {d for n in long for d in (n - 1, n)}, True)] if long else [])
+
+
+def _windows_cost(s, ns, backend, lower_from=None):
+    """The predicted cost of _windows' walks (_window_walks) on s states."""
+    return sum(_cost(s, n, rec, backend, joint) for n, rec, joint in _window_walks(ns, lower_from))
+
+
 def _windows(model: HmpModel, ns, backend, lower_from=None):
     """One EntropyReport per n of ns, in list order, from one walk set.
 
@@ -660,14 +663,10 @@ def _windows(model: HmpModel, ns, backend, lower_from=None):
         raise ValueError("need at least one window size")
     for n in ns:
         _check_depth(n, lower_from)
-    long = [n for n in ns if n >= 2] if lower_from is not None else []
-    rec, jrec = {d for n in ns for d in (n - 1, n) if d}, {d for n in long for d in (n - 1, n)}
-    _check_depth(max(ns), cost=_cost(model.size, max(ns), rec, backend)
-                 + (_cost(model.size, max(long), jrec, backend, True) if long else 0))
+    _check_depth(max(ns), cost=_windows_cost(model.size, ns, backend, lower_from))
     domain = _domain(backend)
     with backend.ctx():
-        h = _run(model, max(ns), rec, domain)
+        h, *joint = [_run(model, n, rec, domain, j) for n, rec, j in _window_walks(ns, lower_from)]
         up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
-        out = _run(model, max(long), jrec, domain, joint=True) if long else {}
-        low = {n: out[n] - out[n - 1] for n in long}
+        low = {n: joint[0][n] - joint[0][n - 1] for n in ns if n > 1} if joint else {}
         return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

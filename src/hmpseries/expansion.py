@@ -40,6 +40,7 @@ from .entropy import (
     _JetExactDomain,
     _JetFloatDomain,
     _traverse,
+    _window_walks,
 )
 from .errors import OrderTooHigh, ValidationError
 from .loglinear import LogLinearValue
@@ -124,17 +125,23 @@ def _regime_source(spec: RegimeSpec, n: int, sites, cap: int):
             [(spec.R.rows, None, 0)] * n, [(uniform, t, sites[i]) for i in range(1, n)])
 
 
+def _jets_cost(s, ns, order, backend):
+    """The predicted cost of _increment_jets' walk (_window_walks) on s states."""
+    [(depth, record, _)] = _window_walks(ns)
+    return _cost(s, depth, record, backend, order=order)
+
+
 def _increment_jets(spec, ns, order, backend):
     """Jets of C_n for every n in the sorted ns, from one walk at max(ns)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if ns[0] < 2:
         raise ValueError("conditional increments need n >= 2")
-    record = {d for n in ns for d in (n - 1, n)}
-    _check_depth(ns[-1], cost=_cost(spec.T.size, ns[-1], record, backend, order=order))
+    _check_depth(ns[-1], cost=_jets_cost(spec.T.size, ns, order, backend))
+    [(depth, record, _)] = _window_walks(ns)
     with backend.ctx():
-        source = _regime_source(spec, ns[-1], [0] * ns[-1], order)
-        out = _traverse(source, ns[-1], record, _domain(backend, order))
+        source = _regime_source(spec, depth, [0] * depth, order)
+        out = _traverse(source, depth, record, _domain(backend, order))
         return {n: TruncatedSeries(a - b for a, b in zip(out[n], out[n - 1])) for n in ns}
 
 

@@ -193,13 +193,13 @@ def test_exact_leaf_kernel_matches_series_log(data):
     order = data.draw(st.integers(min_value=0, max_value=5))
     q = data.draw(st.integers(min_value=1, max_value=10**5))
     leaves = data.draw(st.lists(_integer_jets(order), min_size=1, max_size=4))
-    jet, scalar = _domain(EXACT, order), _domain(EXACT)
+    jet, scalar = _domain(EXACT, order), _domain(EXACT)  # a scalar is the jet of order 0
     jet_acc = _new_cells(factor_positive(q))
     scalar_acc = _new_cells(factor_positive(q))
     expect = TruncatedSeries([F(0)] * (order + 1))
     for coeffs in leaves:
         jet.add_term(jet_acc, coeffs, 1)  # a jet's plan positions are its orders
-        scalar.add_term(scalar_acc, coeffs[0], 1)
+        scalar.add_term(scalar_acc, coeffs[:1], 1)
         expect = entropy_accumulate(TruncatedSeries([F(c, q) for c in coeffs]), expect)
     assert jet.finish(jet_acc) == list(expect.coeffs)
     assert scalar.finish(scalar_acc) == [expect.coeffs[0]]
@@ -418,10 +418,10 @@ def test_predicted_nodes_bound_the_walk(walks, name):
 
 
 @pytest.mark.parametrize("order, kvec", [(5, None), (None, (2, 0, 3)), (None, (1, 1, 1, 1)),
-                                         (None, (3, 3, 3))])
+                                         (None, (3, 3, 3)), (0, None)])
 def test_predicted_box_and_pairs_are_the_plans(order, kvec):
     # _cost's closed form against _plan: its node term scales with the box, and
-    # a float leaf with the pairs plus one log, both 1 for a scalar
+    # a float leaf with the pairs plus one log, both 1 for a scalar, the plan of order 0
     targets = (kvec,) if kvec else tuple((k,) for k in range(order + 1))
     plan = entropy._plan(kvec or (order,), targets)
     box, pairs = len(plan[0]), sum(len(p) for _, _, p in plan[1] + plan[2]) + 1
@@ -565,18 +565,14 @@ def _assert_mapped(plan, source, tables, scales):
     table (A, B, i) share its mapped columns."""
     start, emits, transs = source
     beta, emit_at, trans_at = tables
-    width = len(plan[0]) if plan else 1
     for coeffs, got in zip(start, beta, strict=True):
-        assert got == [c * scales[0] for c in coeffs] + [0] * (width - len(coeffs))
+        assert got == [c * scales[0] for c in coeffs] + [0] * (len(plan[0]) - len(coeffs))
     for kind, tabs, mapped in ((1, emits, emit_at), (2, transs, trans_at)):
         assert len(tabs) == len(mapped)
         for (a, b, i), cols in zip(tabs, mapped):
             assert len(cols) == len(a[0]) and all(len(col) == len(a) for col in cols)
             for k, col in enumerate(cols):
                 for j, entry in enumerate(col):
-                    if plan is None:
-                        assert b is None and entry == a[j][k] * scales[kind]
-                        continue
                     assert entry[:2] == (a[j][k] * scales[kind],
                                          (0 if b is None else b[j][k]) * scales[kind])
                     assert b is None or entry[2] == plan[3][i]

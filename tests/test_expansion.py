@@ -27,11 +27,13 @@ from hmpseries import (
     am_binary,
     am_binary_reference_series,
     bounds_scan,
+    conditional_increment,
     entropy_accumulate,
     first_order_am,
     first_order_high_snr,
     high_snr_binary,
     increment_jet,
+    instantiate,
     multisite_derivative,
     probability_jet_total,
     rate_series,
@@ -359,6 +361,19 @@ def test_float_jets_are_bitwise_invariant_under_relabelling(backend):
             got = AlmostMemoryless(StochasticMatrix(relabel(AM3.R.rows, states, symbols)),
                                    PerturbationMatrix(relabel(AM3.T.rows, states)))
             assert rate_series(got, 7, backend).values == am, (states, symbols)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64, FloatBackend(128)],
+                         ids=["exact", "float64", "bigfloat128"])
+def test_a_scalar_is_the_jet_of_order_0(backend):
+    # the order-0 jet walk of a regime and the window walk of its model at 0
+    # read the same leaves over different scales, so C_n agrees: exactly, and
+    # bit for bit on the float backends
+    for spec in (am_binary(F(3, 5)), high_snr_binary(F(1, 5)), AM3, HS3):
+        model = instantiate(spec, 0)
+        for n in range(2, 7):
+            got = increment_jet(spec, n, 0, backend).coeffs[0]
+            assert got == conditional_increment(model, n, backend), (spec, n)
 
 
 def test_increment_jet_input_checks():

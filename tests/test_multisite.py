@@ -77,7 +77,7 @@ def test_multipoly_arithmetic_with_caps():
     coefficient = dict(map(reversed, enumerate(_layout(caps))))
     x, (tx, ty) = _linear(caps, 0)
     y, _ = _linear(caps, 1)
-    s = _dot((x, y), (1, 1), box)
+    s = _dot((x, y), ((1, 0, ()), (1, 0, ())), box)
     p = _dot((s, s), (tx, ty), box)
     assert p[coefficient[(2, 0)]] == 1
     assert p[coefficient[(1, 1)]] == 2
@@ -94,7 +94,7 @@ def test_multipoly_constant_and_zero():
     caps = (1, 1)
     shift = _plan(caps, (caps,))[3][0]
     one, zero = [1, 0, 0, 0], [0] * 4
-    assert _dot((one, one), (1, (-1, 0, shift)), 4) == zero
+    assert _dot((one, one), ((1, 0, ()), (-1, 0, shift)), 4) == zero
     assert _dot((one,), ((0, 0, shift),), 4) == zero
     assert _dot((one,), ((1, 0, shift),), 4) == one
 
@@ -117,7 +117,7 @@ def test_entry_product_matches_the_dict_product(data):
                      caps)
     got = _dot((p,), ((a, b, shift),), len(layout))
     assert {e: c for e, c in zip(layout, got) if c} == want
-    total = _dot((p, r), ((a, b, shift), c), len(layout))
+    total = _dot((p, r), ((a, b, shift), (c, 0, ())), len(layout))
     assert total == [g + c * x for g, x in zip(got, r)]
 
 

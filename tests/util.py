@@ -282,10 +282,8 @@ def log1p_part(p: dict, c0, caps) -> dict:
 
 
 def _times(x: list, entry) -> list:
-    """A coefficient list times a table entry: an integer, or the factor
-    a + b*x_i as (a, b, shift) with shift the position pairs (e, e + 1_i)."""
-    if isinstance(entry, int):
-        return [c * entry for c in x]
+    """A coefficient list times a table entry, the factor a + b*x_i as
+    (a, b, shift) with shift the position pairs (e, e + 1_i)."""
     a, b, shift = entry
     out = [c * a for c in x]
     for e, f in shift:
@@ -304,7 +302,7 @@ def recursive_walk(start, emit_at, trans_at, depth, n, sums, domain):
         if not any(p):
             continue
         if acc is not None:
-            domain.add_term(acc, p if domain.plan else p[0], 1)
+            domain.add_term(acc, p, 1)
         if not last:
             nxt = [[sum(c) for c in zip(*(_times(g, e) for g, e in zip(gamma, tc)))]
                    for tc in trans_at[depth]]
