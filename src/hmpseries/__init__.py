@@ -63,7 +63,6 @@ from .model import (
     AlmostMemoryless,
     HighSnr,
     HmpModel,
-    JointChain,
     PerturbationMatrix,
     RegimeSpec,
     StochasticMatrix,
@@ -72,7 +71,6 @@ from .model import (
     binary_symmetric_emission,
     high_snr_binary,
     instantiate,
-    joint_chain,
     load_model,
     load_regime,
     model_from_dict,

@@ -78,7 +78,8 @@ def _int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [_int(p) for p in text.split(",") if p.strip() != ""]
+    """A comma-separated list of integers; an empty list or item is a ParseError."""
+    return [_int(p) for p in text.split(",")]
 
 
 def _add_io(sub, backend_default="exact"):

@@ -12,11 +12,11 @@ subtrees stay zero), which is exactly the 0*log(0) convention.
 The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain (_domain picks
 one), for one leaf shape: a coefficient list laid out by a plan built once
-per caps and targets (_plan).  A jet of order K is the one-variable
-polynomial with cap K, and a scalar is the jet of order 0.  Both kernels run
-one recurrence for log p over the plan's box; the box of order 0 is empty,
-and there they take one log or one integer addition.  _traverse drives
-both, and each finish gives a list of per-target values.
+per tuple of targets (_plan).  A jet of order K has the targets 0..K, and a
+scalar is the jet of order 0.  Both kernels run one recurrence for log p
+over the plan's box; the box of order 0 is empty, and there they take one
+log or one integer addition.  _traverse drives both, and each finish gives
+a list of per-target values.
 
 Every walk is described once, as an exact source: a coefficient list per
 state and a table (A, B, i), the matrix A + x_i*B in rationals, per depth
@@ -26,7 +26,7 @@ node at depth d carries integer numerators over
 Q_d = D_start * D_R^d * D_M^(d-1).  _walk walks those tables level by
 level, each coefficient of a level one integer with every node in a slot
 (_slot_bits), and the kernel runs once per distinct leaf of a recorded
-depth, times the leaf's multiplicity.
+depth with fewer than _BLOCK of them, times its multiplicity (_leaves).
 
 The exact kernel keeps one accumulator per depth (_new_cells), with one
 cell of integer sums per distinct constant term N_0 of a leaf, and one
@@ -63,7 +63,7 @@ from .loglinear import LogLinearValue, _normalise, _split, factor_positive
 from .model import HmpModel, _matmul
 
 COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
-_BLOCK = 1 << 16  # leaves counted, and float terms kept, at a time
+_BLOCK = 1 << 16  # distinct leaves held, and float terms kept, at a time
 
 
 def _check_depth(n: int, lower_from=None, cost=0):
@@ -152,7 +152,9 @@ def _leaves(packed, count, bits):
 
     Each node becomes one row of bytes, its slots in position order with
     2^(bits-1) added to each, so that a signed slot reads as an unsigned
-    one; the rows are counted _BLOCK nodes at a time.
+    one.  One count runs over all the rows, _BLOCK nodes at a time, and is
+    read out once it holds _BLOCK distinct rows and at the end, so a depth
+    with fewer distinct leaves yields each of them once.
     """
     size, box = bits // 8, len(packed)
     half, zero = 1 << (bits - 1), (bytes(size - 1) + b"\x80") * box  # zero: a zero leaf's row
@@ -163,13 +165,15 @@ def _leaves(packed, count, bits):
         buf = (packed.pop() + offset).to_bytes(size * count, "little")
         for b in range(size):  # byte b of slot e of every node
             rows[e * size + b::size * box] = buf[b::size]
-    step, view = size * box * _BLOCK, memoryview(rows)
+    step, view, counts = size * box * _BLOCK, memoryview(rows), Counter()
     for lo in range(0, len(rows), step):
-        chunk = struct.iter_unpack(f"{size * box}s", view[lo:lo + step])
-        for row, m in Counter([row for (row,) in chunk]).items():
-            if row != zero:
-                yield [int.from_bytes(row[i:i + size], "little") - half
-                       for i in range(0, size * box, size)], m
+        counts.update(row for (row,) in struct.iter_unpack(f"{size * box}s", view[lo:lo + step]))
+        if len(counts) >= _BLOCK or lo + step >= len(rows):
+            for row, m in counts.items():
+                if row != zero:
+                    yield [int.from_bytes(row[i:i + size], "little") - half
+                           for i in range(0, size * box, size)], m
+            counts.clear()
 
 
 def _walk(start, emit_at, trans_at, depth, n, sums, domain):
@@ -246,32 +250,31 @@ def _cell_totals(acc):
 
 
 @lru_cache(maxsize=256)
-def _plan(caps, targets):
-    """The plan of coefficient lists within caps and below targets.
+def _plan(targets):
+    """The plan of coefficient lists below targets, exponent vectors.
 
-    The box is every exponent vector e below some target, ordered with the
-    last variable most significant, so position 0 is the constant term and
-    a jet of order K (caps (K,), targets 0..K) has its orders as positions.
-    Returns the weights |e| by position, then each nonzero box entry e with
-    its index pairs (g, e - g) over 0 < g < e, then each target t with its
-    weight and its pairs (t - h, h) over 0 < h <= t, then per variable i the
-    shift pairs (e, e + 1_i) of the box.
+    The box is the union of the targets' lattices {f <= t}, ordered with the
+    last variable most significant, so position 0 is the constant term and a
+    jet of order K (targets 0..K) has its orders as positions.  Returns the
+    weights |e| by position, then each nonzero box entry e with its pairs
+    (g, e - g) over 0 < g < e, then each target t with its weight and its
+    pairs (t - h, h) over 0 < h <= t, each from the lattice of e or t alone,
+    then per variable i the shift pairs (e, e + 1_i) of the box.
     """
-    vecs = [e for e in sorted(product(*(range(cap + 1) for cap in caps)), key=lambda e: e[::-1])
-            if any(all(a <= b for a, b in zip(e, t)) for t in targets)]
-    pos = {e: i for i, e in enumerate(vecs)}
+    def lattice(e):  # the vectors f <= e in box order, 0 first and e last
+        return sorted(product(*(range(a + 1) for a in e)), key=lambda f: f[::-1])
 
-    def below(e):  # the nonzero box vectors f <= e, in box order
-        return [f for f in vecs[1:] if all(a <= b for a, b in zip(f, e))]
+    vecs = sorted({f for t in targets for f in lattice(t)}, key=lambda e: e[::-1])
+    pos = {e: i for i, e in enumerate(vecs)}
 
     def minus(e, f):
         return pos[tuple(a - b for a, b in zip(e, f))]
 
-    box = tuple((pos[e], sum(e), tuple((pos[g], minus(e, g)) for g in below(e) if g != e))
+    box = tuple((pos[e], sum(e), tuple((pos[g], minus(e, g)) for g in lattice(e)[1:-1]))
                 for e in vecs[1:])
-    tops = tuple((pos[t], sum(t), tuple((minus(t, h), pos[h]) for h in below(t)))
+    tops = tuple((pos[t], sum(t), tuple((minus(t, h), pos[h]) for h in lattice(t)[1:]))
                  for t in targets)
-    ups = [[e[:i] + (e[i] + 1,) + e[i + 1:] for e in vecs] for i in range(len(caps))]
+    ups = [[e[:i] + (e[i] + 1,) + e[i + 1:] for e in vecs] for i in range(len(targets[0]))]
     shifts = tuple(tuple((pos[e], pos[f]) for e, f in zip(vecs, up) if f in pos) for up in ups)
     return tuple(sum(e) for e in vecs), box, tops, shifts
 
@@ -483,11 +486,9 @@ class _JetFloatDomain:
 def _domain(backend, order=0, kvec=None):
     """The backend's -p log p kernel for jets to the given order, or for the
     kvec coefficient of per-site polynomials with caps kvec.  A scalar is the
-    jet of order 0, the default: one position and one target of weight 0."""
-    if kvec is not None:
-        plan = _plan(tuple(kvec), (tuple(kvec),))
-    else:
-        plan = _plan((order,), tuple((k,) for k in range(order + 1)))
+    jet of order 0, the default: one position and one target of weight 0.
+    The targets are the orders 0..order as 1-vectors, or kvec alone."""
+    plan = _plan((tuple(kvec),) if kvec is not None else tuple((k,) for k in range(order + 1)))
     if backend.is_exact:
         return _JetExactDomain(plan)
     return _JetFloatDomain(backend, plan)

@@ -1,6 +1,6 @@
 """Model parameterizations: exact stochastic matrices, stationary
-distributions, perturbation regimes, the joint state-observation chain,
-path sampling, and the JSON model/regime file format.
+distributions, perturbation regimes, path sampling, and the JSON
+model/regime file format.
 
 All probabilities are Fractions and all distribution vectors are row
 vectors.  States and observation symbols are 0-based integers over a common
@@ -280,26 +280,6 @@ def stationary_first_order(t: PerturbationMatrix) -> tuple[Fraction, ...]:
     """
     s = t.size
     return tuple(sum(t.rows[i][j] for i in range(s)) / s for j in range(s))
-
-
-@dataclass(frozen=True)
-class JointChain:
-    """The Markov chain on joint states w = (state, symbol) with r > 0."""
-
-    states: tuple[tuple[int, int], ...]
-    transition: StochasticMatrix
-
-
-def joint_chain(model: HmpModel) -> JointChain:
-    s = model.size
-    states = tuple(
-        (x, y) for x in range(s) for y in range(s) if model.R.rows[x][y] > 0
-    )
-    rows = tuple(
-        tuple(model.M.rows[wx][vx] * model.R.rows[vx][vy] for (vx, vy) in states)
-        for (wx, wy) in states
-    )
-    return JointChain(states, StochasticMatrix(rows))
 
 
 def _cumulative(weights) -> list[float]:

@@ -111,12 +111,19 @@ def test_entropy_depth_cap_exit_1(capsys, model_file, tmp_path, walks):
         assert time.perf_counter() - start < 1, argv
         assert code == 1 and out == "" and walks[0] == 0, argv
         assert re.search(r"DepthCapExceeded: predicted cost \S+ exceeds the cap 6e\+07$", err), err
-    # an empty window list fails alike in the three commands that take one
-    for argv in (["entropy", "--model", model_file], ["bounds", "--model", model_file],
-                 ["settle", "--regime", "am", "--mu", "3/5", "--k", "2"]):
-        code, out, err = run_cli(capsys, *argv, "--n", "")
-        assert code == 1 and out == ""
-        assert "need at least one window size" in err
+
+
+@pytest.mark.parametrize("items", ["", ",", "3,,5", "3,", " ,4"])
+def test_empty_list_or_item_exit_2(capsys, model_file, walks, items):
+    # a window or order list is input: an empty list or item is a parse error
+    # in the four commands that take one, before any walk and with no report
+    for argv in (["entropy", "--model", model_file, "--n"],
+                 ["bounds", "--model", model_file, "--n"],
+                 ["settle", "--regime", "am", "--mu", "3/5", "--k", "2", "--n"],
+                 ["scan", "--regime", "am", "--mu", "3/5", "--grid", "1/100:1/10:2", "--orders"]):
+        code, out, err = run_cli(capsys, *argv, items)
+        assert code == 2 and out == "" and walks[0] == 0, argv
+        assert "expected an integer" in err, err
 
 
 def test_caps_and_tolerances_are_not_options(capsys, model_file):

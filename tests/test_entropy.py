@@ -4,7 +4,7 @@ import inspect
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -65,6 +65,7 @@ from util import (
     ll_close,
     mp_value,
     recursive_walk,
+    reference_plan,
     relabel,
     stochastic_rows,
     word_probability,
@@ -423,11 +424,22 @@ def test_predicted_box_and_pairs_are_the_plans(order, kvec):
     # _cost's closed form against _plan: its node term scales with the box, and
     # a float leaf with the pairs plus one log, both 1 for a scalar, the plan of order 0
     targets = (kvec,) if kvec else tuple((k,) for k in range(order + 1))
-    plan = entropy._plan(kvec or (order,), targets)
+    plan = entropy._plan(targets)
     box, pairs = len(plan[0]), sum(len(p) for _, _, p in plan[1] + plan[2]) + 1
     node, leaf = (entropy._cost(2, 3, record, FLOAT64) for record in (set(), {3}))
     got = [entropy._cost(2, 3, record, FLOAT64, order=order, kvec=kvec) for record in (set(), {3})]
     assert got == pytest.approx([node * box, node * box + (leaf - node) * pairs])
+
+
+def test_plans_match_the_reference():
+    # _plan enumerates the lattice below each target; the reference filters
+    # the box of the caps and scans the whole box for every vector's pairs
+    for order in range(21):
+        targets = tuple((k,) for k in range(order + 1))
+        assert entropy._plan(targets) == reference_plan((order,), targets), order
+    for sites in range(1, 5):
+        for kvec in product(range(3), repeat=sites):
+            assert entropy._plan((kvec,)) == reference_plan(kvec, (kvec,)), kvec
 
 
 @given(hmp_models(2))
@@ -475,6 +487,24 @@ def test_blocks_of_leaves_and_terms_leave_the_values(monkeypatch):
     monkeypatch.setattr(entropy, "_BLOCK", 3)
     assert requests(EXACT) == exact
     assert requests(FLOAT64) == pytest.approx(floats, rel=1e-13, abs=1e-15)
+
+
+def test_each_distinct_leaf_reaches_the_kernel_once_per_depth(monkeypatch):
+    # _leaves keeps one count across the blocks of _BLOCK nodes of a depth, so
+    # a leaf found in two blocks still reaches the kernel once
+    calls, add_term = {}, entropy._JetExactDomain.add_term
+
+    def counting(self, acc, p, m):
+        calls.setdefault(id(acc), (acc, []))[1].append((tuple(p), m))
+        return add_term(self, acc, p, m)
+
+    monkeypatch.setattr(entropy._JetExactDomain, "add_term", counting)
+    monkeypatch.setattr(entropy, "_BLOCK", 32)
+    rate_series(am_binary("3/5"), 9)
+    depths = [seen for _, seen in calls.values()]
+    assert max(sum(m for _, m in seen) for seen in depths) > 32  # more than one block
+    for seen in depths:
+        assert len({p for p, _ in seen}) == len(seen)
 
 
 def test_bigfloat_midpoint_and_half_gap_keep_the_backend_precision():

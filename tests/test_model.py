@@ -23,7 +23,6 @@ from hmpseries import (
     binary_symmetric_emission,
     high_snr_binary,
     instantiate,
-    joint_chain,
     load_model,
     load_regime,
     model_from_dict,
@@ -191,26 +190,6 @@ def test_stationary_first_order_matches_series_and_differences(t):
 def test_stationary_first_order_example():
     t = PerturbationMatrix((("1/2", 0, "-1/2"), (0, 0, 0), (1, "-1/2", "-1/2")))
     assert stationary_first_order(t) == (F(1, 2), F(-1, 6), F(-1, 3))
-
-
-def test_joint_chain_binary():
-    model = instantiate(high_snr_binary("1/5"), F(1, 5))
-    joint = joint_chain(model)
-    assert set(joint.states) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    i = joint.states.index((0, 0))
-    j = joint.states.index((1, 0))
-    assert joint.transition.rows[i][j] == F(1, 25)  # m01 * r10
-    # stationary of the pair chain marginalises to pi
-    pij = stationary_distribution(joint.transition)
-    by_x = [sum(p for st, p in zip(joint.states, pij) if st[0] == x) for x in (0, 1)]
-    assert tuple(by_x) == model.pi
-
-
-def test_joint_chain_noiseless_collapses_to_m():
-    model = instantiate(high_snr_binary("1/5"), 0)
-    joint = joint_chain(model)
-    assert joint.states == ((0, 0), (1, 1))
-    assert joint.transition.rows == model.M.rows
 
 
 def test_sample_path_is_seeded_and_in_range():

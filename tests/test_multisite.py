@@ -65,7 +65,7 @@ def _layout(caps):
 
 def _linear(caps, i):
     """x_i as a coefficient list, with the entry factors (0, 1, shift_j) of each x_j."""
-    _, _, _, shifts = _plan(caps, (caps,))
+    _, _, _, shifts = _plan((caps,))
     box = len(_layout(caps))
     one = [1] + [0] * (box - 1)
     return _dot((one,), ((0, 1, shifts[i]),), box), [(0, 1, s) for s in shifts]
@@ -92,7 +92,7 @@ def test_multipoly_arithmetic_with_caps():
 
 def test_multipoly_constant_and_zero():
     caps = (1, 1)
-    shift = _plan(caps, (caps,))[3][0]
+    shift = _plan((caps,))[3][0]
     one, zero = [1, 0, 0, 0], [0] * 4
     assert _dot((one, one), ((1, 0, ()), (-1, 0, shift)), 4) == zero
     assert _dot((one,), ((0, 0, shift),), 4) == zero
@@ -111,7 +111,7 @@ def test_entry_product_matches_the_dict_product(data):
     layout = _layout(caps)
     p, r = ([data.draw(coeff) for _ in layout] for _ in range(2))
     a, b, c = data.draw(coeff), data.draw(coeff), data.draw(coeff)
-    shift = _plan(caps, (caps,))[3][i]
+    shift = _plan((caps,))[3][i]
     unit = tuple(int(j == i) for j in range(len(caps)))
     want = _poly_mul({e: F(c) for e, c in zip(layout, p)}, {(0,) * len(caps): F(a), unit: F(b)},
                      caps)

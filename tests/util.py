@@ -309,6 +309,29 @@ def recursive_walk(start, emit_at, trans_at, depth, n, sums, domain):
             recursive_walk(nxt, emit_at, trans_at, depth + 1, n, sums, domain)
 
 
+def reference_plan(caps, targets):
+    """entropy._plan(targets) the slow way: the box is filtered from every
+    vector within caps, and each vector's pairs from a scan of the whole
+    box, quadratic in its size."""
+    vecs = [e for e in sorted(product(*(range(cap + 1) for cap in caps)), key=lambda e: e[::-1])
+            if any(all(a <= b for a, b in zip(e, t)) for t in targets)]
+    pos = {e: i for i, e in enumerate(vecs)}
+
+    def below(e):  # the nonzero box vectors f <= e, in box order
+        return [f for f in vecs[1:] if all(a <= b for a, b in zip(f, e))]
+
+    def minus(e, f):
+        return pos[tuple(a - b for a, b in zip(e, f))]
+
+    box = tuple((pos[e], sum(e), tuple((pos[g], minus(e, g)) for g in below(e) if g != e))
+                for e in vecs[1:])
+    tops = tuple((pos[t], sum(t), tuple((minus(t, h), pos[h]) for h in below(t)))
+                 for t in targets)
+    ups = [[e[:i] + (e[i] + 1,) + e[i + 1:] for e in vecs] for i in range(len(caps))]
+    shifts = tuple(tuple((pos[e], pos[f]) for e, f in zip(vecs, up) if f in pos) for up in ups)
+    return tuple(sum(e) for e in vecs), box, tops, shifts
+
+
 def mp_value(value: LogLinearValue):
     """An exact value as an mpmath number at the working precision."""
     import mpmath
