@@ -43,13 +43,21 @@ sympy.
 The window entropies of a list of n come from _windows: one plain walk to the
 largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
 each recording n - 1 and n of every listed n (_window_walks).  finite_entropy
-and lower_bound record only what they report.  No walk starts over COST_CAP.
+and lower_bound record only what they report.  No request starts over
+COST_CAP, which prices the whole request whatever the process has seen.
+
+A process remembers the value of every depth that a window walk recorded,
+per model, backend and walk (_window_values, into _RECORDED), for as long as
+the caller keeps the model object: a request walks only to the deepest depth
+it misses, and a depth already walked costs nothing.  total_probability
+always walks.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +72,7 @@ from .model import HmpModel, _matmul
 
 COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
 _BLOCK = 1 << 16  # distinct leaves held, and float terms kept, at a time
+_RECORDED = weakref.WeakKeyDictionary()  # {model: {(joint, tag, depth): value}}
 
 
 def _check_depth(n: int, lower_from=None, cost=0):
@@ -523,11 +532,28 @@ def _run(model, n, record, domain, joint=False):
     return {d: values[0] for d, values in _traverse(source, n, record, domain).items()}
 
 
+def _window_values(model, record, backend, joint=False):
+    """{depth: value} of the recorded depths of the model's plain walk, or with
+    joint of its walk over the first symbol (X_1, Y_1) (_run), on backend.
+
+    The values of earlier requests on the model are reused (_RECORDED), and
+    one walk to the deepest missing depth records the missing ones; they are
+    kept once it returns, so a failed walk keeps nothing.
+    """
+    seen = _RECORDED.get(model, {})
+    missing = {d for d in record if (joint, backend.tag, d) not in seen}
+    if missing:
+        values = _run(model, max(missing), missing, _domain(backend), joint)
+        seen.update(((joint, backend.tag, d), v) for d, v in values.items())
+        _RECORDED[model] = seen
+    return {d: seen[joint, backend.tag, d] for d in record}
+
+
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
     _check_depth(n, cost=_cost(model.size, n, {n}, backend))
     with backend.ctx():
-        return _run(model, n, {n}, _domain(backend))[n]
+        return _window_values(model, {n}, backend)[n]
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -546,7 +572,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT):
     """
     _check_depth(n, lower_from=2, cost=_cost(model.size, n, {n - 1, n}, backend, joint=True))
     with backend.ctx():
-        out = _run(model, n, {n - 1, n}, _domain(backend), joint=True)
+        out = _window_values(model, {n - 1, n}, backend, joint=True)
         return out[n] - out[n - 1]
 
 
@@ -659,15 +685,17 @@ def _windows(model: HmpModel, ns, backend, lower_from=None):
     listed n, so C_n = H_n - H_{n-1} and C_1 = H_1.  With lower_from set, a
     window below it is refused, and one walk over the joint first symbol
     (X_1, Y_1) to the largest n >= 2 does the same for c_n (None at n = 1).
+    Each walk records only the depths the process has not yet recorded for
+    the model, and stops at the deepest of them (_window_values).
     """
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
         _check_depth(n, lower_from)
     _check_depth(max(ns), cost=_windows_cost(model.size, ns, backend, lower_from))
-    domain = _domain(backend)
     with backend.ctx():
-        h, *joint = [_run(model, n, rec, domain, j) for n, rec, j in _window_walks(ns, lower_from)]
+        h, *joint = [_window_values(model, rec, backend, j)
+                     for _, rec, j in _window_walks(ns, lower_from)]
         up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
         low = {n: joint[0][n] - joint[0][n - 1] for n in ns if n > 1} if joint else {}
         return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]

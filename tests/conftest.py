@@ -24,3 +24,10 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(entropy_module, "_walk", counting)
     return count
+
+
+@pytest.fixture(autouse=True)
+def no_recorded_windows():
+    """Starts every test with no window value recorded (entropy._RECORDED), so
+    that no test's walks depend on the tests that ran before it."""
+    entropy_module._RECORDED.clear()

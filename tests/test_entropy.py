@@ -1,5 +1,6 @@
 """Finite-window entropies against direct enumeration over all words."""
 
+import gc
 import inspect
 import math
 from collections import Counter
@@ -17,8 +18,11 @@ from hmpseries import (
     FLOAT64,
     AlmostMemoryless,
     DepthCapExceeded,
+    EntropyBracket,
+    EntropyReport,
     FloatBackend,
     HighSnr,
+    HmpModel,
     LogLinearValue,
     NonpositiveConstantTerm,
     StochasticMatrix,
@@ -49,6 +53,7 @@ from hmpseries import (
 from hmpseries import entropy, expansion
 from hmpseries.entropy import _domain, _new_cells
 from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_value
+from hmpseries.radius import bounds_scan, rational_grid
 
 from util import (
     AM3,
@@ -61,7 +66,9 @@ from util import (
     brute_increment_jet,
     brute_lower_bound,
     emission_perturbations,
+    entropy_exact,
     hmp_models,
+    joint_distribution,
     ll_close,
     mp_value,
     recursive_walk,
@@ -149,6 +156,7 @@ def _warm_bracket_fractions(monkeypatch, backend):
     counts = []
     for n in (8, 12):
         entropy_rate_bracket(model, n, backend)  # warm every cache
+        entropy._RECORDED.clear()  # but walk again
         calls = [0]
 
         def counting(cls, *args, **kwargs):
@@ -301,6 +309,7 @@ def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
     model = load_model(Path(__file__).parent / "golden" / name)
     for request, count in ((entropy_rate_bracket, 2), (entropy_report, 2), (lower_bound, 1)):
         walks[0] = 0
+        entropy._RECORDED.clear()  # each request walks cold
         request(model, 4)
         assert walks[0] == count, request.__name__
 
@@ -641,6 +650,7 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared):
     request_of(EXACT)
     exact = seen[:]
     seen.clear()
+    entropy._RECORDED.clear()  # the float request walks cold too
     request_of(FLOAT64)
     assert len(exact) == len(seen) >= 1
     for (plan, source, tables, cells), (fplan, _, ftables, fsums) in zip(exact, seen):
@@ -687,6 +697,7 @@ _PACKED = {
 @pytest.mark.parametrize("name", sorted(_PACKED))
 def test_packed_walk_matches_the_recursive_walk(monkeypatch, name):
     packed = _PACKED[name]()
+    entropy._RECORDED.clear()  # the recursive walk runs the same request cold
     monkeypatch.setattr(entropy, "_walk", recursive_walk)
     assert packed == _PACKED[name]()
 
@@ -750,3 +761,135 @@ def test_a_leaf_with_zero_constant_term_is_refused():
                 with pytest.raises(NonpositiveConstantTerm,
                                    match=r"^sequence probability has constant term 0$"):
                     entropy._traverse(source, 2, {1, 2}, _domain(backend, 2))
+
+
+# ---------------------------------------------------------------------------
+# Window values a process remembers per model (entropy._RECORDED)
+# ---------------------------------------------------------------------------
+
+_WINDOW_REQUESTS = {
+    "report": entropy_report,
+    "bracket": lambda m, n, b: entropy_rate_bracket(m, n, b) if n > 1 else None,
+    "H_n": finite_entropy,
+    "C_n": conditional_increment,
+    "c_n": lambda m, n, b: lower_bound(m, n, b) if n > 1 else None,
+}
+
+
+def _bits(value):
+    """A value as its exact bits: a float's hex, an mpf's tuple, a dataclass's fields."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, mpmath.mpf):
+        return value._mpf_
+    if isinstance(value, (EntropyReport, EntropyBracket)):
+        return tuple(_bits(getattr(value, f)) for f in value.__dataclass_fields__)
+    return value
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64, FloatBackend(128)],
+                         ids=["exact", "float64", "bigfloat128"])
+@pytest.mark.parametrize("name", ["quickstart-model.json", THREE_STATE.name])
+def test_remembered_windows_equal_cold_walks(backend, name):
+    # ascending, descending and mixed requests on one model, each kind at
+    # every n in turn (so a report precedes the bracket at the same n), read
+    # the same bits as the same request walked cold, beside another backend's
+    model = load_model(Path(__file__).parent / "golden" / name)
+    ns = range(1, 7)
+    cold = {}
+    for n in ns:
+        for kind, request in _WINDOW_REQUESTS.items():
+            entropy._RECORDED.clear()
+            cold[kind, n] = _bits(request(model, n, backend))
+    for order in (list(ns), list(reversed(ns)), [4, 1, 6, 2, 5, 3]):
+        entropy._RECORDED.clear()
+        entropy_rate_bracket(model, max(ns), FLOAT64 if backend is EXACT else EXACT)
+        for n in order:
+            for kind, request in _WINDOW_REQUESTS.items():
+                assert _bits(request(model, n, backend)) == cold[kind, n], (order, kind, n)
+    if backend is EXACT:  # and they are the enumeration oracle's values
+        top = 6 if model.size == 2 else 5  # 3^6 words take the oracle 10 s
+        h = {n: brute_finite_entropy(model, n) for n in range(1, top + 1)}
+        joint = {n: entropy_exact(joint_distribution(model, n)) for n in range(1, top + 1)}
+        for n in range(1, top + 1):
+            rep = entropy_report(model, n)
+            assert rep.entropy == h[n]
+            assert rep.increment == (h[n] - h[n - 1] if n > 1 else h[1])
+            assert rep.lower == (joint[n] - joint[n - 1] if n > 1 else None)
+
+
+def test_a_window_sweep_walks_each_depth_once(monkeypatch, walks):
+    # reports n = 1..8 walk each new depth once, plainly and with the joint
+    # first symbol; the brackets n = 2..8 that follow walk nothing
+    runs, run = [], entropy._run
+    monkeypatch.setattr(entropy, "_run", lambda model, n, record, domain, joint=False: (
+        runs.append((n, record, joint)) or run(model, n, record, domain, joint)))
+    for n in range(1, 9):
+        runs.clear()
+        walks[0] = 0
+        entropy_report(QUICK, n)
+        assert runs == [(n, {n}, False)] + ([(n, {1, 2} if n == 2 else {n}, True)] if n > 1 else [])
+        assert walks[0] == len(runs)
+    walks[0] = 0
+    runs.clear()
+    for n in range(2, 9):
+        entropy_rate_bracket(QUICK, n)
+    assert walks[0] == 0 and runs == []
+
+
+def test_total_probability_always_walks_and_moves_no_entropy(walks):
+    model = load_model(THREE_STATE)
+    assert total_probability(model, 4) == 1
+    h = finite_entropy(model, 4)
+    walks[0] = 0
+    assert total_probability(model, 4) == 1
+    assert walks[0] == 1
+    assert finite_entropy(model, 4) == h == brute_finite_entropy(model, 4)
+    assert walks[0] == 1
+
+
+def test_a_refused_request_records_nothing_and_is_refused_warm():
+    message = r"^predicted cost .* exceeds the cap "
+    with pytest.raises(DepthCapExceeded, match=message) as cold:
+        entropy_rate_bracket(FOUR, 14)
+    assert len(entropy._RECORDED) == 0
+    for n in range(1, 6):
+        entropy_report(FOUR, n)
+    seen = dict(entropy._RECORDED[FOUR])
+    with pytest.raises(DepthCapExceeded, match=message) as warm:
+        entropy_rate_bracket(FOUR, 14)
+    assert str(warm.value) == str(cold.value)
+    assert entropy._RECORDED[FOUR] == seen
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64, FloatBackend(128)],
+                         ids=["exact", "float64", "bigfloat128"])
+def test_a_failed_walk_records_nothing_and_fails_warm(backend):
+    # an unvalidated model whose pi has a negative entry: its words of length
+    # 1 have positive probabilities, but the word (1, 1) has -1/8
+    model = HmpModel(StochasticMatrix.identity(2), StochasticMatrix(((F(1, 2), F(1, 2)), (0, 1))),
+                     (F(3, 2), F(-1, 2)))
+    message = r"^sequence probability has constant term -1/8$"
+    with pytest.raises(NonpositiveConstantTerm, match=message):
+        finite_entropy(model, 2, backend)
+    assert len(entropy._RECORDED) == 0
+    finite_entropy(model, 1, backend)
+    seen = dict(entropy._RECORDED[model])
+    for request in (finite_entropy, entropy_report):
+        with pytest.raises(NonpositiveConstantTerm, match=message):
+            request(model, 2, backend)
+    assert entropy._RECORDED[model] == seen
+
+
+def test_remembered_windows_go_with_their_model():
+    model = load_model(THREE_STATE)
+    entropy_rate_bracket(model, 4)
+    assert len(entropy._RECORDED) == 1
+    del model
+    gc.collect()
+    assert len(entropy._RECORDED) == 0
+
+
+def test_bounds_scan_leaves_nothing_recorded():
+    bounds_scan(high_snr_binary("1/5"), rational_grid("1/100", "2/5", 4), [2, 4], bound_depth=4)
+    assert len(entropy._RECORDED) == 0
