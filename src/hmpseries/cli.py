@@ -9,7 +9,7 @@ Each handler builds one list of row dicts and a payload of report-level
 values.  _emit writes JSON as the command, the payload and the rows (validate,
 radius and sample have JSON that is not row-shaped: the payload alone), and
 CSV by looking up each of the _COLUMNS in the row or else in the payload.  The
-entropy and bounds reports take their --n list from one walk set (_windows).
+entropy and bounds reports take their --n list from one walk (_windows).
 main reads each input once, the model or regime and then the backend, and
 passes both to the handler; validate and sample take no --backend.
 """

@@ -1,13 +1,14 @@
 """Exact and floating entropies of finite observation windows.
 
 Everything here reduces to one shared-prefix traversal of the observation
-tree.  The state carried down the tree is the row vector
-beta_d(j) = P([Y]_1^d, X_{d+1} = j); extending by a symbol y multiplies by
-the emission column for y (giving the pre-transition vector gamma, whose sum
-is the sequence probability) and then by the transition matrix.  Starting
-from beta_0 = pi is valid uniformly because pi M = pi.  Leaves with
-identically zero probability add nothing (the walk skips them, and their
-subtrees stay zero), which is exactly the 0*log(0) convention.
+tree.  A regime's walk (jets, per-site) carries beta_d(j) =
+P([Y]_1^d, X_{d+1} = j) down from beta_0 = pi: a symbol y multiplies it by
+the emission column for y (giving gamma, whose sum is the sequence
+probability), then by the transition matrix.  A model's window walk (_run)
+goes backward, from 1 on each state through M^t, so gamma_i =
+P([Y]_1^d = y | X_1 = i): the pi_i gamma_i are leaves of H(X_1, [Y]_1^d),
+and their sum a leaf of H_d.  Leaves with identically zero probability add
+nothing (the walk skips them), which is exactly the 0*log(0) convention.
 
 The traversal is generic over an accumulation domain.  Each backend has
 one -p log p kernel, _JetExactDomain and _JetFloatDomain (_domain picks
@@ -15,8 +16,8 @@ one), for one leaf shape: a coefficient list laid out by a plan built once
 per tuple of targets (_plan).  A jet of order K has the targets 0..K, and a
 scalar is the jet of order 0.  Both kernels run one recurrence for log p
 over the plan's box; the box of order 0 is empty, and there they take one
-log or one integer addition.  _traverse drives both, and each finish gives
-a list of per-target values.
+log or one integer addition.  _traverse and _run drive both, and each
+finish gives a list of per-target values.
 
 Every walk is described once, as an exact source: a coefficient list per
 state and a table (A, B, i), the matrix A + x_i*B in rationals, per depth
@@ -40,17 +41,13 @@ probability totals read sum N_t / Q_d from the cells instead
 integers, with Q_d in closed form, so it factors nothing and never imports
 sympy.
 
-The window entropies of a list of n come from _windows: one plain walk to the
-largest n and, for c_n, one walk whose first symbol is the pair (X_1, Y_1),
-each recording n - 1 and n of every listed n (_window_walks).  finite_entropy
-and lower_bound record only what they report.  No request starts over
-COST_CAP, which prices the whole request whatever the process has seen.
-
-A process remembers the value of every depth that a window walk recorded,
-per model, backend and walk (_window_values, into _RECORDED), for as long as
-the caller keeps the model object: a request walks only to the deepest depth
-it misses, and a depth already walked costs nothing.  total_probability
-always walks.
+_windows reads the window entropies of a list of n from one backward walk to
+the largest n: H_{n-1} and H_n of every listed n and, for c_n, their joint
+entropies with X_1.  No request starts over COST_CAP, which prices the whole
+request whatever the process has seen.  A process remembers every value a
+window walk read, per model, backend and read (_window_values, into
+_RECORDED), for as long as the caller keeps the model object: a request
+walks only to the deepest depth it misses.  total_probability always walks.
 """
 
 from __future__ import annotations
@@ -114,16 +111,16 @@ def _cost(s, n, record, backend, joint=False, order=0, kvec=None):
         return math.inf
 
 
-def _slot_bits(start, emit_at, trans_at, n):
+def _slot_bits(start, emit_at, trans_at, n, weights=None):
     """Bits of a signed slot, a multiple of 8, that holds every coefficient of
-    every node to depth n of an integer walk (_integer_tables).
+    every node and leaf to depth n of an integer walk (_integer_tables).
 
-    A node's coefficients sum in absolute value to at most the start lists',
-    times per depth the largest |a| + |b| of an emission entry and, before
-    the last, the largest sum of |a| + |b| along a row of the transition
-    table; truncation only drops terms.
+    A leaf's coefficients sum in absolute value to at most the start lists'
+    times the largest |weight|, times per depth the largest |a| + |b| of an
+    emission entry and, before the last, the largest sum of |a| + |b| along
+    a row of the transition table; truncation only drops terms.
     """
-    bound = sum(abs(c) for coeffs in start for c in coeffs)
+    bound = sum(abs(c) for coeffs in start for c in coeffs) * max(map(abs, weights or [1]))
     for depth in range(n):
         bound *= max(abs(a) + abs(b) for col in emit_at[depth] for a, b, _ in col)
         if depth + 1 < n:
@@ -185,7 +182,7 @@ def _leaves(packed, count, bits):
             counts.clear()
 
 
-def _walk(start, emit_at, trans_at, depth, n, sums, domain):
+def _walk(start, emit_at, trans_at, depth, n, sums, domain, weights=None):
     """The walk of integer tables (_integer_tables) from the start lists at
     depth to depth n, breadth first on packed integers.  Every walk starts
     here at depth 0, where bench/tracer.py and the tests count walks.
@@ -194,28 +191,35 @@ def _walk(start, emit_at, trans_at, depth, n, sums, domain):
     every node of the level in a signed slot of _slot_bits bits, node k at
     bit k * bits.  A table entry a + b*x_i costs two big-integer products
     and one add per level, and the children of symbol y take the block of
-    slots above those of y - 1.  At a recorded depth the leaves are read
-    once, and the kernel runs once per distinct nonzero leaf, a coefficient
-    list of the plan's width (1 for a scalar), with its multiplicity (_leaves).
+    slots above those of y - 1.  A recorded depth is read like one more
+    transition, for each key of sums: (False, depth) through a column of
+    the weights (1 without them), (True, depth) through one column per state
+    with its weight alone.  The kernel runs once per distinct nonzero leaf
+    of a read, a coefficient list of the plan's width (1 for a scalar), with
+    its multiplicity (_leaves).
     """
     box = len(domain.plan[0])
     level, width = start, 1
-    bits = _slot_bits(level, emit_at, trans_at, n)
+    bits = _slot_bits(level, emit_at, trans_at, n, weights)
+    ws = [(w, 0, ()) for w in weights or [1] * len(start)]  # as table entries
+    alone = [[w if i == j else (0, 0, ()) for j, w in enumerate(ws)] for i in range(len(ws))]
     for depth in range(depth, n):
-        cols, acc = emit_at[depth], sums.get(depth + 1)
-        tcols = trans_at[depth] if depth + 1 < n else ()
-        leaves, blocks = [], []
-        for col in cols:
+        reads = [(sums[j, depth + 1], alone if j else [ws]) for j in (False, True)
+                 if (j, depth + 1) in sums]
+        tcols = trans_at[depth] if depth + 1 < n else []
+        outs = tcols + [c for _, rcols in reads for c in rcols]
+        blocks = []
+        for col in emit_at[depth]:
             gamma = [_dot((x,), (entry,), box) for x, entry in zip(level, col)]
-            if acc is not None:
-                leaves.append([sum(c) for c in zip(*gamma)])
-            blocks.append([_dot(gamma, tc, box) for tc in tcols])
-        shift, width = width * bits, width * len(cols)
-        level = [_concat(states, shift) for states in zip(*blocks)]  # none below depth n
-        leaves = _leaves(_concat(leaves, shift), width, bits) if acc is not None else ()
-        del gamma, blocks  # freed before the kernel's cells grow
-        for p, m in leaves:
-            domain.add_term(acc, p, m)
+            blocks.append([_dot(gamma, tc, box) for tc in outs])
+        shift, width = width * bits, width * len(blocks)
+        pieces = list(zip(*blocks))  # per column of outs, its blocks by symbol
+        del gamma, blocks  # each piece is freed once concatenated
+        level = [_concat(pieces.pop(0), shift) for _ in tcols]  # none below depth n
+        for acc, rcols in reads:  # a read's columns one above another
+            packed = _concat([b for _ in rcols for b in pieces.pop(0)], shift)
+            for p, m in _leaves(packed, width * len(rcols), bits):
+                domain.add_term(acc, p, m)
 
 
 def _new_cells(q_primes):
@@ -305,20 +309,20 @@ class _JetExactDomain:
         self.top = max(self.weights)
         self.lcm = math.lcm(*range(1, self.top + 1))
 
-    def prepare(self, scales, record):
-        """The cells of each recorded depth, from the table scales (D_start,
-        D_R, D_M): each distinct scale other than 1 is factored once
+    def prepare(self, scales):
+        """The maker of a depth's cells, from the table scales (D_start, D_R,
+        D_M): each distinct scale other than 1 is factored once
         (factor_positive), and Q_d's primes follow."""
         factored = {d: factor_positive(d) for d in set(scales) - {1}}
 
-        def primes(depth):  # the primes of Q_depth
+        def cells(depth):  # over the primes of Q_depth
             q = {}
             for d, times in zip(scales, (1, depth, depth - 1)):
                 for p, e in factored.get(d, ()):
                     q[p] = q.get(p, 0) + e * times
-            return tuple((p, e) for p, e in q.items() if e)
+            return _new_cells(tuple((p, e) for p, e in q.items() if e))
 
-        return {d: _new_cells(primes(d)) for d in record}
+        return cells
 
     def add_term(self, acc, p, m):
         """Adds the leaf p, m times, to the cell of its N_0."""
@@ -449,11 +453,11 @@ class _JetFloatDomain:
 
             self._ratio, self._fsum = (lambda n, q: mpmath.mpf(n) / q), mpmath.fsum
 
-    def prepare(self, scales, record):
-        """Q_d and one list of terms per target for each recorded depth, from
-        the table scales (D_start, D_R, D_M) in closed form."""
+    def prepare(self, scales):
+        """The maker of a depth d's accumulator: Q_d, from the table scales
+        (D_start, D_R, D_M) in closed form, and one list of terms per target."""
         d_start, d_r, d_m = scales
-        return {d: (d_start * d_r**d * d_m**(d - 1), [[] for _ in self.plan[2]]) for d in record}
+        return lambda d: (d_start * d_r**d * d_m**(d - 1), [[] for _ in self.plan[2]])
 
     def add_term(self, acc, p, m):
         """Adds -p log p of the leaf p, m times, to the terms of each target."""
@@ -504,56 +508,53 @@ def _domain(backend, order=0, kvec=None):
 
 
 def _traverse(source, n, record, domain):
-    """One walk of an exact source to depth n on its integer tables
-    (_integer_tables), into the accumulators the kernel prepares from their
-    scales; {depth: the kernel's finished per-target values} for each
-    recorded depth."""
+    """One forward walk of an exact source to depth n on its integer tables
+    (_integer_tables), into accumulators the kernel makes from their scales;
+    {depth: the kernel's finished per-target values} per recorded depth."""
     start, emit_at, trans_at, scales = _integer_tables(source, domain.plan)
-    sums = domain.prepare(scales, record)
+    new = domain.prepare(scales)
+    sums = {(False, d): new(d) for d in record}
     _walk(start, emit_at, trans_at, 0, n, sums, domain)
-    return {d: domain.finish(a) for d, a in sums.items()}
+    return {d: domain.finish(a) for (_, d), a in sums.items()}
 
 
-def _run(model, n, record, domain, joint=False):
-    """{depth: value}: the walk of the model to depth n.
+def _run(model, n, keys, domain):
+    """{(joint, depth): value} of the model's backward walk to depth n for
+    each key: H_d, or with joint H(X_1, [Y]_1^d).
 
-    With joint, the first symbol is the pair (X_1, Y_1), so depth d records
-    H(X_1, [Y]_1^d): the depth-0 emission matrix is s x s^2, and its column
-    (i, y), i-major, holds R(i, y) at state i and 0 elsewhere.  The walk then
-    multiplies and adds the same numbers in the same order as one walk per
-    start state would.
-    """
-    r = model.R.rows
-    emits = [(r, None, 0)] * n
-    if joint:
-        emits[0] = ([[x if j == i else 0 for i in range(model.size) for x in row]
-                     for j, row in enumerate(r)], None, 0)
-    source = [[p] for p in model.pi], emits, [(model.M.rows, None, 0)] * (n - 1)
-    return {d: values[0] for d, values in _traverse(source, n, record, domain).items()}
+    The walk starts at 1 on each state and goes through R's emission columns
+    and M^t, so the node of a reversed word y holds P([Y]_1^d = y | X_1 = i)
+    at state i.  Its reads weigh state i by pi_i: alone it is the leaf
+    P(X_1 = i, y), and the sum is P(y), both integers over
+    Q_d = D_pi * D_R^d * D_M^(d-1), as from a forward walk."""
+    source = ([[p] for p in model.pi], [(model.R.rows, None, 0)] * n,
+              [(list(zip(*model.M.rows)), None, 0)] * (n - 1))
+    pi, emit_at, trans_at, scales = _integer_tables(source, domain.plan)
+    new = domain.prepare(scales)
+    sums = {key: new(key[1]) for key in keys}
+    _walk([[1]] * model.size, emit_at, trans_at, 0, n, sums, domain, [p for [p] in pi])
+    return {key: domain.finish(acc)[0] for key, acc in sums.items()}
 
 
-def _window_values(model, record, backend, joint=False):
-    """{depth: value} of the recorded depths of the model's plain walk, or with
-    joint of its walk over the first symbol (X_1, Y_1) (_run), on backend.
-
-    The values of earlier requests on the model are reused (_RECORDED), and
-    one walk to the deepest missing depth records the missing ones; they are
-    kept once it returns, so a failed walk keeps nothing.
-    """
+def _window_values(model, keys, backend):
+    """{(joint, depth): value} of the model's backward walk (_run) for each
+    key, on backend: the values of earlier requests on the model
+    (_RECORDED), and one walk to the deepest missing depth for the rest,
+    kept once it returns, so a failed walk keeps nothing."""
     seen = _RECORDED.get(model, {})
-    missing = {d for d in record if (joint, backend.tag, d) not in seen}
+    missing = {(j, d) for j, d in keys if (j, backend.tag, d) not in seen}
     if missing:
-        values = _run(model, max(missing), missing, _domain(backend), joint)
-        seen.update(((joint, backend.tag, d), v) for d, v in values.items())
+        values = _run(model, max(d for _, d in missing), missing, _domain(backend))
+        seen.update(((j, backend.tag, d), v) for (j, d), v in values.items())
         _RECORDED[model] = seen
-    return {d: seen[joint, backend.tag, d] for d in record}
+    return {(j, d): seen[j, backend.tag, d] for j, d in keys}
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
     _check_depth(n, cost=_cost(model.size, n, {n}, backend))
     with backend.ctx():
-        return _window_values(model, {n}, backend)[n]
+        return _window_values(model, {(False, n)}, backend)[False, n]
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -567,13 +568,13 @@ def conditional_increment(model: HmpModel, n: int, backend=EXACT):
 def lower_bound(model: HmpModel, n: int, backend=EXACT):
     """c_n = H(Y_n | X_1, [Y]_1^{n-1}), a lower bound on the entropy rate.
 
-    It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from one walk whose first
-    symbol is the pair (X_1, Y_1).
+    It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from the per-state leaves
+    of one backward walk (_run).
     """
     _check_depth(n, lower_from=2, cost=_cost(model.size, n, {n - 1, n}, backend, joint=True))
     with backend.ctx():
-        out = _window_values(model, {n - 1, n}, backend, joint=True)
-        return out[n] - out[n - 1]
+        out = _window_values(model, {(True, n - 1), (True, n)}, backend)
+        return out[True, n] - out[True, n - 1]
 
 
 @dataclass(frozen=True)
@@ -604,7 +605,7 @@ def total_probability(model: HmpModel, n: int):
     _check_depth(n, cost=_cost(model.size, n, {n}, EXACT))
     domain = _domain(EXACT)
     domain.finish = _cell_totals  # the cells' N_0 sums, not their logs
-    return _run(model, n, {n}, domain)[n]
+    return _run(model, n, {(False, n)}, domain)[False, n]
 
 
 def c2_closed_form(model: HmpModel, backend=EXACT):
@@ -666,7 +667,7 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
 
 
 def _window_walks(ns, lower_from=None):
-    """(depth, record, joint) of each walk of _windows(model, ns, backend, lower_from)."""
+    """(depth, record, joint) of _windows' reads, as _cost prices them."""
     long = [n for n in ns if n >= 2] if lower_from is not None else []
     walks = [(max(ns), {d for n in ns for d in (n - 1, n) if d}, False)]
     return walks + ([(max(long), {d for n in long for d in (n - 1, n)}, True)] if long else [])
@@ -678,24 +679,23 @@ def _windows_cost(s, ns, backend, lower_from=None):
 
 
 def _windows(model: HmpModel, ns, backend, lower_from=None):
-    """One EntropyReport per n of ns, in list order, from one walk set.
+    """One EntropyReport per n of ns, in list order, from one walk.
 
-    Every n is checked, in list order, then the cost of both walks, before
-    any walk.  One plain walk to max(ns) records H_{n-1} and H_n of every
-    listed n, so C_n = H_n - H_{n-1} and C_1 = H_1.  With lower_from set, a
-    window below it is refused, and one walk over the joint first symbol
-    (X_1, Y_1) to the largest n >= 2 does the same for c_n (None at n = 1).
-    Each walk records only the depths the process has not yet recorded for
-    the model, and stops at the deepest of them (_window_values).
+    Every n is checked, in list order, then the cost of the request, before
+    any walk.  One backward walk (_run) to max(ns) reads H_{n-1} and H_n of
+    every listed n, so C_n = H_n - H_{n-1} and C_1 = H_1.  With lower_from
+    set, a window below it is refused, and the same walk reads
+    H(X_1, [Y]_1^(n-1)) and H(X_1, [Y]_1^n) for c_n (None at n = 1), each
+    only if the process has not yet recorded it for the model (_window_values).
     """
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
         _check_depth(n, lower_from)
     _check_depth(max(ns), cost=_windows_cost(model.size, ns, backend, lower_from))
+    keys = {(j, d) for _, rec, j in _window_walks(ns, lower_from) for d in rec}
     with backend.ctx():
-        h, *joint = [_window_values(model, rec, backend, j)
-                     for _, rec, j in _window_walks(ns, lower_from)]
-        up = {n: h[n] - h[n - 1] if n > 1 else h[n] for n in ns}
-        low = {n: joint[0][n] - joint[0][n - 1] for n in ns if n > 1} if joint else {}
-        return [EntropyReport(n, h[n], up[n], low.get(n), backend.tag) for n in ns]
+        v = {(False, 0): 0, **_window_values(model, keys, backend)}  # H_0 = 0: C_1 = H_1
+        return [EntropyReport(n, v[False, n], v[False, n] - v[False, n - 1],
+                              v[True, n] - v[True, n - 1] if (True, n - 1) in v else None,
+                              backend.tag) for n in ns]

@@ -147,11 +147,11 @@ def test_caps_and_tolerances_are_not_options(capsys, model_file):
 def test_a_window_list_makes_one_walk_set_at_its_largest_n(capsys, walks):
     model = str(GOLDEN / "quickstart-model.json")
     ns = ",".join(map(str, range(1, 13)))
-    # one plain walk, and one over the joint first symbol (X_1, Y_1) for c_n
+    # one backward walk reads H_n summed over the states and c_n state by state
     for argv in (["entropy", "--n", ns], ["bounds", "--n", "8,12"]):
         walks[0] = 0
         assert main([*argv, "--backend", "float64", "--model", model]) == 0
-        assert walks[0] == 2
+        assert walks[0] == 1
     capsys.readouterr()
     walks[0] = 0
     entropy_report(load_model(model), 1)
@@ -190,6 +190,8 @@ def test_entropy_bigfloat_backend(capsys, model_file):
 QUICKSTART = ["--model", str(GOLDEN / "quickstart-model.json")]
 # a 3-state model with zero emission entries, so pruning differs per start state
 THREE_STATE = ["--model", str(GOLDEN / "three-state-zero-emission-model.json")]
+# tests/util.FOUR: a 4-state chain that is not reversible, with zero emissions
+FOUR_STATE = ["--model", str(GOLDEN / "four-state-model.json")]
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -209,10 +211,19 @@ THREE_STATE = ["--model", str(GOLDEN / "three-state-zero-emission-model.json")]
      "entropy-three-state-float64.csv"),
     (["bounds", "--backend", "bigfloat:128", "--n", "2,5,8", *THREE_STATE],
      "bounds-three-state-bigfloat128.csv"),
+    (["entropy", "--backend", "float64", "--n", "1,2,3,4,5,6", *FOUR_STATE],
+     "entropy-four-state-float64.csv"),
+    (["entropy", "--backend", "bigfloat:128", "--n", "1,2,3,4,5,6", *FOUR_STATE],
+     "entropy-four-state-bigfloat128.csv"),
+    (["bounds", "--backend", "float64", "--n", "2,3,4,5,6", *FOUR_STATE],
+     "bounds-four-state-float64.csv"),
+    (["bounds", "--backend", "bigfloat:128", "--n", "2,3,4,5,6", *FOUR_STATE],
+     "bounds-four-state-bigfloat128.csv"),
 ])
 def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
-    # the README quick-start model, the two regime anchors and a 3-state
-    # model with zero emissions; the files were written by an earlier version
+    # the README quick-start model, the two regime anchors, a 3-state model
+    # with zero emissions and a 4-state chain that is not reversible; the
+    # files were written by an earlier version
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -59,6 +59,7 @@ from util import (
     AM3,
     AM4,
     BASE3,
+    CYCLIC3,
     FOUR,
     HS3,
     brute_finite_entropy,
@@ -74,6 +75,7 @@ from util import (
     recursive_walk,
     reference_plan,
     relabel,
+    stationary_distribution,
     stochastic_rows,
     word_probability,
     zero_sum_perturbations,
@@ -146,7 +148,7 @@ def test_exact_bracket_factors_only_the_table_scales(monkeypatch):
     monkeypatch.setattr(entropy, "factor_positive", counting)
     entropy_rate_bracket(model, 4)
     assert set(calls) <= scales
-    assert len(calls) <= 6  # two walks (plain and joint first symbol), three scales each
+    assert len(calls) <= 3  # one walk, three scales
 
 
 def _warm_bracket_fractions(monkeypatch, backend):
@@ -305,13 +307,16 @@ def test_lower_bound_with_zero_emissions_matches_enumeration():
 
 @pytest.mark.parametrize("name", ["quickstart-model.json", THREE_STATE.name])
 def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
-    # H_n from a plain walk; c_n from one walk over the joint first symbol (X_1, Y_1)
+    # H_n and c_n from the two reads of one backward walk, of width s
     model = load_model(Path(__file__).parent / "golden" / name)
-    for request, count in ((entropy_rate_bracket, 2), (entropy_report, 2), (lower_bound, 1)):
-        walks[0] = 0
+    requests = (entropy_rate_bracket, entropy_report, lower_bound, finite_entropy,
+                conditional_increment, total_probability)
+    for request in requests:
+        walks[:] = [0, 0]
         entropy._RECORDED.clear()  # each request walks cold
         request(model, 4)
-        assert walks[0] == count, request.__name__
+        assert walks[0] == 1, request.__name__
+        assert walks[1] == sum(model.size**d for d in range(4)), request.__name__
 
 
 # each entry point with a request over the cost cap: a 4-state model at n = 14,
@@ -364,7 +369,7 @@ def test_bigfloat_is_priced_by_its_bits(monkeypatch, walks):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(entropy, "_traverse", admitted)
+    monkeypatch.setattr(entropy, "_run", admitted)
     for n, backend, verdict in ((18, FLOAT64, Admitted), (19, FloatBackend(128), Admitted),
                                 (20, FloatBackend(128), DepthCapExceeded),
                                 (12, FloatBackend(4096), Admitted),
@@ -396,10 +401,11 @@ def test_float_reports_are_bitwise_invariant_under_relabelling(backend):
             assert [entropy_report(model, n, backend) for n in (1, 2, 5, 7)] == want
 
 
-# one walk each, with zero emissions (THREE_STATE, FOUR, the joint first symbol,
-# the noiseless sites of a high-SNR value) and zero perturbation entries in the
-# transitions (AM3, AM4) or emissions (HS3); no transition matrix itself has a
-# zero, since models and almost-memoryless sites are strictly positive
+# one walk each, with zero emissions (THREE_STATE, FOUR, the noiseless sites of
+# a high-SNR value) and zero perturbation entries in the transitions (AM3, AM4)
+# or emissions (HS3); no transition matrix itself has a zero, since models and
+# almost-memoryless sites are strictly positive.  c_n is priced as a walk over
+# the first symbol (X_1, Y_1), of width s * s, and read from a walk of width s
 _ONE_WALK = {
     "scalar 2": (lambda: finite_entropy(QUICK, 6), 2, 2, 6),
     "scalar 3": (lambda: finite_entropy(load_model(THREE_STATE), 5), 3, 3, 5),
@@ -575,8 +581,9 @@ def test_long_path_entropy_estimate_lands_in_the_bracket():
 
 
 def _recording(monkeypatch):
-    """Records [plan, source, tables, accumulators] of every walk: the
-    integer tables of its source and the accumulators its kernel prepares."""
+    """Records [plan, source, tables, accumulators, start, weights] of every
+    walk: the integer tables of its source, the accumulators its kernel
+    prepares, and the start lists and weights the walk is given."""
     seen = []
     integer_tables, walk = entropy._integer_tables, entropy._walk
 
@@ -585,9 +592,9 @@ def _recording(monkeypatch):
         seen.append([plan, source, out])
         return out
 
-    def walking(start, emit_at, trans_at, depth, n, sums, domain):
-        seen[-1].append(sums)
-        return walk(start, emit_at, trans_at, depth, n, sums, domain)
+    def walking(start, emit_at, trans_at, depth, n, sums, domain, weights=None):
+        seen[-1] += [sums, start, weights]
+        return walk(start, emit_at, trans_at, depth, n, sums, domain, weights)
 
     monkeypatch.setattr(entropy, "_integer_tables", tables)
     monkeypatch.setattr(entropy, "_walk", walking)
@@ -624,28 +631,30 @@ def _assert_mapped(plan, source, tables, scales):
 QUICK = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
 
 
-@pytest.mark.parametrize("request_of, shared", [
-    (lambda b: finite_entropy(QUICK, 4, b), ""),
-    (lambda b: finite_entropy(load_model(THREE_STATE), 3, b), ""),
-    (lambda b: lower_bound(QUICK, 3, b), ""),
-    (lambda b: lower_bound(load_model(THREE_STATE), 3, b), ""),
-    (lambda b: multisite_value(am_binary("3/5"), ["1/10", "1/20", "1/30"], b), ""),
-    (lambda b: multisite_value(HS3, ["1/10", 0, "1/30"], b), ""),
-    (lambda b: increment_jet(am_binary("3/5"), 5, 3, b), "transs"),
-    (lambda b: increment_jet(high_snr_binary("1/5"), 5, 3, b), "emits"),
-    (lambda b: increment_jet(AM3, 3, 2, b), "transs"),
-    (lambda b: increment_jet(HS3, 3, 2, b), "emits"),
-    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 0, 2)), am_binary("3/5"), b), ""),
-    (lambda b: multisite_derivative(MultiSiteSpec(3, (0, 1, 1)), HS3, b), ""),
-    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 1, 0)), AM3, b), ""),
+@pytest.mark.parametrize("request_of, shared, model", [
+    (lambda b: finite_entropy(QUICK, 4, b), "", QUICK),
+    (lambda b: finite_entropy(load_model(THREE_STATE), 3, b), "", load_model(THREE_STATE)),
+    (lambda b: lower_bound(QUICK, 3, b), "", QUICK),
+    (lambda b: lower_bound(load_model(THREE_STATE), 3, b), "", load_model(THREE_STATE)),
+    (lambda b: multisite_value(am_binary("3/5"), ["1/10", "1/20", "1/30"], b), "", None),
+    (lambda b: multisite_value(HS3, ["1/10", 0, "1/30"], b), "", None),
+    (lambda b: increment_jet(am_binary("3/5"), 5, 3, b), "transs", None),
+    (lambda b: increment_jet(high_snr_binary("1/5"), 5, 3, b), "emits", None),
+    (lambda b: increment_jet(AM3, 3, 2, b), "transs", None),
+    (lambda b: increment_jet(HS3, 3, 2, b), "emits", None),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 0, 2)), am_binary("3/5"), b), "", None),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (0, 1, 1)), HS3, b), "", None),
+    (lambda b: multisite_derivative(MultiSiteSpec(3, (1, 1, 0)), AM3, b), "", None),
 ], ids=["window", "window s=3", "joint first symbol", "joint first symbol s=3",
         "per-site values am", "per-site values hs3", "jet am", "jet high-snr", "jet am3",
         "jet hs3", "per-site derivative am", "per-site derivative hs3",
         "per-site derivative am3"])
-def test_one_source_two_kernels(monkeypatch, request_of, shared):
+def test_one_source_two_kernels(monkeypatch, request_of, shared, model):
     # both kernels walk the same integer tables of the same exact source, its
     # rationals times D_start, D_R and D_M, and read their leaves over the same
-    # Q_d: the exact kernel from the factored scales, the float one in closed form
+    # Q_d: the exact kernel from the factored scales, the float one in closed
+    # form.  A model window's source is the backward one: it starts at 1 on
+    # every state, goes through M^t, and weighs its reads by pi times D_start
     seen = _recording(monkeypatch)
     request_of(EXACT)
     exact = seen[:]
@@ -653,9 +662,16 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared):
     entropy._RECORDED.clear()  # the float request walks cold too
     request_of(FLOAT64)
     assert len(exact) == len(seen) >= 1
-    for (plan, source, tables, cells), (fplan, _, ftables, fsums) in zip(exact, seen):
-        assert plan == fplan and tables == ftables
+    for (plan, source, tables, cells, *walked), (fplan, _, ftables, fsums, *fwalked) in zip(
+            exact, seen):
+        assert plan == fplan and tables == ftables and walked == fwalked
         start, emits, transs = source
+        if model is not None:
+            assert start == [[p] for p in model.pi]
+            assert all(a == list(zip(*model.M.rows)) and b is None for a, b, _ in transs)
+            assert walked == [[[1]] * model.size, [b for [b] in tables[0]]]
+        else:
+            assert walked == [tables[0], None]
         scales = (_denominators_lcm([start]),
                   *(_denominators_lcm(m for a, b, _ in tabs for m in (a, b) if m is not None)
                     for tabs in (emits, transs)))
@@ -663,8 +679,8 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared):
         _assert_mapped(plan, source, tables[:3], scales)
         d_start, d_r, d_m = scales
         assert cells.keys() == fsums.keys()
-        for depth, acc in cells.items():
-            assert acc[1] == fsums[depth][0] == d_start * d_r**depth * d_m**(depth - 1)
+        for (joint, depth), acc in cells.items():
+            assert acc[1] == fsums[joint, depth][0] == d_start * d_r**depth * d_m**(depth - 1)
         if shared:  # a jet walk moves one variable, so every depth shares one table
             at = {"emits": 1, "transs": 2}[shared]
             assert len(tables[at]) > 1 and len({id(t) for t in tables[at]}) == 1
@@ -674,12 +690,14 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared):
 # The packed level-wise walk, against the recursive walk of tests/util.py
 # ---------------------------------------------------------------------------
 
-# exact requests with zero emissions (THREE_STATE, FOUR, the joint first symbol
-# of every report), zero perturbation entries (AM3, AM4, HS3), 3 and 4 symbols,
-# and am jets, whose T has negative entries
+# exact requests with zero emissions (THREE_STATE, FOUR, pi's weights on the
+# per-state leaves of every report), zero perturbation entries (AM3, AM4, HS3),
+# 3 and 4 symbols, chains that are not reversible (FOUR, CYCLIC3) and am jets,
+# whose T has negative entries
 _PACKED = {
     "scalar 2": lambda: entropy_report(QUICK, 7),
     "scalar 3": lambda: entropy_report(load_model(THREE_STATE), 5),
+    "scalar 3 cyclic": lambda: entropy_report(CYCLIC3, 5),
     "scalar 4": lambda: entropy_report(FOUR, 4),
     "jet am 2": lambda: rate_series(am_binary("3/5"), 11).values,
     "jet high-snr 2": lambda: rate_series(high_snr_binary("1/5"), 9).values,
@@ -722,28 +740,41 @@ def _large_regimes(draw):
 
 
 @given(_large_regimes(), st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_no_slot_overflows(spec, n, data):
     # the packed walk reads the recursive walk's leaves back, with their
-    # multiplicities, and _slot_bits bounds every coefficient of them
-    if data.draw(st.booleans()):
+    # multiplicities, and _slot_bits bounds every coefficient of them: on
+    # regime sources, and on a model's backward source with both reads
+    kind = data.draw(st.sampled_from(["per-site", "jet", "model"]))
+    keys = {(False, d) for d in range(1, n + 1)}
+    if kind == "per-site":
         kvec = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=2),
                                         min_size=n, max_size=n)))
-        plan, sites, cap = _domain(EXACT, kvec=kvec).plan, range(n), kvec[0]
-    else:
+        plan = _domain(EXACT, kvec=kvec).plan
+        source = expansion._regime_source(spec, n, range(n), kvec[0])
+    elif kind == "jet":
         cap = data.draw(st.integers(min_value=0, max_value=4))
-        plan, sites = _domain(EXACT, cap).plan, [0] * n
-    record = set(range(1, n + 1))
-    source = expansion._regime_source(spec, n, sites, cap)
+        plan, source = _domain(EXACT, cap).plan, expansion._regime_source(spec, n, [0] * n, cap)
+    else:
+        s = data.draw(st.sampled_from([2, 3, 4]))
+        m = data.draw(stochastic_rows(s, 10**6))
+        model = HmpModel(m, data.draw(stochastic_rows(s, 10**6)), stationary_distribution(m))
+        plan, keys = _domain(EXACT).plan, keys | {(True, d) for d in range(1, n + 1)}
+        source = ([[p] for p in model.pi], [(model.R.rows, None, 0)] * n,
+                  [(list(zip(*model.M.rows)), None, 0)] * (n - 1))
     start, emit_at, trans_at, _ = entropy._integer_tables(source, plan)
+    weights = None
+    if kind == "model":
+        start, weights = [[1]] * len(start), [b for [b] in start]
     leaves = []
     for walk in (entropy._walk, recursive_walk):
-        sums = {d: Counter() for d in record}
+        sums = {key: Counter() for key in keys}
         walk(start, emit_at, trans_at, 0, n, sums,
-             SimpleNamespace(plan=plan, add_term=lambda acc, p, m: acc.update({tuple(p): m})))
+             SimpleNamespace(plan=plan, add_term=lambda acc, p, m: acc.update({tuple(p): m})),
+             weights)
         leaves.append(sums)
     assert leaves[0] == leaves[1]
-    bits = entropy._slot_bits(start, emit_at, trans_at, n)
+    bits = entropy._slot_bits(start, emit_at, trans_at, n, weights)
     assert bits % 8 == 0
     assert all(abs(c) < 2 ** (bits - 1) for sums in leaves[1].values() for p in sums for c in p)
 
@@ -808,10 +839,9 @@ def test_remembered_windows_equal_cold_walks(backend, name):
             for kind, request in _WINDOW_REQUESTS.items():
                 assert _bits(request(model, n, backend)) == cold[kind, n], (order, kind, n)
     if backend is EXACT:  # and they are the enumeration oracle's values
-        top = 6 if model.size == 2 else 5  # 3^6 words take the oracle 10 s
-        h = {n: brute_finite_entropy(model, n) for n in range(1, top + 1)}
-        joint = {n: entropy_exact(joint_distribution(model, n)) for n in range(1, top + 1)}
-        for n in range(1, top + 1):
+        h = {n: brute_finite_entropy(model, n) for n in ns}
+        joint = {n: entropy_exact(joint_distribution(model, n)) for n in ns}
+        for n in ns:
             rep = entropy_report(model, n)
             assert rep.entropy == h[n]
             assert rep.increment == (h[n] - h[n - 1] if n > 1 else h[1])
@@ -819,17 +849,19 @@ def test_remembered_windows_equal_cold_walks(backend, name):
 
 
 def test_a_window_sweep_walks_each_depth_once(monkeypatch, walks):
-    # reports n = 1..8 walk each new depth once, plainly and with the joint
-    # first symbol; the brackets n = 2..8 that follow walk nothing
+    # reports n = 1..8 each walk once, to n, and read each new depth once,
+    # summed over the states and state by state; the brackets n = 2..8 that
+    # follow walk nothing
     runs, run = [], entropy._run
-    monkeypatch.setattr(entropy, "_run", lambda model, n, record, domain, joint=False: (
-        runs.append((n, record, joint)) or run(model, n, record, domain, joint)))
+    monkeypatch.setattr(entropy, "_run", lambda model, n, keys, domain: (
+        runs.append((n, keys)) or run(model, n, keys, domain)))
     for n in range(1, 9):
         runs.clear()
         walks[0] = 0
         entropy_report(QUICK, n)
-        assert runs == [(n, {n}, False)] + ([(n, {1, 2} if n == 2 else {n}, True)] if n > 1 else [])
-        assert walks[0] == len(runs)
+        joint = {(True, 1), (True, 2)} if n == 2 else {(True, n)} if n > 2 else set()
+        assert runs == [(n, {(False, n)} | joint)]
+        assert walks[0] == 1
     walks[0] = 0
     runs.clear()
     for n in range(2, 9):
@@ -869,16 +901,46 @@ def test_a_failed_walk_records_nothing_and_fails_warm(backend):
     # 1 have positive probabilities, but the word (1, 1) has -1/8
     model = HmpModel(StochasticMatrix.identity(2), StochasticMatrix(((F(1, 2), F(1, 2)), (0, 1))),
                      (F(3, 2), F(-1, 2)))
-    message = r"^sequence probability has constant term -1/8$"
-    with pytest.raises(NonpositiveConstantTerm, match=message):
-        finite_entropy(model, 2, backend)
-    assert len(entropy._RECORDED) == 0
+    # (X_1 = 1, Y_1 = 1) has -1/2; one walk reads the per-state leaves of a
+    # report at depth 1 before any leaf at depth 2
+    messages = {finite_entropy: r"^sequence probability has constant term -1/8$",
+                entropy_report: r"^sequence probability has constant term -1/2$"}
+    cold = {}
+    for request, message in messages.items():
+        with pytest.raises(NonpositiveConstantTerm, match=message) as failure:
+            request(model, 2, backend)
+        cold[request] = str(failure.value)
+        assert len(entropy._RECORDED) == 0
     finite_entropy(model, 1, backend)
     seen = dict(entropy._RECORDED[model])
-    for request in (finite_entropy, entropy_report):
-        with pytest.raises(NonpositiveConstantTerm, match=message):
+    for request in messages:
+        with pytest.raises(NonpositiveConstantTerm) as warm:
             request(model, 2, backend)
+        assert str(warm.value) == cold[request], request.__name__
     assert entropy._RECORDED[model] == seen
+
+
+@pytest.mark.parametrize("model, top", [(FOUR, 4), (CYCLIC3, 5)], ids=["four-state", "cyclic"])
+def test_non_reversible_windows_match_enumeration(model, top):
+    # on a chain that is not reversible a word and its reverse differ in
+    # probability, so a walk that took M for its transpose, or a word for its
+    # reverse, would read other leaves; each request walks cold, and every
+    # value is the oracle's
+    words = product(range(model.size), repeat=3)
+    assert any(word_probability(model, ys) != word_probability(model, ys[::-1]) for ys in words)
+    h = {n: brute_finite_entropy(model, n) for n in range(1, top + 1)}
+    joint = {n: entropy_exact(joint_distribution(model, n)) for n in range(1, top + 1)}
+    for n in range(1, top + 1):
+        entropy._RECORDED.clear()
+        increment = h[n] - h[n - 1] if n > 1 else h[1]
+        lower = joint[n] - joint[n - 1] if n > 1 else None
+        assert entropy_report(model, n) == EntropyReport(n, h[n], increment, lower, "exact")
+        if n > 1:
+            entropy._RECORDED.clear()
+            assert lower_bound(model, n) == lower
+            entropy._RECORDED.clear()
+            bracket = entropy_rate_bracket(model, n)
+            assert (bracket.lower, bracket.upper) == (lower, increment)
 
 
 def test_remembered_windows_go_with_their_model():

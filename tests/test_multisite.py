@@ -420,7 +420,7 @@ def test_float_kernel_matches_the_log1p_series(data):
     box = _layout(kvec)
     coeff = st.integers(min_value=-10**4, max_value=10**4)
     domain = _domain(FLOAT64, kvec=kvec)
-    acc = domain.prepare((q, 1, 1), {1})[1]
+    acc = domain.prepare((q, 1, 1))(1)
     expect, scale = ZERO, 0.0
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         terms = {e: data.draw(coeff) for e in box}

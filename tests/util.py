@@ -7,6 +7,7 @@ two implementations can check each other.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +52,12 @@ BASE3 = validate_model(
     StochasticMatrix((("1/2", "1/4", "1/4"), ("1/8", "3/4", "1/8"), ("1/4", "1/4", "1/2"))),
     StochasticMatrix((("3/4", "1/8", "1/8"), ("1/8", "3/4", "1/8"), ("1/4", "1/4", "1/2"))),
 )
+# BASE3's emissions on a cyclic chain: pi is uniform, but M is not symmetric,
+# so the chain is not reversible
+CYCLIC3 = validate_model(
+    StochasticMatrix((("1/2", "1/3", "1/6"), ("1/6", "1/2", "1/3"), ("1/3", "1/6", "1/2"))),
+    BASE3.R,
+)
 
 
 def relabel(rows, states, symbols=None):
@@ -75,30 +82,40 @@ def word_probability(model: HmpModel, ys) -> Fraction:
     return total
 
 
+def _path_products(model: HmpModel, n: int):
+    """(x_1, word, N) for every hidden path and every word of length n whose
+    joint probability N / D is nonzero, D = D_pi D_R^n D_M^(n-1) with each
+    D the lcm of its matrix's denominators: one integer product per path and
+    word, extended one pair (X_t, Y_t) at a time, as a generator."""
+    s = model.size
+    d_pi, d_m, d_r = (math.lcm(*(x.denominator for x in xs)) for xs in (
+        model.pi, [x for row in model.M.rows for x in row], [x for row in model.R.rows for x in row]))
+    m = [[int(x * d_m) for x in row] for row in model.M.rows]
+    r = [[int(x * d_r) for x in row] for row in model.R.rows]
+    level = [(x, x, (y,), int(model.pi[x] * d_pi) * r[x][y]) for x in range(s) for y in range(s)]
+    for _ in range(n - 1):
+        level = ((x1, b, ys + (y,), p * m[a][b] * r[b][y])
+                 for x1, a, ys, p in level if p for b in range(s) for y in range(s))
+    return d_pi * d_r**n * d_m**(n - 1), ((x1, ys, p) for x1, _, ys, p in level if p)
+
+
 def word_distribution(model: HmpModel, n: int) -> dict:
-    return {
-        ys: word_probability(model, ys)
-        for ys in product(range(model.size), repeat=n)
-    }
+    """P([Y]_1^n = ys), exact, for every word ys of nonzero probability."""
+    d, paths = _path_products(model, n)
+    out = {}
+    for _, ys, p in paths:
+        out[ys] = out.get(ys, 0) + p
+    return {ys: Fraction(p, d) for ys, p in out.items()}
 
 
 def joint_distribution(model: HmpModel, n: int) -> dict:
-    """P(X_1 = x1, [Y]_1^n = ys), exact, for every x1 and word ys."""
-    s = model.size
+    """P(X_1 = x1, [Y]_1^n = ys), exact, for every x1 and word ys of nonzero
+    probability."""
+    d, paths = _path_products(model, n)
     out = {}
-    for x1 in range(s):
-        for ys in product(range(s), repeat=n):
-            total = Fraction(0)
-            for rest in product(range(s), repeat=n - 1):
-                xs = (x1,) + rest
-                p = model.pi[x1]
-                for a, b in zip(xs, xs[1:]):
-                    p *= model.M.rows[a][b]
-                for x, y in zip(xs, ys):
-                    p *= model.R.rows[x][y]
-                total += p
-            out[(x1, ys)] = total
-    return out
+    for x1, ys, p in paths:
+        out[x1, ys] = out.get((x1, ys), 0) + p
+    return {key: Fraction(p, d) for key, p in out.items()}
 
 
 def entropy_float(dist) -> float:
@@ -107,12 +124,11 @@ def entropy_float(dist) -> float:
 
 
 def entropy_exact(dist) -> LogLinearValue:
-    """Shannon entropy as a LogLinearValue, summed term by term."""
-    total = LogLinearValue.make(0)
-    for p in dist.values():
-        if p:
-            total = total + LogLinearValue.log_of(p) * (-p)
-    return total
+    """Shannon entropy -sum p log p as a LogLinearValue, built once from the
+    number of outcomes of each distinct nonzero probability."""
+    counts = Counter(p for p in dist.values() if p)
+    return LogLinearValue(0, [term for p, m in counts.items()
+                              for term in ((p.numerator, -m * p), (p.denominator, m * p))])
 
 
 def brute_finite_entropy(model: HmpModel, n: int) -> LogLinearValue:
@@ -291,22 +307,28 @@ def _times(x: list, entry) -> list:
     return out
 
 
-def recursive_walk(start, emit_at, trans_at, depth, n, sums, domain):
+def recursive_walk(start, emit_at, trans_at, depth, n, sums, domain, weights=None):
     """The walk of entropy._walk, depth first and one node at a time, on the
-    same integer tables: the kernel gets every nonzero leaf once, with
-    multiplicity 1, and a zero node's subtree is pruned."""
-    acc, last = sums.get(depth + 1), depth + 1 == n
+    same integer tables and reads: the sum over the states for a key
+    (False, depth) of sums, each state alone for (True, depth), each state
+    first times its weight if weights are given.  The kernel gets every
+    nonzero leaf of a read once, with multiplicity 1, and the subtree of a
+    node whose states are all zero is pruned."""
+    reads = [(joint, sums[joint, depth + 1]) for joint in (False, True)
+             if (joint, depth + 1) in sums]
     for col in emit_at[depth]:
         gamma = [_times(x, entry) for x, entry in zip(start, col)]
-        p = [sum(c) for c in zip(*gamma)]
-        if not any(p):
+        if not any(map(any, gamma)):
             continue
-        if acc is not None:
-            domain.add_term(acc, p, 1)
-        if not last:
+        states = gamma if weights is None else [[c * w for c in g] for g, w in zip(gamma, weights)]
+        for joint, acc in reads:
+            for p in states if joint else [[sum(c) for c in zip(*states)]]:
+                if any(p):
+                    domain.add_term(acc, p, 1)
+        if depth + 1 < n:
             nxt = [[sum(c) for c in zip(*(_times(g, e) for g, e in zip(gamma, tc)))]
                    for tc in trans_at[depth]]
-            recursive_walk(nxt, emit_at, trans_at, depth + 1, n, sums, domain)
+            recursive_walk(nxt, emit_at, trans_at, depth + 1, n, sums, domain, weights)
 
 
 def reference_plan(caps, targets):
