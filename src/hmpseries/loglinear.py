@@ -8,10 +8,12 @@ pairwise coprime, and none is a perfect power.  Logs of pairwise coprime
 integers > 1 are linearly independent over the rationals, so a value is
 zero iff all its parts are, and equality is exact real-number equality.
 
-The bases come from a splitter (_split), not from full factorisation: one
-gcd against the product of the primes below 2^10, a strong probable-prime
-test, and Pollard-Brent rho within RHO_STEPS steps.  A cofactor it cannot
-split stays one composite base.  Where the bases of two values share a
+The bases come from splitting, not from full factorisation (_bases): one
+gcd against the product of the primes below 2^10, a cofactor below 2^20 or
+proved before taken as prime, and only a larger one through the splitter
+(_split, cached per cofactor): a strong probable-prime test on the fewest
+prime bases that prove it (_PSI), and Pollard-Brent rho within RHO_STEPS
+steps.  A cofactor it cannot split stays one composite base.  Where the bases of two values share a
 factor, the constructor refines them into one pairwise coprime base, as in
 Bernstein, "Factoring into coprimes in essentially linear time" (J.
 Algorithms 54, 2005).  So every base is a prime whenever the splitter finds
@@ -27,6 +29,7 @@ factor_positive is full prime factorisation with sympy, kept as public API.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,12 +71,16 @@ def _primes_below(n: int) -> list[int]:
 _SMALL = 1 << 10
 _SMALL_PRIMES = _primes_below(_SMALL)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
-# A strong probable prime to the 13 primes below 42 is prime below this
-# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86, 2017).  Above it the test proves nothing, and such an
-# integer stays one base without being recorded as prime.
+# A strong probable prime to the first k primes is prime below _PSI[k - 1],
+# the least strong pseudoprime to them (OEIS A014233: Jaeschke, Math. Comp.
+# 61, 1993; Jiang and Deng, Math. Comp. 83, 2014; Sorenson and Webster,
+# Math. Comp. 86, 2017).  Above _MR_PROVEN the test proves nothing, and such
+# an integer stays one base without being recorded as prime.
 _MR_BASES = tuple(_SMALL_PRIMES[:13])
-_MR_PROVEN = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_MR_PROVEN = _PSI[-1]
 # Squarings that Pollard-Brent rho spends on one cofactor before keeping it
 # as a base.  Rho finds a prime factor p after about sqrt(p) squarings, so
 # this finds most factors below about 2^18; the cofactors it leaves are
@@ -88,12 +95,11 @@ _HASH_PRIME = (1 << 61) - 1
 
 
 def _sprp(n: int) -> bool:
-    """Whether the odd n > 41 is a strong probable prime to every base in _MR_BASES."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
+    """Whether the odd n > 41 is a strong probable prime to the first bases of
+    _MR_BASES, as many as prove n prime (_PSI), or all of them from _MR_PROVEN."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -179,30 +185,47 @@ def _rho(n: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _split(n: int) -> tuple[tuple[int, int], ...]:
+def _bases(n: int) -> list[tuple[int, int]]:
     """n > 1 as sorted (base, exponent) pairs over pairwise coprime bases.
 
-    The primes below 2^10 come from one gcd with their product.  Each
-    cofactor left is proved prime, or split by rho, or kept: as a perfect
-    power's root, or as itself when rho fails or it is a strong probable
-    prime too large to prove.  The bases kept are refined against each
-    other and against the primes found (_refine).
+    The primes below 2^10 come from one gcd g with their product.  A cofactor
+    below 2^20, or one proved before, is prime; only a larger one goes to
+    the splitter (_split, cached per cofactor).
     """
-    primes: dict[int, int] = {}
-    g = math.gcd(n, _PRIMORIAL)
-    for p in _SMALL_PRIMES:
-        if g == 1:
-            break
+    fac, g = [], math.gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES if g > 1 else ():
+        if p * p > g:  # what is left of g is one prime
+            p = g
         if not g % p:
             g //= p
             e = 0
             while not n % p:
                 n //= p
                 e += 1
-            primes[p] = e
-    todo = [(n, 1)] if n > 1 else []
+            fac.append((p, e))
+            if g == 1:
+                break
+    if n < _SMALL * _SMALL or n in _PRIMES:
+        if n > 1:
+            _PRIMES.add(n)
+            fac.append((n, 1))
+        return fac
+    return fac + list(_split(n))
+
+
+@lru_cache(maxsize=None)
+def _split(m: int) -> tuple[tuple[int, int], ...]:
+    """The splitter: m >= 2^20, free of primes below 2^10, as sorted (base,
+    exponent) pairs over pairwise coprime bases.
+
+    m and each cofactor found are proved prime, or split by rho, or kept: as
+    a perfect power's root, or as itself when rho fails or it is a strong
+    probable prime too large to prove.  The bases kept are refined against
+    each other and against the primes found (_refine).
+    """
+    primes: dict[int, int] = {}
     kept: dict[int, int] = {}
+    todo = [(m, 1)]
     while todo:
         m, e = todo.pop()
         if _proved_prime(m):
@@ -279,7 +302,7 @@ def _normalise(logs: dict[int, int]) -> tuple[tuple[int, int], ...]:
         primes: dict[int, int] = {}
         kept: dict[int, int] = {}
         for b, c in logs.items():
-            for q, e in _split(b):
+            for q, e in _bases(b):
                 dest = primes if q in _PRIMES else kept
                 dest[q] = dest.get(q, 0) + c * e
         logs = _refine(primes, kept)

@@ -234,10 +234,14 @@ def test_float_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
     (["bounds", "--n", "2,3,4,5,6,7,8", *QUICKSTART], "bounds-quickstart-exact.csv"),
     (["bounds", "--n", "2,3,4", "--model", str(GOLDEN / "primes-anchor-model.json")],
      "bounds-primes-anchor-exact.csv"),
+    (["bounds", "--n", "5", "--model", str(GOLDEN / "primes-anchor-model.json")],
+     "bounds-primes-anchor-exact-5.csv"),
 ])
 def test_exact_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
     # exact renders and their float digits; the prime-denominator model has
-    # composite bases to refine.  The files were written by an earlier version
+    # composite bases to refine, and at n = 5 it pins the splitter's decisions
+    # on 50 composites of 56-129 bits that rho leaves whole.  The files were
+    # written by an earlier version
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

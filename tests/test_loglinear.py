@@ -1,14 +1,18 @@
 """Exact values of the form q0 + sum_p q_p log p."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from hmpseries import DomainNotClosed, LogLinearValue, factor_positive
-from hmpseries.entropy import _finish_cells
+from hmpseries import DomainNotClosed, LogLinearValue, factor_positive, loglinear
+from hmpseries.entropy import _finish_cells, _log_ratio
 from hmpseries.loglinear import _LLAccumulator, _normalise
+
+from util import reference_log_ratio, reference_split, reference_sprp
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -184,6 +188,73 @@ def test_integer_form_is_canonical(ra, a_pairs, rb, b_pairs, s):
     assert_canonical(depth)
     assert_same_form(depth, direct)
     assert hash(LogLinearValue(ra)) == hash(ra) and hash(a - a) == hash(0)
+
+
+@contextmanager
+def cold_splitter():
+    """The splitter as in a fresh process for the block: its cache empty and
+    the proved primes those below 2^10.  After the block the cache is
+    emptied again and the proved primes restored."""
+    saved = set(loglinear._PRIMES)
+    loglinear._split.cache_clear()
+    loglinear._PRIMES.intersection_update(loglinear._SMALL_PRIMES)
+    try:
+        yield
+    finally:
+        loglinear._split.cache_clear()
+        loglinear._PRIMES.update(saved)
+
+
+def primes_in(lo, hi):
+    return st.integers(lo, hi).map(sympy.nextprime)
+
+
+# Q_d's primes: small ones, one between 2^10 and 2^20, and one above 2^20
+Q_POOL = (2, 3, 5, 7, 13, 1021, 10007, 2147483647)
+q_primes = st.lists(st.tuples(st.sampled_from(Q_POOL), st.integers(1, 9)),
+                    unique_by=lambda pv: pv[0], max_size=4).map(tuple)
+# the factors of a constant term N_0, one kind of cofactor each: composites
+# just above 2^20, where the fast path stops; rho splits a product with a
+# prime below about 2^17 and gives up on two primes above 2^28
+factors = st.one_of(
+    st.sampled_from(Q_POOL),
+    st.sampled_from(loglinear._SMALL_PRIMES),
+    primes_in(1 << 10, (1 << 20) - 100),
+    st.tuples(primes_in(1 << 10, 1 << 11), primes_in(1 << 10, 1 << 11)).map(math.prod),
+    st.tuples(primes_in(1 << 11, 1 << 17), primes_in(1 << 20, 1 << 40)).map(math.prod),
+    st.tuples(primes_in(1 << 28, 1 << 45), primes_in(1 << 28, 1 << 45)).map(math.prod),
+    st.tuples(primes_in(1 << 20, 1 << 40), st.integers(2, 4)).map(lambda pk: pk[0] ** pk[1]),
+    st.sampled_from((P, Q, R)),
+)
+
+
+@given(q_primes, st.lists(st.tuples(factors, st.integers(1, 3)), max_size=5))
+@settings(deadline=None, max_examples=60)
+def test_the_fast_path_splits_like_the_reference(q, parts):
+    # the same (base, exponent) pairs in the same order, cold and warm
+    n0 = math.prod(f**e for f, e in parts)
+    with cold_splitter():
+        want = [(b, -e) for b, e in reference_log_ratio(n0, q)]
+        whole = reference_split(n0) if n0 > 1 else ()
+    with cold_splitter():
+        assert list(_log_ratio(n0, q, 1, {}).items()) == want
+        assert list(_log_ratio(n0, q, 1, {}).items()) == want
+        assert tuple(loglinear._bases(n0) if n0 > 1 else ()) == whole
+
+
+def test_each_prefix_of_bases_proves_primes_below_its_bound():
+    # psi_k, the least strong pseudoprime to the first k prime bases, is not
+    # proved prime, and the largest prime below it is.  From psi_13 on the
+    # test proves nothing, and psi_13 passes it.  2047 = 23 * 89 lies below
+    # 2^20, where _proved_prime takes a cofactor free of primes below 2^10 as
+    # prime, so _sprp alone is asked there.
+    with cold_splitter():
+        for k, psi in enumerate(loglinear._PSI, 1):
+            assert reference_sprp(psi, loglinear._MR_BASES[:k]), k
+            assert loglinear._sprp(psi) == (psi == loglinear._MR_PROVEN), k
+            assert psi < 1 << 20 or not loglinear._proved_prime(psi), k
+            below = sympy.prevprime(psi)
+            assert loglinear._sprp(below) and loglinear._proved_prime(below), k
 
 
 def test_factor_positive_large_composite():

@@ -25,6 +25,7 @@ from hmpseries import (
     stationary_distribution,
     validate_model,
 )
+from hmpseries import loglinear
 
 # 3-state regimes with entries over 12
 HS3 = HighSnr(
@@ -352,6 +353,82 @@ def reference_plan(caps, targets):
     ups = [[e[:i] + (e[i] + 1,) + e[i + 1:] for e in vecs] for i in range(len(caps))]
     shifts = tuple(tuple((pos[e], pos[f]) for e, f in zip(vecs, up) if f in pos) for up in ups)
     return tuple(sum(e) for e in vecs), box, tops, shifts
+
+
+def reference_sprp(n: int, bases=loglinear._MR_BASES) -> bool:
+    """Whether the odd n > 41 is a strong probable prime to every one of
+    bases; by default all of loglinear._MR_BASES, as loglinear._sprp decided
+    before it ran the shortest prefix that proves."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_split(n: int) -> tuple:
+    """loglinear's splitter before its fast path, uncached: n > 1 as sorted
+    (base, exponent) pairs over pairwise coprime bases.  The primes below
+    2^10 come from one gcd with their product; every cofactor left is proved
+    prime (below 2^20 by size, else by every base), or split by rho, or
+    kept, as a perfect power's root or as itself."""
+    primes = {}
+    g = math.gcd(n, loglinear._PRIMORIAL)
+    for p in loglinear._SMALL_PRIMES:
+        if g == 1:
+            break
+        if not g % p:
+            g //= p
+            e = 0
+            while not n % p:
+                n //= p
+                e += 1
+            primes[p] = e
+    todo = [(n, 1)] if n > 1 else []
+    kept = {}
+    while todo:
+        m, e = todo.pop()
+        if m < 1 << 20 or (m < loglinear._MR_PROVEN and reference_sprp(m)):
+            primes[m] = primes.get(m, 0) + e
+            continue
+        d = (None if m >= loglinear._MR_PROVEN and reference_sprp(m)
+             else loglinear._rho(m))
+        if d:
+            todo += [(d, e), (m // d, e)]
+            continue
+        r, k = loglinear._root(m)
+        if k > 1:
+            todo.append((r, e * k))
+        else:
+            kept[m] = kept.get(m, 0) + e
+    return tuple(sorted(loglinear._refine(primes, kept).items()))
+
+
+def reference_log_ratio(n0: int, q_primes) -> list:
+    """log(n0 / Q) as (base, exponent) pairs, as entropy._log_ratio listed
+    them before its fast path: Q's primes by trial division, in their order,
+    then reference_split of the rest."""
+    fac, rest = [], n0
+    for prime, v in q_primes:
+        e = 0
+        while not rest % prime:
+            rest //= prime
+            e += 1
+        if e != v:
+            fac.append((prime, e - v))
+    if rest > 1:
+        fac.extend(reference_split(rest))
+    return fac
 
 
 def mp_value(value: LogLinearValue):
