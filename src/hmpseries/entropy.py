@@ -34,7 +34,7 @@ cell of integer sums per distinct constant term N_0 of a leaf, and one
 finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
 integer log sums go over Q_d into the value.  No N_0 is fully factored:
 the primes of Q_d, from the three scales factored once (factor_positive),
-leave it by their valuations, a fast path takes the primes below 2^10 and a
+leave it by trial division, a fast path takes the primes below 2^10 and a
 prime cofactor below 2^20, and loglinear's splitter takes a larger one, so
 a large cofactor it cannot split stays one composite log base.  The
 probability totals read sum N_t / Q_d from the cells instead
@@ -238,24 +238,20 @@ def _finish_cells(acc, lcm, weights):
     """One LogLinearValue per target, from one log(N_0 / Q_d) per distinct N_0.
 
     The log coefficients stay integer sums over Q_d, with no Fraction per
-    log term (a jet target's rational part adds one per N_0).  A read of one
-    target adds each log straight into its sums.  _normalise refines the
-    composite bases the N_0 of the depth share into one base."""
+    log term (a jet target's rational part adds one per N_0).  _normalise
+    refines the composite bases the N_0 of the depth share into one base."""
     q_primes, q, cells = acc
     top = len(weights)
     rats, logs = [Fraction(0)] * top, [{} for _ in weights]
     for n0, cell in cells.items():
-        if top == 1:
-            if cell[0]:
-                _log_ratio(n0, q_primes, cell[0], logs[0])
-        elif any(cell[:top]):
-            minus_log = _log_ratio(n0, q_primes, 1, {})
-            for nt, lg in zip(cell, logs):
-                for b, e in minus_log.items() if nt else ():
-                    lg[b] = lg.get(b, 0) + nt * e
+        fac = _log_ratio(n0, q_primes) if any(cell[:top]) else ()
         for t, w in enumerate(weights):
             if cell[top + t]:
                 rats[t] += Fraction(cell[top + t], lcm * n0**w)
+            nt, lg = cell[t], logs[t]
+            if nt:
+                for prime, e in fac:
+                    lg[prime] = lg.get(prime, 0) - nt * e
     return [LogLinearValue._of(-rat / q, q, _normalise(lg))
             for rat, lg in zip(rats, logs)]
 
@@ -367,31 +363,26 @@ class _JetExactDomain:
         return _finish_cells(acc, self.lcm, self.weights)
 
 
-def _log_ratio(n0, q_primes, nt, into):
-    """Adds -nt log(n0 / Q) to into, {base: integer coefficient}, over
-    pairwise coprime bases, and returns it.
+def _log_ratio(n0, q_primes):
+    """log(n0 / Q) as (base, exponent) pairs over pairwise coprime bases.
 
-    Q's primes leave n0 by their valuations, 2's read off the low bits, and
-    the rest goes to loglinear._bases: the primes below 2^10 from one gcd, a
-    cofactor below 2^20 or proved before as a prime, and a larger one through
-    the splitter, cached per cofactor, which keeps a composite base where it
-    cannot split it.  Nothing is fully factored.
+    Q's primes leave n0 by trial division, and the rest goes to
+    loglinear._bases: the primes below 2^10 from one gcd, a cofactor below
+    2^20 or proved before as a prime, and a larger one through the splitter,
+    cached per cofactor, which keeps a composite base where it cannot split
+    it.  Nothing is fully factored.
     """
-    rest = n0
+    fac, rest = [], n0
     for prime, v in q_primes:
-        if prime == 2:
-            e = (rest & -rest).bit_length() - 1
-            rest >>= e
-        else:
-            e = 0
-            while not rest % prime:
-                rest //= prime
-                e += 1
+        e = 0
+        while not rest % prime:
+            rest //= prime
+            e += 1
         if e != v:
-            into[prime] = into.get(prime, 0) - nt * (e - v)
-    for b, e in _bases(rest) if rest > 1 else ():
-        into[b] = into.get(b, 0) - nt * e
-    return into
+            fac.append((prime, e - v))
+    if rest > 1:
+        fac.extend(_bases(rest))
+    return fac
 
 
 def _check_constant(n0, q):

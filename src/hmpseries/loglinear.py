@@ -10,15 +10,16 @@ zero iff all its parts are, and equality is exact real-number equality.
 
 The bases come from splitting, not from full factorisation (_bases): one
 gcd against the product of the primes below 2^10, a cofactor below 2^20 or
-proved before taken as prime, and only a larger one through the splitter
-(_split, cached per cofactor): a strong probable-prime test on the fewest
-prime bases that prove it (_PSI), and Pollard-Brent rho within RHO_STEPS
-steps.  A cofactor it cannot split stays one composite base.  Where the bases of two values share a
-factor, the constructor refines them into one pairwise coprime base, as in
-Bernstein, "Factoring into coprimes in essentially linear time" (J.
-Algorithms 54, 2005).  So every base is a prime whenever the splitter finds
-all factors, and render() shows a composite log(N) only for a large
-cofactor N that it could not split.  Such a form is not unique: one value
+proved before taken as prime (_known_prime), and only a larger one through
+the splitter (_split, cached per cofactor): a strong probable-prime test on
+the fewest prime bases that prove it (_PSI), and Pollard-Brent rho within
+RHO_STEPS steps.  A cofactor it cannot split stays one composite base.
+Where the bases of two values share a factor, the constructor refines
+them into one pairwise coprime base, as in Bernstein, "Factoring into
+coprimes in essentially linear time" (J. Algorithms 54, 2005).  So every
+base is a prime whenever the splitter finds all factors, and render()
+shows a composite log(N) only for a large cofactor N that it could not
+split.  Such a form is not unique: one value
 may hold log(N) where an equal one holds the logs of N's factors.  Equality
 is decided over the common refinement of both bases, so it stays exact, and
 the hash reads only what every coprime base of a value agrees on.
@@ -97,8 +98,10 @@ _HASH_PRIME = (1 << 61) - 1
 def _sprp(n: int) -> bool:
     """Whether the odd n > 41 is a strong probable prime to the first bases of
     _MR_BASES, as many as prove n prime (_PSI), or all of them from _MR_PROVEN."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
     for a in _MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -112,11 +115,19 @@ def _sprp(n: int) -> bool:
     return True
 
 
+def _known_prime(m: int) -> bool:
+    """Whether m > 1, free of primes below 2^10, is prime by its size alone
+    or was proved before; records it."""
+    if m < _SMALL * _SMALL:
+        _PRIMES.add(m)
+    return m in _PRIMES
+
+
 def _proved_prime(m: int) -> bool:
     """Whether m > 1, free of primes below 2^10, is proved prime; records it."""
-    if m in _PRIMES:
+    if _known_prime(m):
         return True
-    if m < _SMALL * _SMALL or (m < _MR_PROVEN and _sprp(m)):
+    if m < _MR_PROVEN and _sprp(m):
         _PRIMES.add(m)
         return True
     return False
@@ -188,14 +199,14 @@ def _rho(n: int) -> int | None:
 def _bases(n: int) -> list[tuple[int, int]]:
     """n > 1 as sorted (base, exponent) pairs over pairwise coprime bases.
 
-    The primes below 2^10 come from one gcd g with their product.  A cofactor
-    below 2^20, or one proved before, is prime; only a larger one goes to
-    the splitter (_split, cached per cofactor).
+    The primes below 2^10 come from one gcd with their product.  A cofactor
+    below 2^20, or one proved before, is prime (_known_prime); only a larger
+    one goes to the splitter (_split, cached per cofactor).
     """
     fac, g = [], math.gcd(n, _PRIMORIAL)
-    for p in _SMALL_PRIMES if g > 1 else ():
-        if p * p > g:  # what is left of g is one prime
-            p = g
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
         if not g % p:
             g //= p
             e = 0
@@ -203,14 +214,9 @@ def _bases(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             fac.append((p, e))
-            if g == 1:
-                break
-    if n < _SMALL * _SMALL or n in _PRIMES:
-        if n > 1:
-            _PRIMES.add(n)
-            fac.append((n, 1))
+    if n == 1:
         return fac
-    return fac + list(_split(n))
+    return fac + ([(n, 1)] if _known_prime(n) else list(_split(n)))
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +308,7 @@ def _normalise(logs: dict[int, int]) -> tuple[tuple[int, int], ...]:
         primes: dict[int, int] = {}
         kept: dict[int, int] = {}
         for b, c in logs.items():
-            for q, e in _bases(b):
+            for q, e in ((b, 1),) if b in _PRIMES else _bases(b):
                 dest = primes if q in _PRIMES else kept
                 dest[q] = dest.get(q, 0) + c * e
         logs = _refine(primes, kept)

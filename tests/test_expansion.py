@@ -98,9 +98,9 @@ def test_exact_jets_take_one_log_per_distinct_constant_term(monkeypatch):
     calls = []
     log_ratio = entropy._log_ratio
 
-    def counting(n0, *rest):
+    def counting(n0, q_primes):
         calls.append(n0)
-        return log_ratio(n0, *rest)
+        return log_ratio(n0, q_primes)
 
     monkeypatch.setattr(entropy, "_log_ratio", counting)
     table = rate_series(am_binary(F(3, 5)), 13)
