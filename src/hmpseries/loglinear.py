@@ -301,14 +301,18 @@ def _coprime_base(elems: list[int]) -> list[int]:
     return base
 
 
-def _normalise(logs: dict[int, int]) -> tuple[tuple[int, int], ...]:
+def _normalise(logs: dict[int, int], split=_bases) -> tuple[tuple[int, int], ...]:
     """The nonzero terms of {base: integer coefficient} over one pairwise
-    coprime base of integers > 1 that are not perfect powers, sorted by base."""
+    coprime base of integers > 1 that are not perfect powers, sorted by base.
+
+    split takes each base not proved prime; the splitter (_split) suffices
+    where every base is a prime or free of primes below 2^10, as the bases
+    of values are."""
     if not _PRIMES.issuperset(logs):
         primes: dict[int, int] = {}
         kept: dict[int, int] = {}
         for b, c in logs.items():
-            for q, e in ((b, 1),) if b in _PRIMES else _bases(b):
+            for q, e in ((b, 1),) if b in _PRIMES else split(b):
                 dest = primes if q in _PRIMES else kept
                 dest[q] = dest.get(q, 0) + c * e
         logs = _refine(primes, kept)
@@ -419,7 +423,7 @@ class LogLinearValue:
         merged = {p: n * a for p, n in self.terms}
         for p, n in other.terms:
             merged[p] = merged.get(p, 0) + n * b
-        return LogLinearValue._of(self.rat + sign * other.rat, den, _normalise(merged))
+        return LogLinearValue._of(self.rat + sign * other.rat, den, _normalise(merged, _split))
 
     def __add__(self, other):
         return self._plus(other, 1)

@@ -154,6 +154,9 @@ def assert_canonical(v):
     bases = [b for b, _ in v.terms]
     assert bases == sorted(bases)
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(bases) for b in bases[i + 1:])
+    # a prime below 2^10 or free of them, so _plus may re-split it with _split alone
+    assert all(b in loglinear._SMALL_PRIMES or math.gcd(b, loglinear._PRIMORIAL) == 1
+               for b in bases)
 
 
 def assert_same_form(a, b):
