@@ -221,8 +221,8 @@ def _bases(n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _split(m: int) -> tuple[tuple[int, int], ...]:
-    """The splitter: m >= 2^20, free of primes below 2^10, as sorted (base,
-    exponent) pairs over pairwise coprime bases.
+    """The splitter: m > 1, free of primes below 2^10 (from _bases, m >=
+    2^20), as sorted (base, exponent) pairs over pairwise coprime bases.
 
     m and each cofactor found are proved prime, or split by rho, or kept: as
     a perfect power's root, or as itself when rho fails or it is a strong
