@@ -65,7 +65,7 @@ from operator import index, truediv
 
 from .backends import EXACT, FLOAT64, _log_sum
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
-from .loglinear import LogLinearValue, _bases, _normalise, factor_positive
+from .loglinear import LogLinearValue, _bases, _normalise, _split, factor_positive
 from .model import HmpModel, _matmul
 
 COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
@@ -239,7 +239,9 @@ def _finish_cells(acc, lcm, weights):
 
     The log coefficients stay integer sums over Q_d, with no Fraction per
     log term (a jet target's rational part adds one per N_0).  _normalise
-    refines the composite bases the N_0 of the depth share into one base."""
+    refines the composite bases the N_0 of the depth share into one base.
+    Each base is a prime or free of primes below 2^10 (_log_ratio), so it
+    re-splits them with the splitter alone."""
     q_primes, q, cells = acc
     top = len(weights)
     rats, logs = [Fraction(0)] * top, [{} for _ in weights]
@@ -252,7 +254,7 @@ def _finish_cells(acc, lcm, weights):
             if nt:
                 for prime, e in fac:
                     lg[prime] = lg.get(prime, 0) - nt * e
-    return [LogLinearValue._of(-rat / q, q, _normalise(lg))
+    return [LogLinearValue._of(-rat / q, q, *_normalise(lg, _split))
             for rat, lg in zip(rats, logs)]
 
 

@@ -26,6 +26,7 @@ window it needs in one walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -206,8 +207,7 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
         settled = tuple(v == ref for v in values)
     else:
         fs = [float(v) for v in values]
-        settled = tuple(abs(f - fs[-1]) <= max(1e-10 * max(abs(f), abs(fs[-1])), 1e-14)
-                        for f in fs)
+        settled = tuple(math.isclose(f, fs[-1], rel_tol=1e-10, abs_tol=1e-14) for f in fs)
     onset = None
     for i in range(len(ns)):
         if all(settled[i:]):

@@ -3,7 +3,9 @@
 The entropy of a distribution with rational probabilities is a finite sum
 -sum(p*log(p)) whose value always has the shape q0 + sum_b q_b*log(b) with
 rational q's and integer bases b > 1.  A LogLinearValue holds the q_b as
-integer numerators over one shared denominator.  It keeps its bases
+integer numerators over one shared denominator, in two flat tuples: the
+sorted bases and their numerators, with no tuple per term; a negated or
+rationally scaled value shares its operand's bases.  It keeps its bases
 pairwise coprime, and none is a perfect power.  Logs of pairwise coprime
 integers > 1 are linearly independent over the rationals, so a value is
 zero iff all its parts are, and equality is exact real-number equality.
@@ -221,8 +223,8 @@ def _bases(n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _split(m: int) -> tuple[tuple[int, int], ...]:
-    """The splitter: m > 1, free of primes below 2^10 (from _bases, m >=
-    2^20), as sorted (base, exponent) pairs over pairwise coprime bases.
+    """The splitter: any m > 1 free of primes below 2^10, as sorted (base,
+    exponent) pairs over pairwise coprime bases.
 
     m and each cofactor found are proved prime, or split by rho, or kept: as
     a perfect power's root, or as itself when rho fails or it is a strong
@@ -301,13 +303,14 @@ def _coprime_base(elems: list[int]) -> list[int]:
     return base
 
 
-def _normalise(logs: dict[int, int], split=_bases) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms of {base: integer coefficient} over one pairwise
-    coprime base of integers > 1 that are not perfect powers, sorted by base.
+def _normalise(logs: dict[int, int], split=_bases) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """{base: integer coefficient} over one pairwise coprime base of integers
+    > 1 that are not perfect powers, as the sorted bases with a nonzero
+    coefficient and their coefficients, two tuples of the same length.
 
     split takes each base not proved prime; the splitter (_split) suffices
     where every base is a prime or free of primes below 2^10, as the bases
-    of values are."""
+    of values and of a depth's log ratios are."""
     if not _PRIMES.issuperset(logs):
         primes: dict[int, int] = {}
         kept: dict[int, int] = {}
@@ -316,17 +319,21 @@ def _normalise(logs: dict[int, int], split=_bases) -> tuple[tuple[int, int], ...
                 dest = primes if q in _PRIMES else kept
                 dest[q] = dest.get(q, 0) + c * e
         logs = _refine(primes, kept)
-    return tuple(sorted((b, c) for b, c in logs.items() if c))
+    bases = tuple(sorted(b for b, c in logs.items() if c))
+    return bases, tuple(map(logs.__getitem__, bases))
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class LogLinearValue:
     """Exact value ``rat + sum(n * log(b)) / den`` with integer n over integer bases b.
 
-    terms holds sorted (b, n) pairs, den > 0, gcd(den, *n) == 1 and den == 1
-    without logs; .logs gives (b, Fraction) pairs, as the constructor takes.
-    It merges repeated bases, drops zero coefficients and log(1), and
-    rewrites the bases as pairwise coprime integers > 1, none a perfect
+    bases holds the b sorted and nums their nonzero n, two flat tuples of
+    one length, with den > 0, gcd(den, *nums) == 1 and den == 1 without
+    logs; no tuple per term is kept, and negation and rational scaling share
+    their operand's bases tuple.  .terms gives the sorted (b, n) pairs and
+    .logs the (b, Fraction) pairs, as the constructor takes.  The
+    constructor merges repeated bases, drops zero coefficients and log(1),
+    and rewrites the bases as pairwise coprime integers > 1, none a perfect
     power: primes, except where the splitter left a composite cofactor (see
     the module docstring).  Equality is exact real-number equality, and the
     hash agrees with it.  Closed under addition, subtraction, and scaling by
@@ -336,7 +343,8 @@ class LogLinearValue:
 
     rat: Fraction
     den: int
-    terms: tuple[tuple[int, int], ...]
+    bases: tuple[int, ...]
+    nums: tuple[int, ...]
 
     def __new__(cls, rat=_ZERO, logs=()):
         merged: dict[int, Fraction] = {}
@@ -348,16 +356,17 @@ class LogLinearValue:
                 merged[b] = merged.get(b, 0) + Fraction(c)
         den = math.lcm(*(c.denominator for c in merged.values()))
         nums = {b: c.numerator * (den // c.denominator) for b, c in merged.items()}
-        return LogLinearValue._of(Fraction(rat), den, _normalise(nums))
+        return LogLinearValue._of(Fraction(rat), den, *_normalise(nums))
 
     @staticmethod
-    def _of(rat: Fraction, den: int, terms) -> "LogLinearValue":
-        """rat + sum(n * log(b)) / den, den > 0, terms from _normalise; in lowest terms."""
-        g = math.gcd(den, *(n for _, n in terms))
+    def _of(rat: Fraction, den: int, bases, nums) -> "LogLinearValue":
+        """rat + sum(n * log(b)) / den, den > 0, bases and nums as _normalise
+        gives them; in lowest terms."""
+        g = math.gcd(den, *nums)
         if g > 1:
-            den, terms = den // g, tuple((b, n // g) for b, n in terms)
+            den, nums = den // g, tuple(n // g for n in nums)
         v = object.__new__(LogLinearValue)
-        v.__dict__.update(rat=rat, den=den, terms=terms)
+        v.__dict__.update(rat=rat, den=den, bases=bases, nums=nums)
         return v
 
     @staticmethod
@@ -373,8 +382,13 @@ class LogLinearValue:
         return LogLinearValue(_ZERO, ((q.numerator, 1), (q.denominator, -1)))
 
     @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (base, numerator) pairs."""
+        return tuple(zip(self.bases, self.nums))
+
+    @property
     def logs(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((b, Fraction(n, self.den)) for b, n in self.terms)
+        return tuple((b, Fraction(n, self.den)) for b, n in zip(self.bases, self.nums))
 
     def log_dict(self) -> dict[int, Fraction]:
         return dict(self.logs)
@@ -383,7 +397,7 @@ class LogLinearValue:
         return f"LogLinearValue(rat={self.rat!r}, logs={self.logs!r})"
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.terms)
+        return bool(self.rat) or bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, LogLinearValue):
@@ -391,10 +405,10 @@ class LogLinearValue:
             # the logs of N's factors in the other); their difference is
             # normalised over a common one, where zero means no terms.
             return self.rat == other.rat and (
-                (self.den, self.terms) == (other.den, other.terms)
-                or not (self - other).terms)
+                (self.den, self.bases, self.nums) == (other.den, other.bases, other.nums)
+                or not (self - other).nums)
         if isinstance(other, (int, Fraction)):
-            return not self.terms and self.rat == other
+            return not self.nums and self.rat == other
         return NotImplemented
 
     def __hash__(self):
@@ -402,10 +416,10 @@ class LogLinearValue:
         # reads X = prod b^(n/den) through what every coprime base agrees on:
         # the least D with X^D rational, den as no base is a perfect power,
         # and X^den modulo a prime, unless a base is a multiple of it.
-        if not self.terms:
+        if not self.nums:
             return hash(self.rat)
         residue = 1
-        for b, n in self.terms:
+        for b, n in zip(self.bases, self.nums):
             if not b % _HASH_PRIME:
                 residue = None
                 break
@@ -415,15 +429,15 @@ class LogLinearValue:
     def _plus(self, other, sign: int):
         """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
-            return LogLinearValue._of(self.rat + sign * other, self.den, self.terms)
+            return LogLinearValue._of(self.rat + sign * other, self.den, self.bases, self.nums)
         if not isinstance(other, LogLinearValue):
             return NotImplemented
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        merged = {p: n * a for p, n in self.terms}
-        for p, n in other.terms:
+        merged = {p: n * a for p, n in zip(self.bases, self.nums)}
+        for p, n in zip(other.bases, other.nums):
             merged[p] = merged.get(p, 0) + n * b
-        return LogLinearValue._of(self.rat + sign * other.rat, den, _normalise(merged, _split))
+        return LogLinearValue._of(self.rat + sign * other.rat, den, *_normalise(merged, _split))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -437,7 +451,7 @@ class LogLinearValue:
         return (-self)._plus(other, 1)
 
     def __neg__(self):
-        return LogLinearValue._of(-self.rat, self.den, tuple((p, -n) for p, n in self.terms))
+        return LogLinearValue._of(-self.rat, self.den, self.bases, tuple(-n for n in self.nums))
 
     def __mul__(self, other):
         if isinstance(other, LogLinearValue):
@@ -447,7 +461,7 @@ class LogLinearValue:
                 return LogLinearValue()
             a = other.numerator
             return LogLinearValue._of(self.rat * other, self.den * other.denominator,
-                                      tuple((p, n * a) for p, n in self.terms))
+                                      self.bases, tuple(n * a for n in self.nums))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -459,7 +473,8 @@ class LogLinearValue:
 
     def __float__(self) -> float:
         # n / den rounds once, as float(Fraction(n, den)) does
-        return float(self.rat) + math.fsum(n / self.den * math.log(p) for p, n in self.terms)
+        return float(self.rat) + math.fsum(n / self.den * math.log(p)
+                                           for p, n in zip(self.bases, self.nums))
 
     def render(self) -> str:
         """Structural text form, e.g. ``1/2·log(2) + 3/8`` or ``-4/3``.
@@ -468,7 +483,7 @@ class LogLinearValue:
         the splitter could not split.
         """
         parts: list[str] = []
-        if self.rat or not self.terms:
+        if self.rat or not self.nums:
             parts.append(str(self.rat))
         for p, c in self.logs:
             if c == 1:

@@ -1,14 +1,18 @@
 """Exact values of the form q0 + sum_p q_p log p."""
 
+import gc
 import math
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hmpseries import DomainNotClosed, LogLinearValue, factor_positive, loglinear
+from hmpseries import (DomainNotClosed, LogLinearValue, factor_positive, finite_entropy,
+                       load_model, loglinear)
 from hmpseries.entropy import _finish_cells, _log_ratio
 from hmpseries.loglinear import _LLAccumulator, _normalise
 
@@ -139,20 +143,26 @@ def test_arithmetic_matches_the_factoring_oracle(ra, a_pairs, rb, b_pairs, s):
 
 def fraction_terms(pairs):
     """The logs of integer (base, coefficient) pairs as a Fraction-coefficient
-    form holds them: merged in Fractions, then normalised (_normalise)."""
+    form holds them: merged in Fractions, then normalised (_normalise), as
+    (base, coefficient) pairs."""
     merged = {}
     for b, c in pairs:
         if b > 1 and c:
             merged[b] = merged.get(b, 0) + Fraction(c)
-    return _normalise(merged)
+    return tuple(zip(*_normalise(merged)))
 
 
 def assert_canonical(v):
+    # the stored form: two flat tuples of ints of one length, no zero numerator
+    bases, nums = v.bases, v.nums
+    assert type(bases) is tuple and type(nums) is tuple and len(bases) == len(nums)
+    assert all(type(x) is int for x in bases + nums)
+    assert all(nums)
+    assert v.terms == tuple(zip(bases, nums))
     assert v.den > 0
-    assert math.gcd(v.den, *(n for _, n in v.terms)) == 1
-    assert v.terms or v.den == 1
-    bases = [b for b, _ in v.terms]
-    assert bases == sorted(bases)
+    assert math.gcd(v.den, *nums) == 1
+    assert nums or v.den == 1
+    assert list(bases) == sorted(bases)
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(bases) for b in bases[i + 1:])
     # a prime below 2^10 or free of them, so _plus may re-split it with _split alone
     assert all(b in loglinear._SMALL_PRIMES or math.gcd(b, loglinear._PRIMORIAL) == 1
@@ -162,8 +172,8 @@ def assert_canonical(v):
 def assert_same_form(a, b):
     """Equal values hash alike, and over the same bases they hold the same integers."""
     assert a == b and hash(a) == hash(b)
-    if [p for p, _ in a.terms] == [p for p, _ in b.terms]:
-        assert (a.rat, a.den, a.terms) == (b.rat, b.den, b.terms)
+    if a.bases == b.bases:
+        assert (a.rat, a.den, a.nums) == (b.rat, b.den, b.nums)
 
 
 @given(rationals, terms, rationals, terms, rationals)
@@ -316,6 +326,35 @@ def test_scaling_by_rational_and_division():
     v = LogLinearValue.make(Fraction(3, 4))
     assert (v * Fraction(2, 3)).rat == Fraction(1, 2)
     assert (v / 3).rat == Fraction(1, 4)
+
+
+def test_negation_and_scaling_share_the_bases():
+    v = LogLinearValue(Fraction(1, 2), ((6, Fraction(3, 4)), (35, Fraction(-5, 2)), (11, 1)))
+    assert v.terms == tuple(zip(v.bases, v.nums)) == ((2, 3), (3, 3), (5, -10), (7, -10), (11, 4))
+    for w in (-v, v * Fraction(1, 3)):
+        assert w.bases is v.bases
+        assert_canonical(w)
+    assert (-v).nums == (-3, -3, 10, 10, -4)
+    assert (v * Fraction(1, 3)).den == 3 * v.den
+
+
+def test_a_negated_value_keeps_no_tuple_per_term():
+    # the quick-start model's exact H_11 holds hundreds of log terms; its
+    # negation shares the bases and adds one tuple of numerators, so it
+    # retains well under 64 bytes per term, where a tuple per term alone
+    # would take 56 more
+    model = load_model(Path(__file__).parent / "golden" / "quickstart-model.json")
+    v = finite_entropy(model, 11)
+    assert len(v.terms) >= 400
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = -v
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert w == -v and retained < 64 * len(v.terms), retained / len(v.terms)
 
 
 def test_render_examples():
