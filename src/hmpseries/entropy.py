@@ -4,51 +4,40 @@ Everything here reduces to one shared-prefix traversal of the observation
 tree.  A regime's walk (jets, per-site) carries beta_d(j) =
 P([Y]_1^d, X_{d+1} = j) down from beta_0 = pi: a symbol y multiplies it by
 the emission column for y (giving gamma, whose sum is the sequence
-probability), then by the transition matrix.  A model's window walk (_run)
-goes backward, from 1 on each state through M^t, so gamma_i =
+probability), then by the transition matrix.  A model's window walk
+(_read) goes backward, from 1 on each state through M^t, so gamma_i =
 P([Y]_1^d = y | X_1 = i): the pi_i gamma_i are leaves of H(X_1, [Y]_1^d),
 and their sum a leaf of H_d.  Leaves with identically zero probability add
 nothing (the walk skips them), which is exactly the 0*log(0) convention.
 
-The traversal is generic over an accumulation domain.  Each backend has
-one -p log p kernel, _JetExactDomain and _JetFloatDomain (_domain picks
-one), for one leaf shape: a coefficient list laid out by a plan built once
-per tuple of targets (_plan).  A jet of order K has the targets 0..K, and a
-scalar is the jet of order 0.  Both kernels run one recurrence for log p
-over the plan's box; the box of order 0 is empty, and there they take one
-log or one integer addition.  _traverse and _run drive both, and each
-finish gives a list of per-target values.
+Every request is one walk, described as data (_Walk): its exact source, its
+reads, its targets and what its finish returns.  An entry point validates
+its inputs, describes its walk and shapes what the walk reads; one executor
+(_execute) prices the walk (_price), refuses it over COST_CAP before it
+starts, and runs it (_read) inside the backend's context.  _read maps the
+source once, for every backend, to integer tables (_integer_tables), with
+integer numerators over Q_d = D_start * D_R^d * D_M^(d-1) at depth d, and
+_walk walks them level by level, every node of a level in a slot of one
+integer per coefficient (_slot_bits).
 
-Every walk is described once, as an exact source: a coefficient list per
-state and a table (A, B, i), the matrix A + x_i*B in rationals, per depth
-and per step.  _integer_tables maps it once, for every backend, straight to
-integers: each kind of table scaled by one lcm, D_start, D_R or D_M, so a
-node at depth d carries integer numerators over
-Q_d = D_start * D_R^d * D_M^(d-1).  _walk walks those tables level by
-level, each coefficient of a level one integer with every node in a slot
-(_slot_bits), and the kernel runs once per distinct leaf of a recorded
-depth with fewer than _BLOCK of them, times its multiplicity (_leaves).
+Each backend has one -p log p kernel, _JetExactDomain and _JetFloatDomain
+(_domain picks one), for one leaf shape: a coefficient list laid out by a
+plan built once per tuple of targets (_plan).  A jet of order K has the
+targets 0..K, and a scalar is the jet of order 0.  The kernel runs once per
+distinct leaf of a read, times its multiplicity (_leaves), and its finish
+gives a list of per-target values.  The exact kernel sums integers per
+distinct constant term N_0 (_new_cells) and takes one log(N_0 / Q_d) per
+N_0 (_finish_cells); the probability totals read sum N_t / Q_d from the
+same cells (_cell_totals).  The float kernel divides each leaf's integers,
+with Q_d in closed form, so it factors nothing and never imports sympy.
 
-The exact kernel keeps one accumulator per depth (_new_cells), with one
-cell of integer sums per distinct constant term N_0 of a leaf, and one
-finish (_finish_cells): one log(N_0 / Q_d) per distinct N_0, and the
-integer log sums go over Q_d into the value.  No N_0 is fully factored:
-the primes of Q_d, from the three scales factored once (factor_positive),
-leave it by trial division, a fast path takes the primes below 2^10 and a
-prime cofactor below 2^20, and loglinear's splitter takes a larger one, so
-a large cofactor it cannot split stays one composite log base.  The
-probability totals read sum N_t / Q_d from the cells instead
-(_cell_totals).  The float kernel reads each leaf by dividing its
-integers, with Q_d in closed form, so it factors nothing and never imports
-sympy.
-
-_windows reads the window entropies of a list of n from one backward walk to
-the largest n: H_{n-1} and H_n of every listed n and, for c_n, their joint
-entropies with X_1.  No request starts over COST_CAP, which prices the whole
-request whatever the process has seen.  A process remembers every value a
-window walk read, per model, backend and read (_window_values, into
-_RECORDED), for as long as the caller keeps the model object: a request
-walks only to the deepest depth it misses.  total_probability always walks.
+_windows reads the window entropies of a list of n from one backward walk
+to the largest n: H_{n-1} and H_n of every listed n and, for c_n, their
+joint entropies with X_1.  The price covers the whole request, whatever the
+process has seen.  A process remembers every value a model's walk read, per
+model, backend and read (_RECORDED), for as long as the caller keeps the
+model object: a request walks only to the deepest depth it misses.  The
+totals always walk.
 """
 
 from __future__ import annotations
@@ -62,15 +51,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from operator import index, truediv
+from typing import NamedTuple
 
 from .backends import EXACT, FLOAT64, _log_sum
 from .errors import DepthCapExceeded, NonpositiveConstantTerm
 from .loglinear import LogLinearValue, _bases, _normalise, _split, factor_positive
 from .model import HmpModel, _matmul
 
-COST_CAP = 6 * 10**7  # the predicted cost (_cost) over which a request is refused
+COST_CAP = 6 * 10**7  # the predicted cost (_price) over which a request is refused
 _BLOCK = 1 << 16  # distinct leaves held, and float terms kept, at a time
-_RECORDED = weakref.WeakKeyDictionary()  # {model: {(joint, tag, depth): value}}
+_RECORDED = weakref.WeakKeyDictionary()  # {model: {(joint, tag, depth): [value]}}
 
 
 def _check_depth(n: int, lower_from=None, cost=0):
@@ -89,13 +79,13 @@ def _nodes(s, width, d):
 
 
 def _cost(s, n, record, backend, joint=False, order=0, kvec=None):
-    """A walk's predicted cost, in about microseconds of a cold run on a 2-core x86
-    machine, or inf if too large for a float: per node s(s+1) products of
-    box-wide lists, per leaf of a recorded depth _plan's pairs (in closed form)
-    and a log and, if exact, one cell, weighted to also hold peak memory near
-    0.5 GB at COST_CAP.  Every backend walks integers; on bigfloat, mpmath's
-    arithmetic weighs the leaf's pairs by 20 + bits/32, and its log adds
-    10 + 2700 (bits/4096)^3 per leaf."""
+    """A walk's predicted cost (_price), in about microseconds of a cold run
+    on a 2-core x86 machine, or inf if too large for a float: per node s(s+1)
+    products of box-wide lists, per leaf of a recorded depth _plan's pairs
+    (in closed form) and a log and, if exact, one cell, weighted to also hold
+    peak memory near 0.5 GB at COST_CAP.  Every backend walks integers; on
+    bigfloat, mpmath's arithmetic weighs the leaf's pairs by 20 + bits/32,
+    and its log adds 10 + 2700 (bits/4096)^3 per leaf."""
     if kvec is not None:
         box = math.prod(k + 1 for k in kvec)
         pairs = math.prod((k + 1) * (k + 2) // 2 for k in kvec) - box + 1
@@ -405,10 +395,10 @@ def _integer_tables(source, plan):
     numerators over Q_d = D_start * D_R^d * D_M^(d-1).  A start list, in
     powers of x_0, pads to the plan's width (the plan puts x_0^m at position
     m).  An entry becomes the factor (a, b, shift), shift the plan's pairs
-    (e, e + 1_i), none at order 0.  Each distinct
-    (A, B, i) of a kind is mapped once, so the depths that share it share
-    its columns.  Returns the start lists, the columns per depth of the
-    emission and transition tables, and (D_start, D_R, D_M).
+    (e, e + 1_i), none at order 0.  Each distinct (A, B, i) of a kind is
+    mapped once, so the depths that share it share its columns.  Returns the
+    start lists, the columns per depth of the emission and transition
+    tables, and (D_start, D_R, D_M).
     """
     start, emits, transs = source
 
@@ -511,54 +501,73 @@ def _domain(backend, order=0, kvec=None):
     return _JetFloatDomain(backend, plan)
 
 
-def _traverse(source, n, record, domain):
-    """One forward walk of an exact source to depth n on its integer tables
-    (_integer_tables), into accumulators the kernel makes from their scales;
-    {depth: the kernel's finished per-target values} per recorded depth."""
+class _Walk(NamedTuple):
+    """One walk as data: size states, its reads keys (joint, depth) in the
+    order _price sums them, and its targets order or kvec (_domain).
+    source(n) is a forward walk's exact source to depth n.  A model's walk
+    (model set) is backward (_read), and its values are recorded per model
+    (_RECORDED).  With totals its reads finish as their cells' totals
+    (_cell_totals), and nothing is recorded."""
+
+    size: int
+    keys: tuple
+    source: object = None
+    model: object = None
+    order: int = 0
+    kvec: tuple | None = None
+    totals: bool = False
+
+
+def _price(walk, backend):
+    """A walk's predicted cost (_cost): its plain and its joint reads each
+    priced as a walk to their deepest depth, the joint one of width s*s."""
+    return sum(_cost(walk.size, max(rec), rec, backend, joint, walk.order, walk.kvec)
+               for joint in (False, True) if (rec := {d for j, d in walk.keys if j == joint}))
+
+
+def _read(walk, n, keys, backend):
+    """{key: the kernel's finished per-target values} for each of keys, from
+    one walk to depth n (_walk) on its source's integer tables, into
+    accumulators the kernel makes from their scales.  A forward walk reads
+    through a unit weight column.  A model's starts at 1 on each state, goes
+    through R's emission columns and M^t and reads through pi's column, so
+    its leaves are integers over Q_d = D_pi * D_R^d * D_M^(d-1) as well."""
+    m, weights = walk.model, None
+    source = walk.source(n) if m is None else ([[p] for p in m.pi], [(m.R.rows, None, 0)] * n,
+                                               [(list(zip(*m.M.rows)), None, 0)] * (n - 1))
+    domain = _domain(backend, walk.order, walk.kvec)
     start, emit_at, trans_at, scales = _integer_tables(source, domain.plan)
-    new = domain.prepare(scales)
-    sums = {(False, d): new(d) for d in record}
-    _walk(start, emit_at, trans_at, 0, n, sums, domain)
-    return {d: domain.finish(a) for (_, d), a in sums.items()}
-
-
-def _run(model, n, keys, domain):
-    """{(joint, depth): value} of the model's backward walk to depth n for
-    each key: H_d, or with joint H(X_1, [Y]_1^d).
-
-    The walk starts at 1 on each state and goes through R's emission columns
-    and M^t, so the node of a reversed word y holds P([Y]_1^d = y | X_1 = i)
-    at state i.  Its reads weigh state i by pi_i: alone it is the leaf
-    P(X_1 = i, y), and the sum is P(y), both integers over
-    Q_d = D_pi * D_R^d * D_M^(d-1), as from a forward walk."""
-    source = ([[p] for p in model.pi], [(model.R.rows, None, 0)] * n,
-              [(list(zip(*model.M.rows)), None, 0)] * (n - 1))
-    pi, emit_at, trans_at, scales = _integer_tables(source, domain.plan)
+    if m is not None:
+        start, weights = [[1]] * walk.size, [b for [b] in start]
     new = domain.prepare(scales)
     sums = {key: new(key[1]) for key in keys}
-    _walk([[1]] * model.size, emit_at, trans_at, 0, n, sums, domain, [p for [p] in pi])
-    return {key: domain.finish(acc)[0] for key, acc in sums.items()}
+    _walk(start, emit_at, trans_at, 0, n, sums, domain, weights)
+    finish = _cell_totals if walk.totals else domain.finish
+    return {key: finish(acc) for key, acc in sums.items()}
 
 
-def _window_values(model, keys, backend):
-    """{(joint, depth): value} of the model's backward walk (_run) for each
-    key, on backend: the values of earlier requests on the model
-    (_RECORDED), and one walk to the deepest missing depth for the rest,
-    kept once it returns, so a failed walk keeps nothing."""
-    seen = _RECORDED.get(model, {})
-    missing = {(j, d) for j, d in keys if (j, backend.tag, d) not in seen}
-    if missing:
-        values = _run(model, max(d for _, d in missing), missing, _domain(backend))
-        seen.update(((j, backend.tag, d), v) for (j, d), v in values.items())
-        _RECORDED[model] = seen
-    return {(j, d): seen[j, backend.tag, d] for j, d in keys}
+def _execute(walk, backend, shape):
+    """shape({key: per-target values}) of a request's walk on backend: priced
+    and refused over COST_CAP before it starts, then read inside
+    backend.ctx(), a model's values from earlier requests (_RECORDED) and one
+    walk to the deepest missing depth (_read), kept once it returns."""
+    _check_depth(max(d for _, d in walk.keys), cost=_price(walk, backend))
+    kept, tag = walk.model is not None and not walk.totals, backend.tag
+    seen = _RECORDED.get(walk.model, {}) if kept else {}
+    missing = {(j, d) for j, d in walk.keys if (j, tag, d) not in seen}
+    with backend.ctx():
+        if missing:
+            values = _read(walk, max(d for _, d in missing), missing, backend)
+            seen.update(((j, tag, d), v) for (j, d), v in values.items())
+            if kept:
+                _RECORDED[walk.model] = seen
+        return shape({(j, d): seen[j, tag, d] for j, d in walk.keys})
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
-    _check_depth(n, cost=_cost(model.size, n, {n}, backend))
-    with backend.ctx():
-        return _window_values(model, {(False, n)}, backend)[False, n]
+    return _execute(_Walk(model.size, ((False, n),), model=model), backend,
+                    lambda v: v[False, n][0])
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -573,12 +582,11 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT):
     """c_n = H(Y_n | X_1, [Y]_1^{n-1}), a lower bound on the entropy rate.
 
     It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from the per-state leaves
-    of one backward walk (_run).
+    of one backward walk (_read).
     """
-    _check_depth(n, lower_from=2, cost=_cost(model.size, n, {n - 1, n}, backend, joint=True))
-    with backend.ctx():
-        out = _window_values(model, {(True, n - 1), (True, n)}, backend)
-        return out[True, n] - out[True, n - 1]
+    _check_depth(n, lower_from=2)
+    return _execute(_Walk(model.size, ((True, n - 1), (True, n)), model=model), backend,
+                    lambda v: v[True, n][0] - v[True, n - 1][0])
 
 
 @dataclass(frozen=True)
@@ -606,10 +614,8 @@ def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
 def total_probability(model: HmpModel, n: int):
     """Sum of P([Y]_1^n) over all length-n observation sequences (= 1), exact:
     the N_0 sums of the exact kernel's cells at depth n, with no log taken."""
-    _check_depth(n, cost=_cost(model.size, n, {n}, EXACT))
-    domain = _domain(EXACT)
-    domain.finish = _cell_totals  # the cells' N_0 sums, not their logs
-    return _run(model, n, {(False, n)}, domain)[False, n]
+    return _execute(_Walk(model.size, ((False, n),), model=model, totals=True), EXACT,
+                    lambda v: v[False, n][0])
 
 
 def c2_closed_form(model: HmpModel, backend=EXACT):
@@ -670,36 +676,29 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
     return _windows(model, [n], backend, lower_from=1)[0]
 
 
-def _window_walks(ns, lower_from=None):
-    """(depth, record, joint) of _windows' reads, as _cost prices them."""
+def _window_keys(ns, lower_from=None):
+    """The reads of _windows' walk: H_{n-1} and H_n of every n of ns, and with
+    lower_from their joint entropies with X_1 for every n >= 2."""
     long = [n for n in ns if n >= 2] if lower_from is not None else []
-    walks = [(max(ns), {d for n in ns for d in (n - 1, n) if d}, False)]
-    return walks + ([(max(long), {d for n in long for d in (n - 1, n)}, True)] if long else [])
-
-
-def _windows_cost(s, ns, backend, lower_from=None):
-    """The predicted cost of _windows' walks (_window_walks) on s states."""
-    return sum(_cost(s, n, rec, backend, joint) for n, rec, joint in _window_walks(ns, lower_from))
+    return (tuple((False, d) for n in ns for d in (n - 1, n) if d)
+            + tuple((True, d) for n in long for d in (n - 1, n)))
 
 
 def _windows(model: HmpModel, ns, backend, lower_from=None):
-    """One EntropyReport per n of ns, in list order, from one walk.
-
-    Every n is checked, in list order, then the cost of the request, before
-    any walk.  One backward walk (_run) to max(ns) reads H_{n-1} and H_n of
-    every listed n, so C_n = H_n - H_{n-1} and C_1 = H_1.  With lower_from
-    set, a window below it is refused, and the same walk reads
-    H(X_1, [Y]_1^(n-1)) and H(X_1, [Y]_1^n) for c_n (None at n = 1), each
-    only if the process has not yet recorded it for the model (_window_values).
-    """
+    """One EntropyReport per n of ns, in list order, from one walk
+    (_window_keys); every n is checked, in list order, before it is priced.
+    C_1 = H_1, and c_n is None at n = 1 or without lower_from, below which a
+    window is refused."""
     if not ns:
         raise ValueError("need at least one window size")
     for n in ns:
         _check_depth(n, lower_from)
-    _check_depth(max(ns), cost=_windows_cost(model.size, ns, backend, lower_from))
-    keys = {(j, d) for _, rec, j in _window_walks(ns, lower_from) for d in rec}
-    with backend.ctx():
-        v = {(False, 0): 0, **_window_values(model, keys, backend)}  # H_0 = 0: C_1 = H_1
+
+    def reports(v):
+        v = {(False, 0): 0, **{key: x for key, [x] in v.items()}}  # H_0 = 0: C_1 = H_1
         return [EntropyReport(n, v[False, n], v[False, n] - v[False, n - 1],
                               v[True, n] - v[True, n - 1] if (True, n - 1) in v else None,
                               backend.tag) for n in ns]
+
+    return _execute(_Walk(model.size, _window_keys(ns, lower_from), model=model), backend,
+                    reports)

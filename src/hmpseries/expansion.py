@@ -1,22 +1,15 @@
 """Taylor coefficients of the entropy rate in the two perturbative regimes.
 
-The engine runs the same shared-prefix traversal as the scalar entropies,
-with jets as probabilities.  _regime_source describes a regime's walk in
-exact rationals: in the high-SNR regime each emission matrix is
-I + eps*T; in the almost-memoryless regime each transition matrix is
-U + delta*T and the start is the exact stationary jet of U + delta*T.
-
-The leaf kernels are the entropy module's, one per backend, with every
-order of the jet as a target.  On every backend the jets walk level by
-level on the source's integer tables, each coefficient of a level one
-packed integer over one denominator per depth, and the kernel runs once
-per distinct leaf jet.  _JetExactDomain evaluates -p log p with an
-all-integer log recurrence, summed per distinct constant term, so each
-depth takes one log per distinct N_0; _JetFloatDomain reads the leaf's
-integers as floats and runs the same recurrence on them.  Each finishes a
-depth as a list of per-order values, wrapped here in a TruncatedSeries.
-The multisite module walks the same regime source with one variable per
-site.
+The jets come from the entropy module's walk, with jets as probabilities.
+_regime_source describes a regime's walk in exact rationals: in the
+high-SNR regime each emission matrix is I + eps*T; in the almost-memoryless
+regime each transition matrix is U + delta*T and the start is the exact
+stationary jet of U + delta*T.  _jet_walk describes one walk with every
+order of the jet as a target, and entropy._execute prices and runs it with
+the backend's leaf kernel, _JetExactDomain or _JetFloatDomain, which
+finishes each read as a list of per-order values, wrapped here in a
+TruncatedSeries.  The multisite module walks the same regime source with
+one variable per site.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -33,16 +26,7 @@ from operator import index
 
 from .backends import EXACT, _log_sum
 # bench/tracer.py wraps the two leaf kernels under their names in this module.
-from .entropy import (
-    _cell_totals,
-    _check_depth,
-    _cost,
-    _domain,
-    _JetExactDomain,
-    _JetFloatDomain,
-    _traverse,
-    _window_walks,
-)
+from .entropy import _execute, _JetExactDomain, _JetFloatDomain, _Walk  # noqa: F401
 from .errors import OrderTooHigh, ValidationError
 from .loglinear import LogLinearValue
 from .model import (
@@ -126,10 +110,12 @@ def _regime_source(spec: RegimeSpec, n: int, sites, cap: int):
             [(spec.R.rows, None, 0)] * n, [(uniform, t, sites[i]) for i in range(1, n)])
 
 
-def _jets_cost(s, ns, order, backend):
-    """The predicted cost of _increment_jets' walk (_window_walks) on s states."""
-    [(depth, record, _)] = _window_walks(ns)
-    return _cost(s, depth, record, backend, order=order)
+def _jet_walk(spec, ns, order, totals=False):
+    """The regime's walk of jets to the given order (entropy._Walk) that reads
+    H_{n-1} and H_n for every n of the sorted ns, or with totals H_n alone."""
+    keys = [(False, d) for n in ns for d in ((n,) if totals else (n - 1, n))]
+    return _Walk(spec.T.size, tuple(keys), lambda n: _regime_source(spec, n, [0] * n, order),
+                 order=order, totals=totals)
 
 
 def _increment_jets(spec, ns, order, backend):
@@ -138,12 +124,8 @@ def _increment_jets(spec, ns, order, backend):
         raise ValueError("order must be nonnegative")
     if ns[0] < 2:
         raise ValueError("conditional increments need n >= 2")
-    _check_depth(ns[-1], cost=_jets_cost(spec.T.size, ns, order, backend))
-    [(depth, record, _)] = _window_walks(ns)
-    with backend.ctx():
-        source = _regime_source(spec, depth, [0] * depth, order)
-        out = _traverse(source, depth, record, _domain(backend, order))
-        return {n: TruncatedSeries(a - b for a, b in zip(out[n], out[n - 1])) for n in ns}
+    return _execute(_jet_walk(spec, ns, order), backend, lambda v: {
+        n: TruncatedSeries(a - b for a, b in zip(v[False, n], v[False, n - 1])) for n in ns})
 
 
 def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
@@ -154,10 +136,8 @@ def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> Trunca
 def probability_jet_total(spec: RegimeSpec, n: int, order: int) -> TruncatedSeries:
     """Sum of all sequence-probability jets at depth n (identically 1), exact:
     the N_t sums of the exact kernel's cells at depth n, with no log taken."""
-    _check_depth(n, cost=_cost(spec.T.size, n, {n}, EXACT, order=order))
-    domain = _domain(EXACT, order)
-    domain.finish = _cell_totals  # the cells' N_t sums, not their logs
-    return TruncatedSeries(_traverse(_regime_source(spec, n, [0] * n, order), n, {n}, domain)[n])
+    return _execute(_jet_walk(spec, (n,), order, totals=True), EXACT,
+                    lambda v: TruncatedSeries(v[False, n]))
 
 
 def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable:

@@ -7,14 +7,13 @@ almost-memoryless regime).  F_n^{kvec} is the mixed partial derivative of
 F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
-The traversal is the entropy module's, over polynomials with per-variable
-degree caps k_i, walked as coefficient lists like the jets, from
-expansion._regime_source with site i moving variable i.  The leaf kernels
-are the entropy module's too, with kvec as their one target: the exact one
-walks integers over Q_d and takes one log per distinct constant term N_0 of
-a depth.  multisite_value describes its sites' own matrices, as
-perturbed_identity and perturbed_uniform check them, like a model's window.
-No weight or site count is capped: only the predicted cost (entropy._cost).
+Each request is one walk for entropy._execute, which prices and runs it.
+multisite_derivative walks expansion._regime_source with site i moving
+variable i, polynomials with per-variable degree caps k_i as coefficient
+lists, with kvec as the kernels' one target.  multisite_value walks its
+sites' own matrices, which perturbed_identity and perturbed_uniform check
+once the walk is admitted.  No weight or site count is capped: only the
+predicted cost (entropy._price).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from math import factorial, prod
 from operator import index
 
 from .backends import EXACT
-from .entropy import _check_depth, _cost, _domain, _traverse
+from .entropy import _execute, _Walk
 from .model import (
     HighSnr,
     RegimeSpec,
@@ -60,11 +59,10 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     n, caps = mspec.n, mspec.kvec
     if n < 2:
         raise ValueError("per-site derivatives need n >= 2")
-    _check_depth(n, cost=_cost(spec.T.size, n, {n - 1, n}, backend, kvec=caps))
-    with backend.ctx():
-        out = _traverse(_regime_source(spec, n, range(n), caps[0]), n, {n - 1, n},
-                        _domain(backend, kvec=caps))
-        return (out[n][0] - out[n - 1][0]) * prod(factorial(k) for k in mspec.kvec)
+    walk = _Walk(spec.T.size, ((False, n - 1), (False, n)),
+                 lambda n: _regime_source(spec, n, range(n), caps[0]), kvec=caps)
+    return _execute(walk, backend, lambda v: (v[False, n][0] - v[False, n - 1][0])
+                    * prod(factorial(k) for k in caps))
 
 
 def multisite_value(spec: RegimeSpec, params, backend=EXACT):
@@ -78,15 +76,16 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
     n = len(params)
     if n < 2:
         raise ValueError("per-site increments need n >= 2")
-    _check_depth(n, cost=_cost(spec.T.size, n, {n - 1, n}, backend))
-    if isinstance(spec, HighSnr):
-        sites = [perturbed_identity(spec.T, v) for v in params]  # OutOfRange at the first bad site
-        pi, emits, transs = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
-    else:
-        sites = [perturbed_uniform(spec.T, v) for v in params]
-        pi, emits, transs = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
-    source = ([[p] for p in pi], [(m.rows, None, 0) for m in emits],
-              [(m.rows, None, 0) for m in transs])
-    with backend.ctx():
-        out = _traverse(source, n, {n - 1, n}, _domain(backend))
-        return out[n][0] - out[n - 1][0]
+
+    def source(n):  # once the walk is admitted: OutOfRange at the first bad site
+        if isinstance(spec, HighSnr):
+            sites = [perturbed_identity(spec.T, v) for v in params]
+            pi, emits, transs = stationary_distribution(spec.M), sites, [spec.M] * (n - 1)
+        else:
+            sites = [perturbed_uniform(spec.T, v) for v in params]
+            pi, emits, transs = stationary_distribution(sites[0]), [spec.R] * n, sites[1:]
+        return ([[p] for p in pi], [(m.rows, None, 0) for m in emits],
+                [(m.rows, None, 0) for m in transs])
+
+    walk = _Walk(spec.T.size, ((False, n - 1), (False, n)), source)
+    return _execute(walk, backend, lambda v: v[False, n][0] - v[False, n - 1][0])

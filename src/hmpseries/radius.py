@@ -21,9 +21,9 @@ from operator import index
 import numpy as np  # kept here: the package binds radius lazily, so only its users load numpy
 
 from .backends import FLOAT64
-from .entropy import _check_depth, _windows_cost, entropy_rate_bracket
+from .entropy import _check_depth, _price, _Walk, _window_keys, entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
-from .expansion import CoefficientTable, _jets_cost, rate_series, settling_threshold
+from .expansion import CoefficientTable, _jet_walk, rate_series, settling_threshold
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
 
 _MIN_NONZERO = 4
@@ -233,10 +233,11 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:
         raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
-    s, k, d = spec.T.size, max(orders), bound_depth
+    k, d = max(orders), bound_depth
     _check_depth(d, 2)  # before the brackets' walks are priced
-    cost = _jets_cost(s, [settling_threshold(k)], k, backend)  # rate_series' walk
-    _check_depth(d, cost=cost + len(grid) * _windows_cost(s, [d], backend, 2))
+    jets = _price(_jet_walk(spec, (settling_threshold(k),), k), backend)  # rate_series' walk
+    bracket = _price(_Walk(spec.T.size, _window_keys([d], 2)), backend)  # each point's
+    _check_depth(d, cost=jets + len(grid) * bracket)
     table = rate_series(spec, k, backend)
     rows = []
     for g in grid:

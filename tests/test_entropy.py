@@ -50,7 +50,7 @@ from hmpseries import (
     total_probability,
     validate_model,
 )
-from hmpseries import entropy, expansion
+from hmpseries import entropy, expansion, multisite, radius
 from hmpseries.entropy import _domain, _new_cells
 from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_value
 from hmpseries.radius import bounds_scan, rational_grid
@@ -320,7 +320,10 @@ def test_c_n_takes_one_walk_beside_the_plain_one(walks, name):
 
 
 # each entry point with a request over the cost cap: a 4-state model at n = 14,
-# or a 3-state regime at order 25, which walks to n = 14
+# a 3-state regime at order 25, which walks to n = 14, per-site requests on a
+# binary regime (exact kvec (1,) x 11, predicted 2.1e+08; 21 site values,
+# 7.2e+07, whose last site is out of range but is checked only once the walk
+# is admitted), and a scan whose brackets walk to n = 24
 _OVER_THE_CAP = {
     "finite_entropy": lambda: finite_entropy(FOUR, 14),
     "conditional_increment": lambda: conditional_increment(FOUR, 14),
@@ -332,6 +335,11 @@ _OVER_THE_CAP = {
     "probability_jet_total": lambda: probability_jet_total(AM3, 14, 25),
     "rate_series": lambda: rate_series(AM3, 25),
     "settling_check": lambda: settling_check(AM3, 25, (3, 14)),
+    "multisite_derivative": lambda: multisite_derivative(MultiSiteSpec(11, (1,) * 11),
+                                                         am_binary("3/5")),
+    "multisite_value": lambda: multisite_value(am_binary("3/5"), ["1/10"] * 20 + ["5"]),
+    "bounds_scan": lambda: bounds_scan(am_binary("3/5"), rational_grid("1/100", "1/10", 10), [9],
+                                       bound_depth=24),
 }
 
 
@@ -343,6 +351,57 @@ def test_depth_cap(walks, name):
     assert walks[0] == 0
 
 
+# the predicted cost each request hands to the cost check (_check_depth), as an
+# exact float: a change that moves an admission re-records this table on purpose
+_ADMISSIONS = {
+    "finite_entropy exact": (lambda: finite_entropy(QUICK, 12), 98177.51999999984),
+    "lower_bound float64": (lambda: lower_bound(QUICK, 12, FLOAT64), 30958.559999999976),
+    "report bigfloat:128": (lambda: entropy_report(QUICK, 9, FloatBackend(128)), 35384.16375),
+    "bracket bigfloat:4096": (lambda: entropy_rate_bracket(QUICK, 8, FloatBackend(4096)),
+                              3145133.52),
+    "increment 4 states": (lambda: conditional_increment(FOUR, 5), 34257.600000000006),
+    "windows without c_n": (lambda: entropy._windows(QUICK, [3, 7, 5], EXACT), 5590.439999999999),
+    "windows with c_n": (lambda: entropy._windows(load_model(THREE_STATE), [1, 9, 4], FLOAT64,
+                                                  lower_from=1), 437780.52),
+    "total_probability": (lambda: total_probability(QUICK, 10), 24541.68),
+    "jets order 0": (lambda: rate_series(am_binary("3/5"), 0), 133.02),
+    "jets order 13 float64": (lambda: rate_series(high_snr_binary("1/5"), 13, FLOAT64),
+                              20685.599999999995),
+    "jets order 29": (lambda: rate_series(am_binary("3/5"), 29), 39669488.15999998),
+    "settling bigfloat:128": (lambda: settling_check(AM3, 5, (3, 6, 4), FloatBackend(128)),
+                              116111.25083496093),
+    "probability_jet_total": (lambda: probability_jet_total(AM3, 6, 5), 45180.17999999999),
+    "kvec exact": (lambda: multisite_derivative(MultiSiteSpec(4, (1, 0, 2, 1)), AM3),
+                   9062.280000000002),
+    "per-site values float64": (lambda: multisite_value(
+        high_snr_binary("1/5"), [0, "1/10", 0, "1/20", 0], FLOAT64), 117.36),
+    "bounds_scan": (lambda: bounds_scan(am_binary("3/5"), rational_grid("1/100", "1/10", 5),
+                                        [4, 9], bound_depth=6), 6787.439999999997),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADMISSIONS))
+def test_admissions_are_pinned(monkeypatch, walks, name):
+    # the first nonzero cost that reaches _check_depth, in any module that
+    # calls it, equals the recorded float, and nothing has walked by then
+    class Priced(Exception):
+        pass
+
+    def priced(n, lower_from=None, cost=0):
+        if cost:
+            raise Priced(cost)
+        return check(n, lower_from)
+
+    check = entropy._check_depth
+    for module in (entropy, expansion, multisite, radius):
+        if hasattr(module, "_check_depth"):
+            monkeypatch.setattr(module, "_check_depth", priced)
+    request, want = _ADMISSIONS[name]
+    with pytest.raises(Priced) as got:
+        request()
+    assert got.value.args == (want,) and walks[0] == 0
+
+
 def test_binary_exact_expansions_through_order_29_are_admitted(monkeypatch):
     # the walk is replaced, so only the prediction runs: both anchors pass it
     class Admitted(Exception):
@@ -351,7 +410,7 @@ def test_binary_exact_expansions_through_order_29_are_admitted(monkeypatch):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(expansion, "_traverse", admitted)
+    monkeypatch.setattr(entropy, "_read", admitted)
     for spec in (am_binary("3/5"), high_snr_binary("1/5")):
         for order in range(26, 30):
             with pytest.raises(Admitted):
@@ -369,7 +428,7 @@ def test_bigfloat_is_priced_by_its_bits(monkeypatch, walks):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(entropy, "_run", admitted)
+    monkeypatch.setattr(entropy, "_read", admitted)
     for n, backend, verdict in ((18, FLOAT64, Admitted), (19, FloatBackend(128), Admitted),
                                 (20, FloatBackend(128), DepthCapExceeded),
                                 (12, FloatBackend(4096), Admitted),
@@ -581,21 +640,27 @@ def test_long_path_entropy_estimate_lands_in_the_bracket():
 
 
 def _recording(monkeypatch):
-    """Records [plan, source, tables, accumulators, start, weights] of every
-    walk: the integer tables of its source, the accumulators its kernel
-    prepares, and the start lists and weights the walk is given."""
+    """Records [walk, plan, source, tables, accumulators, start, weights] of
+    every walk through the one read path (_read): its description, the
+    integer tables of its source, the accumulators its kernel prepares, and
+    the start lists and weights the walk is given."""
     seen = []
-    integer_tables, walk = entropy._integer_tables, entropy._walk
+    read, integer_tables, walk = entropy._read, entropy._integer_tables, entropy._walk
+
+    def reading(described, n, keys, backend):
+        seen.append([described])
+        return read(described, n, keys, backend)
 
     def tables(source, plan):
         out = integer_tables(source, plan)
-        seen.append([plan, source, out])
+        seen[-1] += [plan, source, out]
         return out
 
     def walking(start, emit_at, trans_at, depth, n, sums, domain, weights=None):
         seen[-1] += [sums, start, weights]
         return walk(start, emit_at, trans_at, depth, n, sums, domain, weights)
 
+    monkeypatch.setattr(entropy, "_read", reading)
     monkeypatch.setattr(entropy, "_integer_tables", tables)
     monkeypatch.setattr(entropy, "_walk", walking)
     return seen
@@ -662,9 +727,10 @@ def test_one_source_two_kernels(monkeypatch, request_of, shared, model):
     entropy._RECORDED.clear()  # the float request walks cold too
     request_of(FLOAT64)
     assert len(exact) == len(seen) >= 1
-    for (plan, source, tables, cells, *walked), (fplan, _, ftables, fsums, *fwalked) in zip(
-            exact, seen):
+    for (walk, plan, source, tables, cells, *walked), (fwalk, fplan, _, ftables, fsums,
+                                                        *fwalked) in zip(exact, seen):
         assert plan == fplan and tables == ftables and walked == fwalked
+        assert (walk.model is None) == (fwalk.model is None) == (model is None)
         start, emits, transs = source
         if model is not None:
             assert start == [[p] for p in model.pi]
@@ -791,7 +857,8 @@ def test_a_leaf_with_zero_constant_term_is_refused():
                 patch.setattr(entropy, "_walk", walk)
                 with pytest.raises(NonpositiveConstantTerm,
                                    match=r"^sequence probability has constant term 0$"):
-                    entropy._traverse(source, 2, {1, 2}, _domain(backend, 2))
+                    entropy._read(entropy._Walk(2, (), lambda n: source, order=2), 2,
+                                  {(False, 1), (False, 2)}, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -852,9 +919,9 @@ def test_a_window_sweep_walks_each_depth_once(monkeypatch, walks):
     # reports n = 1..8 each walk once, to n, and read each new depth once,
     # summed over the states and state by state; the brackets n = 2..8 that
     # follow walk nothing
-    runs, run = [], entropy._run
-    monkeypatch.setattr(entropy, "_run", lambda model, n, keys, domain: (
-        runs.append((n, keys)) or run(model, n, keys, domain)))
+    runs, read = [], entropy._read
+    monkeypatch.setattr(entropy, "_read", lambda walk, n, keys, backend: (
+        runs.append((n, keys)) or read(walk, n, keys, backend)))
     for n in range(1, 9):
         runs.clear()
         walks[0] = 0
