@@ -7,7 +7,8 @@ above (and c_n = H(Y_n | X_1, [Y]_1^{n-1}) from below), and in two
 perturbative regimes -- near-noiseless emission R = I + eps*T and
 near-memoryless chain M = U + delta*T -- the Taylor coefficients of C_n
 stop changing once n >= ceil((k+3)/2).  This package computes those
-coefficients exactly (values of the form q0 + sum q_i log p_i over primes),
+coefficients exactly (values of the form q0 + sum q_i log b_i over pairwise
+coprime bases b_i: primes, or a composite cofactor the splitter left whole),
 in float64, or in arbitrary precision, together with bounds, settling
 diagnostics, per-site mixed derivatives, and radius-of-convergence
 estimates.  All entropies are in nats.

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .backends import get_backend
 from .entropy import _bracket, _windows
@@ -49,6 +48,8 @@ file formats (JSON, matrix entries as "a/b" or decimal strings or numbers):
   "high-snr" with --p A/B     (chain flip probability p)
 The scan/expansion parameter is always the regime parameter itself
 (eps in high-snr, delta in almost-memoryless with p = 1/2 - delta).
+delta may be negative: a grid that starts below 0 needs the "=" form,
+--grid=-1/10:1/10:3, or the start reads as an option.
 """
 
 # The CSV columns of each report, in order; each subcommand's help lists them.
@@ -165,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render_value(v, backend) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     if v is None:

@@ -11,14 +11,17 @@ and their sum a leaf of H_d.  Leaves with identically zero probability add
 nothing (the walk skips them), which is exactly the 0*log(0) convention.
 
 Every request is one walk, described as data (_Walk): its exact source, its
-reads, its targets and what its finish returns.  An entry point validates
-its inputs, describes its walk and shapes what the walk reads; one executor
-(_execute) prices the walk (_price), refuses it over COST_CAP before it
-starts, and runs it (_read) inside the backend's context.  _read maps the
-source once, for every backend, to integer tables (_integer_tables), with
-integer numerators over Q_d = D_start * D_R^d * D_M^(d-1) at depth d, and
-_walk walks them level by level, every node of a level in a slot of one
-integer per coefficient (_slot_bits).
+asks, its targets and what its finish returns.  An ask (joint, n, step) is
+H_n or, a step, C_n = H_n - H_{n-1} (H_0 = 0); joint, of (X_1, [Y]_1^n), its
+step is the lower bound c_n.  An entry point validates its inputs, names its
+asks and shapes the values; one executor (_execute) checks the asks and
+turns them into reads (_reads), prices the walk (_price), refuses it over
+COST_CAP before it starts (_refuse), runs it (_read) inside the backend's
+context and forms every step there.  _read maps the source once, for every
+backend, to integer tables (_integer_tables), with integer numerators over
+Q_d = D_start * D_R^d * D_M^(d-1) at depth d, and _walk walks them level by
+level, every node of a level in a slot of one integer per coefficient
+(_slot_bits).
 
 Each backend has one -p log p kernel, _JetExactDomain and _JetFloatDomain
 (_domain picks one), for one leaf shape: a coefficient list laid out by a
@@ -31,9 +34,8 @@ N_0 (_finish_cells); the probability totals read sum N_t / Q_d from the
 same cells (_cell_totals).  The float kernel divides each leaf's integers,
 with Q_d in closed form, so it factors nothing and never imports sympy.
 
-_windows reads the window entropies of a list of n from one backward walk
-to the largest n: H_{n-1} and H_n of every listed n and, for c_n, their
-joint entropies with X_1.  The price covers the whole request, whatever the
+_windows asks for H_n, C_n and c_n of a list of n, from one backward walk
+to the largest n.  The price covers the whole request, whatever the
 process has seen.  A process remembers every value a model's walk read, per
 model, backend and read (_RECORDED), for as long as the caller keeps the
 model object: a request walks only to the deepest depth it misses.  The
@@ -61,16 +63,6 @@ from .model import HmpModel, _matmul
 COST_CAP = 6 * 10**7  # the predicted cost (_price) over which a request is refused
 _BLOCK = 1 << 16  # distinct leaves held, and float terms kept, at a time
 _RECORDED = weakref.WeakKeyDictionary()  # {model: {(joint, tag, depth): [value]}}
-
-
-def _check_depth(n: int, lower_from=None, cost=0):
-    """Refuses a window length below 1 or lower_from, and a cost over COST_CAP."""
-    if index(n) < 1:
-        raise ValueError(f"window length must be positive, got {n}")
-    if cost > COST_CAP:
-        raise DepthCapExceeded(f"predicted cost {cost:.3g} exceeds the cap {COST_CAP:.3g}")
-    if lower_from is not None and n < lower_from:
-        raise ValueError("the conditional lower bound needs n >= 2")
 
 
 def _nodes(s, width, d):
@@ -502,15 +494,15 @@ def _domain(backend, order=0, kvec=None):
 
 
 class _Walk(NamedTuple):
-    """One walk as data: size states, its reads keys (joint, depth) in the
-    order _price sums them, and its targets order or kvec (_domain).
+    """One walk as data: size states, its asks (joint, n, step) (_reads), and
+    its targets order or kvec (_domain).
     source(n) is a forward walk's exact source to depth n.  A model's walk
     (model set) is backward (_read), and its values are recorded per model
     (_RECORDED).  With totals its reads finish as their cells' totals
     (_cell_totals), and nothing is recorded."""
 
     size: int
-    keys: tuple
+    asks: tuple
     source: object = None
     model: object = None
     order: int = 0
@@ -518,15 +510,37 @@ class _Walk(NamedTuple):
     totals: bool = False
 
 
+def _reads(asks):
+    """The reads (joint, depth) of asks, in ask order, each ask checked in
+    turn: an ask reads depth n, at least 1, and a step also depth n - 1 from
+    1 on; a joint step, c_n, needs n >= 2."""
+    reads = []
+    for joint, n, step in asks:
+        if index(n) < 1:
+            raise ValueError(f"window length must be positive, got {n}")
+        if joint and step and n < 2:
+            raise ValueError("the conditional lower bound needs n >= 2")
+        reads += [(joint, d) for d in (n - 1, n)[not step:] if d]
+    return reads
+
+
 def _price(walk, backend):
-    """A walk's predicted cost (_cost): its plain and its joint reads each
-    priced as a walk to their deepest depth, the joint one of width s*s."""
+    """A walk's predicted cost (_cost), once its asks are checked (_reads): its
+    plain and its joint reads each priced as a walk to their deepest depth,
+    the joint one of width s*s."""
+    reads = _reads(walk.asks)
     return sum(_cost(walk.size, max(rec), rec, backend, joint, walk.order, walk.kvec)
-               for joint in (False, True) if (rec := {d for j, d in walk.keys if j == joint}))
+               for joint in (False, True) if (rec := {d for j, d in reads if j == joint}))
 
 
-def _read(walk, n, keys, backend):
-    """{key: the kernel's finished per-target values} for each of keys, from
+def _refuse(cost):
+    """Refuses a predicted cost (_price) over COST_CAP, before any walk."""
+    if cost > COST_CAP:
+        raise DepthCapExceeded(f"predicted cost {cost:.3g} exceeds the cap {COST_CAP:.3g}")
+
+
+def _read(walk, n, reads, backend):
+    """{read: the kernel's finished per-target values} for each of reads, from
     one walk to depth n (_walk) on its source's integer tables, into
     accumulators the kernel makes from their scales.  A forward walk reads
     through a unit weight column.  A model's starts at 1 on each state, goes
@@ -540,34 +554,40 @@ def _read(walk, n, keys, backend):
     if m is not None:
         start, weights = [[1]] * walk.size, [b for [b] in start]
     new = domain.prepare(scales)
-    sums = {key: new(key[1]) for key in keys}
+    sums = {read: new(read[1]) for read in reads}
     _walk(start, emit_at, trans_at, 0, n, sums, domain, weights)
     finish = _cell_totals if walk.totals else domain.finish
-    return {key: finish(acc) for key, acc in sums.items()}
+    return {read: finish(acc) for read, acc in sums.items()}
 
 
-def _execute(walk, backend, shape):
-    """shape({key: per-target values}) of a request's walk on backend: priced
-    and refused over COST_CAP before it starts, then read inside
-    backend.ctx(), a model's values from earlier requests (_RECORDED) and one
-    walk to the deepest missing depth (_read), kept once it returns."""
-    _check_depth(max(d for _, d in walk.keys), cost=_price(walk, backend))
+def _execute(walk, backend):
+    """The per-target values of each ask of a request's walk on backend, in
+    ask order: its asks checked and priced (_price), and refused over COST_CAP
+    before it starts, then read inside backend.ctx(), a model's values from
+    earlier requests (_RECORDED) and one walk to the deepest missing depth
+    (_read), kept once it returns.  A step is formed there, target by target,
+    as the difference of its two reads."""
+    _refuse(_price(walk, backend))
     kept, tag = walk.model is not None and not walk.totals, backend.tag
     seen = _RECORDED.get(walk.model, {}) if kept else {}
-    missing = {(j, d) for j, d in walk.keys if (j, tag, d) not in seen}
+    missing = {(j, d) for j, d in _reads(walk.asks) if (j, tag, d) not in seen}
     with backend.ctx():
         if missing:
             values = _read(walk, max(d for _, d in missing), missing, backend)
             seen.update(((j, tag, d), v) for (j, d), v in values.items())
             if kept:
                 _RECORDED[walk.model] = seen
-        return shape({(j, d): seen[j, tag, d] for j, d in walk.keys})
+
+        def value(j, d):  # H_0 = 0, so C_1 = H_1
+            return seen[j, tag, d] if d else repeat(0)
+
+        return [[a - b for a, b in zip(value(j, n), value(j, n - 1))] if step else value(j, n)
+                for j, n, step in walk.asks]
 
 
 def finite_entropy(model: HmpModel, n: int, backend=EXACT):
     """H_n = H([Y]_1^n) of the stationary process, in nats."""
-    return _execute(_Walk(model.size, ((False, n),), model=model), backend,
-                    lambda v: v[False, n][0])
+    return _execute(_Walk(model.size, ((False, n, False),), model=model), backend)[0][0]
 
 
 def conditional_increment(model: HmpModel, n: int, backend=EXACT):
@@ -584,9 +604,7 @@ def lower_bound(model: HmpModel, n: int, backend=EXACT):
     It is H(X_1, [Y]_1^n) - H(X_1, [Y]_1^{n-1}), from the per-state leaves
     of one backward walk (_read).
     """
-    _check_depth(n, lower_from=2)
-    return _execute(_Walk(model.size, ((True, n - 1), (True, n)), model=model), backend,
-                    lambda v: v[True, n][0] - v[True, n - 1][0])
+    return _execute(_Walk(model.size, ((True, n, True),), model=model), backend)[0][0]
 
 
 @dataclass(frozen=True)
@@ -614,22 +632,19 @@ def _bracket(rep: EntropyReport, backend) -> EntropyBracket:
 def total_probability(model: HmpModel, n: int):
     """Sum of P([Y]_1^n) over all length-n observation sequences (= 1), exact:
     the N_0 sums of the exact kernel's cells at depth n, with no log taken."""
-    return _execute(_Walk(model.size, ((False, n),), model=model, totals=True), EXACT,
-                    lambda v: v[False, n][0])
+    return _execute(_Walk(model.size, ((False, n, False),), model=model, totals=True),
+                    EXACT)[0][0]
 
 
 def c2_closed_form(model: HmpModel, backend=EXACT):
     """C_2 from the closed form over the pair marginal F = R^t diag(pi) M R.
 
-    C_2 = sum_i (pi R)_i log (pi R)_i - sum_ij F_ij log F_ij.  When some
-    pair probability vanishes the log is undefined there; the computation
-    falls back to the direct two-step traversal, whose pruning implements
-    0*log(0) = 0.
+    C_2 = sum_i (pi R)_i log (pi R)_i - sum_ij F_ij log F_ij, where a
+    vanishing pair probability, or symbol probability, adds nothing:
+    0*log(0) = 0, as _log_sum skips every term of weight 0.
     """
     diag = [[p * x for x in row] for p, row in zip(model.pi, model.M.rows)]
     f = _matmul(_matmul(list(zip(*model.R.rows)), diag), model.R.rows)
-    if not all(x for row in f for x in row):
-        return conditional_increment(model, 2, backend)
     with backend.ctx():
         return _log_sum(backend, 1, [(sum(row), sum(row)) for row in f]
                         + [(x, -x) for row in f for x in row])
@@ -676,29 +691,20 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
     return _windows(model, [n], backend, lower_from=1)[0]
 
 
-def _window_keys(ns, lower_from=None):
-    """The reads of _windows' walk: H_{n-1} and H_n of every n of ns, and with
-    lower_from their joint entropies with X_1 for every n >= 2."""
-    long = [n for n in ns if n >= 2] if lower_from is not None else []
-    return (tuple((False, d) for n in ns for d in (n - 1, n) if d)
-            + tuple((True, d) for n in long for d in (n - 1, n)))
+def _window_asks(ns, lower_from=None):
+    """The asks of _windows, n by n in list order: C_n, H_n and, with
+    lower_from, c_n, but for a report's (lower_from 1) c_1, which is None; a
+    bracket's (lower_from 2) c_1 is asked for, and refused."""
+    return tuple(ask for n in ns for ask in ((False, n, True), (False, n, False), (True, n, True))
+                 [:2 if lower_from is None or lower_from == n == 1 else 3])
 
 
 def _windows(model: HmpModel, ns, backend, lower_from=None):
     """One EntropyReport per n of ns, in list order, from one walk
-    (_window_keys); every n is checked, in list order, before it is priced.
-    C_1 = H_1, and c_n is None at n = 1 or without lower_from, below which a
-    window is refused."""
+    (_window_asks).  c_n is None at n = 1 or without lower_from."""
     if not ns:
         raise ValueError("need at least one window size")
-    for n in ns:
-        _check_depth(n, lower_from)
-
-    def reports(v):
-        v = {(False, 0): 0, **{key: x for key, [x] in v.items()}}  # H_0 = 0: C_1 = H_1
-        return [EntropyReport(n, v[False, n], v[False, n] - v[False, n - 1],
-                              v[True, n] - v[True, n - 1] if (True, n - 1) in v else None,
-                              backend.tag) for n in ns]
-
-    return _execute(_Walk(model.size, _window_keys(ns, lower_from), model=model), backend,
-                    reports)
+    asks = _window_asks(ns, lower_from)
+    v = {ask: x for ask, [x] in zip(asks, _execute(_Walk(model.size, asks, model=model), backend))}
+    return [EntropyReport(n, v[False, n, False], v[False, n, True], v.get((True, n, True)),
+                          backend.tag) for n in ns]

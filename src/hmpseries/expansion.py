@@ -4,12 +4,12 @@ The jets come from the entropy module's walk, with jets as probabilities.
 _regime_source describes a regime's walk in exact rationals: in the
 high-SNR regime each emission matrix is I + eps*T; in the almost-memoryless
 regime each transition matrix is U + delta*T and the start is the exact
-stationary jet of U + delta*T.  _jet_walk describes one walk with every
-order of the jet as a target, and entropy._execute prices and runs it with
-the backend's leaf kernel, _JetExactDomain or _JetFloatDomain, which
-finishes each read as a list of per-order values, wrapped here in a
-TruncatedSeries.  The multisite module walks the same regime source with
-one variable per site.
+stationary jet of U + delta*T.  _jet_walk describes one walk that asks for
+C_n of each window, with every order of the jet as a target, and
+entropy._execute prices and runs it with the backend's leaf kernel,
+_JetExactDomain or _JetFloatDomain, and returns each C_n as a list of
+per-order values, wrapped here in a TruncatedSeries.  The multisite module
+walks the same regime source with one variable per site.
 
 Taylor coefficients C_n^(k) of the conditional entropies stop changing once
 n reaches ceil((k+3)/2); the coefficient table records that settled value
@@ -79,11 +79,7 @@ class CoefficientTable:
         order = self.order if order is None else order
         if not 0 <= order <= self.order:
             raise ValueError(f"order {order} outside table range 0..{self.order}")
-        xf = float(x)
-        acc = 0.0
-        for v in reversed(self.values[: order + 1]):
-            acc = acc * xf + float(v)
-        return acc
+        return TruncatedSeries(self.values[:order + 1]).evaluate(x)
 
 
 def stationary_series(t: PerturbationMatrix, order: int) -> tuple[TruncatedSeries, ...]:
@@ -111,11 +107,10 @@ def _regime_source(spec: RegimeSpec, n: int, sites, cap: int):
 
 
 def _jet_walk(spec, ns, order, totals=False):
-    """The regime's walk of jets to the given order (entropy._Walk) that reads
-    H_{n-1} and H_n for every n of the sorted ns, or with totals H_n alone."""
-    keys = [(False, d) for n in ns for d in ((n,) if totals else (n - 1, n))]
-    return _Walk(spec.T.size, tuple(keys), lambda n: _regime_source(spec, n, [0] * n, order),
-                 order=order, totals=totals)
+    """The regime's walk of jets to the given order (entropy._Walk) that asks
+    for C_n of every n of the sorted ns, or with totals for depth n's total."""
+    return _Walk(spec.T.size, tuple((False, n, not totals) for n in ns),
+                 lambda n: _regime_source(spec, n, [0] * n, order), order=order, totals=totals)
 
 
 def _increment_jets(spec, ns, order, backend):
@@ -124,8 +119,8 @@ def _increment_jets(spec, ns, order, backend):
         raise ValueError("order must be nonnegative")
     if ns[0] < 2:
         raise ValueError("conditional increments need n >= 2")
-    return _execute(_jet_walk(spec, ns, order), backend, lambda v: {
-        n: TruncatedSeries(a - b for a, b in zip(v[False, n], v[False, n - 1])) for n in ns})
+    jets = _execute(_jet_walk(spec, ns, order), backend)
+    return {n: TruncatedSeries(c) for n, c in zip(ns, jets)}
 
 
 def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> TruncatedSeries:
@@ -136,8 +131,7 @@ def increment_jet(spec: RegimeSpec, n: int, order: int, backend=EXACT) -> Trunca
 def probability_jet_total(spec: RegimeSpec, n: int, order: int) -> TruncatedSeries:
     """Sum of all sequence-probability jets at depth n (identically 1), exact:
     the N_t sums of the exact kernel's cells at depth n, with no log taken."""
-    return _execute(_jet_walk(spec, (n,), order, totals=True), EXACT,
-                    lambda v: TruncatedSeries(v[False, n]))
+    return TruncatedSeries(_execute(_jet_walk(spec, (n,), order, totals=True), EXACT)[0])
 
 
 def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable:
@@ -175,7 +169,9 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     A value counts as settled when it matches the value at the largest
     tested window: exact equality on the exact backend; on floating
     backends, within a relative 1e-10 or an absolute 1e-14, as math.isclose
-    compares.  Every window must be at least 2, and the cost cap holds.
+    compares.  The onset is the first window, short of the largest, from
+    which every value is settled: a single window, or a last pair that
+    disagrees, shows none.  Every window is at least 2, under the cost cap.
     """
     ns = tuple(sorted(set(index(n) for n in ns)))
     if not ns:
@@ -188,11 +184,7 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     else:
         fs = [float(v) for v in values]
         settled = tuple(math.isclose(f, fs[-1], rel_tol=1e-10, abs_tol=1e-14) for f in fs)
-    onset = None
-    for i in range(len(ns)):
-        if all(settled[i:]):
-            onset = ns[i]
-            break
+    onset = next((n for i, n in enumerate(ns[:-1]) if all(settled[i:])), None)
     threshold = settling_threshold(k)
     if onset is not None and onset <= threshold:
         verdict = f"settled at N={onset} (theorem threshold {threshold})"

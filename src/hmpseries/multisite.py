@@ -7,7 +7,8 @@ almost-memoryless regime).  F_n^{kvec} is the mixed partial derivative of
 F_n = H_n - H_{n-1} at the origin, equal to prod(k_i!) times the multivariate
 Taylor coefficient.
 
-Each request is one walk for entropy._execute, which prices and runs it.
+Each request is one walk for entropy._execute that asks for C_n, the step
+H_n - H_{n-1}; _execute prices and runs it and forms the step.
 multisite_derivative walks expansion._regime_source with site i moving
 variable i, polynomials with per-variable degree caps k_i as coefficient
 lists, with kvec as the kernels' one target.  multisite_value walks its
@@ -59,10 +60,11 @@ def multisite_derivative(mspec: MultiSiteSpec, spec: RegimeSpec, backend=EXACT):
     n, caps = mspec.n, mspec.kvec
     if n < 2:
         raise ValueError("per-site derivatives need n >= 2")
-    walk = _Walk(spec.T.size, ((False, n - 1), (False, n)),
+    walk = _Walk(spec.T.size, ((False, n, True),),
                  lambda n: _regime_source(spec, n, range(n), caps[0]), kvec=caps)
-    return _execute(walk, backend, lambda v: (v[False, n][0] - v[False, n - 1][0])
-                    * prod(factorial(k) for k in caps))
+    [[value]] = _execute(walk, backend)
+    with backend.ctx():
+        return value * prod(factorial(k) for k in caps)
 
 
 def multisite_value(spec: RegimeSpec, params, backend=EXACT):
@@ -87,5 +89,4 @@ def multisite_value(spec: RegimeSpec, params, backend=EXACT):
         return ([[p] for p in pi], [(m.rows, None, 0) for m in emits],
                 [(m.rows, None, 0) for m in transs])
 
-    walk = _Walk(spec.T.size, ((False, n - 1), (False, n)), source)
-    return _execute(walk, backend, lambda v: v[False, n][0] - v[False, n - 1][0])
+    return _execute(_Walk(spec.T.size, ((False, n, True),), source), backend)[0][0]

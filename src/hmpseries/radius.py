@@ -21,7 +21,7 @@ from operator import index
 import numpy as np  # kept here: the package binds radius lazily, so only its users load numpy
 
 from .backends import FLOAT64
-from .entropy import _check_depth, _price, _Walk, _window_keys, entropy_rate_bracket
+from .entropy import _price, _refuse, _Walk, _window_asks, entropy_rate_bracket
 from .errors import DegenerateFit, TooFewCoefficients
 from .expansion import CoefficientTable, _jet_walk, rate_series, settling_threshold
 from .model import RegimeSpec, instantiate, parse_rational, regime_kind
@@ -233,11 +233,10 @@ def bounds_scan(spec: RegimeSpec, grid, orders, backend=FLOAT64,
         raise ValueError("need at least one truncation order")
     if orders[0] < 0:
         raise ValueError(f"truncation orders must be nonnegative, got {orders[0]}")
-    k, d = max(orders), bound_depth
-    _check_depth(d, 2)  # before the brackets' walks are priced
+    k = max(orders)
+    bracket = _price(_Walk(spec.T.size, _window_asks([bound_depth], 2)), backend)  # each point's
     jets = _price(_jet_walk(spec, (settling_threshold(k),), k), backend)  # rate_series' walk
-    bracket = _price(_Walk(spec.T.size, _window_keys([d], 2)), backend)  # each point's
-    _check_depth(d, cost=jets + len(grid) * bracket)
+    _refuse(jets + len(grid) * bracket)
     table = rate_series(spec, k, backend)
     rows = []
     for g in grid:

@@ -172,6 +172,10 @@ def test_window_rows_follow_the_n_list(capsys, model_file, command, ns):
 @pytest.mark.parametrize("command, ns, message", [
     ("entropy", "3,20", "DepthCapExceeded"),
     ("bounds", "3,1", "the conditional lower bound needs n >= 2"),
+    ("entropy", "0", "window length must be positive, got 0"),
+    # the first bad n of the list names the fault
+    ("bounds", "2,1,0", "the conditional lower bound needs n >= 2"),
+    ("bounds", "0,1", "window length must be positive, got 0"),
 ])
 def test_an_invalid_n_fails_before_any_walk(capsys, model_file, walks, command, ns, message):
     code, out, err = run_cli(capsys, command, "--model", model_file, "--n", ns)
@@ -248,10 +252,14 @@ def test_exact_reports_are_pinned_byte_for_byte(tmp_path, argv, golden):
 
 def test_unknown_backend_exit_2(capsys, model_file):
     # a precision below 24 bits is a malformed tag too, not a failed computation
-    for tag in ("decimal", "bigfloat:10", "bigfloat:-5"):
-        code, _, _ = run_cli(capsys, "entropy", "--model", model_file,
-                             "--n", "1", "--backend", tag)
-        assert code == 2, tag
+    for tag, message in (("decimal", "unknown backend 'decimal'"),
+                         ("bigfloat:10", "bad backend 'bigfloat:10'"),
+                         ("bigfloat:-5", "bad backend 'bigfloat:-5'"),
+                         ("bigfloat:abc", "bad backend 'bigfloat:abc'")):
+        code, out, err = run_cli(capsys, "entropy", "--model", model_file,
+                                 "--n", "1", "--backend", tag)
+        assert (code, out) == (2, ""), tag
+        assert err.startswith(f"hmpseries: {message}"), err
     regime = ["--regime", "am", "--mu", "3/5"]
     for argv in (["bounds", "--model", model_file, "--n", "2"],
                  ["expand", *regime, "--order", "2"],
@@ -373,9 +381,11 @@ def test_scan_schema_and_determinism(capsys):
 
 
 def test_scan_bad_grid_exit_2(capsys):
-    code, _, _ = run_cli(capsys, "scan", "--regime", "am", "--mu", "3/5",
-                         "--grid", "1/100:1/10", "--orders", "4")
-    assert code == 2
+    for grid, message in (("1/100:1/10", "--grid expects START:STOP:STEPS, got '1/100:1/10'"),
+                          ("0:1/10:x", "--grid steps must be an integer, got 'x'")):
+        code, out, err = run_cli(capsys, "scan", "--regime", "am", "--mu", "3/5",
+                                 "--grid", grid, "--orders", "4")
+        assert (code, out, err) == (2, "", f"hmpseries: {message}\n"), grid
 
 
 def test_sample_roundtrip(capsys, model_file, tmp_path):

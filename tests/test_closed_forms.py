@@ -25,7 +25,9 @@ F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
 PIN = GOLDEN / "closed-forms.txt"
 BACKENDS = (EXACT, FLOAT64, FloatBackend(128))
-# name, model for c2_closed_form; the three-state model takes the walk fallback
+# name, model for c2_closed_form; the three-state model has zero emissions, but
+# every pair probability of a strictly positive chain vanishes only with its
+# symbol, as tests/test_entropy.py checks
 C2_MODELS = [(name, load_model(GOLDEN / f"{name}-model.json"))
              for name in ("quickstart", "primes-anchor", "three-state-zero-emission")]
 C2_MODELS += [("hs3@1/10", instantiate(HS3, F(1, 10))), ("am3@1/10", instantiate(AM3, F(1, 10)))]

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -50,7 +51,7 @@ from hmpseries import (
     total_probability,
     validate_model,
 )
-from hmpseries import entropy, expansion, multisite, radius
+from hmpseries import entropy, expansion, radius
 from hmpseries.entropy import _domain, _new_cells
 from hmpseries.multisite import MultiSiteSpec, multisite_derivative, multisite_value
 from hmpseries.radius import bounds_scan, rational_grid
@@ -241,11 +242,18 @@ def test_c2_closed_form_equals_traversal(model):
     assert c2_closed_form(model) == conditional_increment(model, 2)
 
 
-def test_c2_zero_marginal_fallback_and_strict():
-    silent = StochasticMatrix(((1, 0), (1, 0)))  # symbol 1 never emitted
-    model = validate_model(binary_symmetric_chain("1/5"), silent)
-    assert c2_closed_form(model) == conditional_increment(model, 2)
-    assert c2_closed_form(model) == LogLinearValue.make(0)
+# symbol 1 is never emitted
+_SILENT = validate_model(binary_symmetric_chain("1/5"), StochasticMatrix(((1, 0), (1, 0))))
+
+
+def test_c2_closed_form_with_vanishing_pair_probabilities():
+    # a pair probability vanishes where one of its symbols is never emitted,
+    # and adds nothing to the closed form, which still equals the walk
+    assert c2_closed_form(_SILENT) == conditional_increment(_SILENT, 2) == LogLinearValue.make(0)
+    m = StochasticMatrix((("1/2", "1/4", "1/4"), ("1/6", "2/3", "1/6"), ("1/3", "1/3", "1/3")))
+    r = StochasticMatrix((("2/3", "1/3", 0), ("1/4", "3/4", 0), ("1/2", "1/2", 0)))
+    model = validate_model(m, r)
+    assert c2_closed_form(model) == conditional_increment(model, 2) != 0
 
 
 def test_bracket_tightens_with_window():
@@ -343,6 +351,32 @@ _OVER_THE_CAP = {
 }
 
 
+# each request error with its message, raised before any walk
+_REQUEST_ERRORS = {
+    "finite_entropy n = 0": (lambda: finite_entropy(QUICK, 0),
+                             "window length must be positive, got 0"),
+    "lower_bound n = 0": (lambda: lower_bound(QUICK, 0), "window length must be positive, got 0"),
+    "lower_bound n = 1": (lambda: lower_bound(QUICK, 1),
+                          "the conditional lower bound needs n >= 2"),
+    "settling_check no window": (lambda: settling_check(AM3, 2, []),
+                                 "need at least one window size"),
+    "sequence of probability zero": (lambda: sequence_log_probability(_SILENT, [0, 1]),
+                                     "observation sequence has probability zero at step 1"),
+    "per-site derivative n = 1": (lambda: multisite_derivative(MultiSiteSpec(1, (1,)), AM3),
+                                  "per-site derivatives need n >= 2"),
+    "per-site value n = 1": (lambda: multisite_value(AM3, ["1/10"]),
+                             "per-site increments need n >= 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REQUEST_ERRORS))
+def test_request_errors(walks, name):
+    request, message = _REQUEST_ERRORS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        request()
+    assert walks[0] == 0
+
+
 @pytest.mark.parametrize("name", sorted(_OVER_THE_CAP))
 def test_depth_cap(walks, name):
     assert settling_threshold(25) == 14
@@ -351,7 +385,7 @@ def test_depth_cap(walks, name):
     assert walks[0] == 0
 
 
-# the predicted cost each request hands to the cost check (_check_depth), as an
+# the predicted cost each request hands to the refusal (_refuse), as an
 # exact float: a change that moves an admission re-records this table on purpose
 _ADMISSIONS = {
     "finite_entropy exact": (lambda: finite_entropy(QUICK, 12), 98177.51999999984),
@@ -382,20 +416,16 @@ _ADMISSIONS = {
 
 @pytest.mark.parametrize("name", sorted(_ADMISSIONS))
 def test_admissions_are_pinned(monkeypatch, walks, name):
-    # the first nonzero cost that reaches _check_depth, in any module that
-    # calls it, equals the recorded float, and nothing has walked by then
+    # the first cost that reaches the refusal, from the executor or from
+    # bounds_scan, equals the recorded float, and nothing has walked by then
     class Priced(Exception):
         pass
 
-    def priced(n, lower_from=None, cost=0):
-        if cost:
-            raise Priced(cost)
-        return check(n, lower_from)
+    def priced(cost):
+        raise Priced(cost)
 
-    check = entropy._check_depth
-    for module in (entropy, expansion, multisite, radius):
-        if hasattr(module, "_check_depth"):
-            monkeypatch.setattr(module, "_check_depth", priced)
+    for module in (entropy, radius):  # the one function, and radius' name for it
+        monkeypatch.setattr(module, "_refuse", priced)
     request, want = _ADMISSIONS[name]
     with pytest.raises(Priced) as got:
         request()

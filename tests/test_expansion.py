@@ -238,6 +238,24 @@ def test_settling_values_equal_single_window_jets(backend):
     assert report.values == tuple(increment_jet(spec, n, k, backend).coeffs[k] for n in ns)
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float64"])
+def test_settling_needs_a_later_window_that_agrees(backend):
+    # C_3's order-6 coefficient, -543145824/1220703125, is not the settled
+    # -1392492384/1220703125 that every N >= 4 reads: the largest window
+    # alone shows no onset
+    spec = am_binary(F(3, 5))
+    report = settling_check(spec, 6, [2, 3], backend)
+    assert report.observed_onset is None
+    assert report.verdict == "not settled within the tested windows (threshold 5)"
+    assert settling_check(spec, 6, [3], backend).observed_onset is None
+    report = settling_check(spec, 6, range(3, 7), backend)
+    assert report.observed_onset == 4 and report.settled == (False, True, True, True)
+    assert report.verdict == "settled at N=4 (theorem threshold 5)"
+    if backend is EXACT:
+        assert report.values[:2] == (LogLinearValue.make(F(-543145824, 1220703125)),
+                                     LogLinearValue.make(F(-1392492384, 1220703125)))
+
+
 def test_settling_float_backend():
     report = settling_check(am_binary(F(3, 5)), 2, [3, 4, 5], FLOAT64)
     assert report.observed_onset == 3

@@ -1,6 +1,7 @@
 """Model layer: exact matrices, stationary vectors, regimes, files, sampling."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from hmpseries import (
     stationary_first_order,
     validate_model,
 )
+from hmpseries.cli import main
 from hmpseries.expansion import stationary_series
 
 from util import hmp_models, stochastic_rows, zero_sum_perturbations
@@ -235,17 +237,63 @@ def test_json_decimal_text_is_exact(tmp_path):
     assert model.pi == (F(3, 4), F(1, 4))
 
 
-def test_load_errors_carry_context(tmp_path):
+_MODEL = {"s": 2, "M": [["4/5", "1/5"], ["1/5", "4/5"]], "R": [["1", "0"], ["0", "1"]]}
+_REGIME = {"regime": "almost-memoryless", "s": 2, "R": [["4/5", "1/5"], ["1/5", "4/5"]],
+           "T": [["1", "-1"], ["-1", "1"]]}
+
+
+# a file's fault: which loader reads it, its text, and the message
+_LOAD_ERRORS = [
+    ("model", json.dumps({"s": 2, "M": [["1/2", "1/2"]]}), "field 'M' must be an 2x2 array"),
+    ("regime", json.dumps({"regime": "sideways", "s": 2}), "unknown regime 'sideways'"),
+    ("model", "{not json", "invalid JSON"),
+    ("model", json.dumps([_MODEL]), "top level must be an object"),
+    ("regime", json.dumps("am"), "top level must be an object"),
+    ("model", json.dumps({k: v for k, v in _MODEL.items() if k != "R"}), "missing field 'R'"),
+    ("regime", json.dumps({k: v for k, v in _REGIME.items() if k != "T"}),
+     "missing field 'T'"),
+    ("model", json.dumps({**_MODEL, "s": 1}), "field 's' must be an integer >= 2"),
+    ("regime", json.dumps({**_REGIME, "s": 1}), "field 's' must be an integer >= 2"),
+]
+
+
+def test_load_errors_carry_context(tmp_path, capsys):
+    # a ParseError naming the file and the fault; on the command line, exit 2
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"s": 2, "M": [["1/2", "1/2"]]}))
-    with pytest.raises(ParseError, match="M"):
-        load_model(path)
-    path.write_text(json.dumps({"regime": "sideways", "s": 2}))
-    with pytest.raises(ParseError, match="regime"):
-        load_regime(path)
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_model(path)
+    for kind, text, message in _LOAD_ERRORS:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            (load_model if kind == "model" else load_regime)(path)
+        argv = (["validate", "--model"] if kind == "model"
+                else ["expand", "--order", "2", "--regime"])
+        assert main([*argv, str(path)]) == 2, text
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err, text
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: StochasticMatrix((("1/2", "1/2"),)), ValidationError,
+     "matrix must be square and non-empty"),
+    (lambda: HighSnr(binary_symmetric_chain("1/5"), PerturbationMatrix.zero(3)),
+     ValidationError, "chain and perturbation sizes differ"),
+    (lambda: AlmostMemoryless(binary_symmetric_emission("1/5"), PerturbationMatrix.zero(3)),
+     ValidationError, "emission and perturbation sizes differ"),
+    (lambda: validate_model(StochasticMatrix(((1,),)), StochasticMatrix(((1,),))),
+     ValidationError, "alphabet size must be at least 2"),
+    (lambda: sample_path(instantiate(am_binary("3/5"), F(1, 10)), 0, seed=1), ValueError,
+     "path length must be at least 1"),
+], ids=["not square", "high-snr sizes", "am sizes", "one state", "empty path"])
+def test_model_errors_name_the_fault(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_sample_of_length_zero_exits_1(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_MODEL))
+    assert main(["sample", "--model", str(path), "--n", "0", "--seed", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "hmpseries: path length must be at least 1\n"
 
 
 @given(hmp_models(2))
