@@ -9,7 +9,8 @@ Each handler builds one list of row dicts and a payload of report-level
 values.  _emit writes JSON as the command, the payload and the rows (validate,
 radius and sample have JSON that is not row-shaped: the payload alone), and
 CSV by looking up each of the _COLUMNS in the row or else in the payload.  The
-entropy and bounds reports take their --n list from one walk (_windows).
+entropy and bounds reports share one handler, which takes the --n list from
+one walk (_windows).
 main reads each input once, the model or regime and then the backend, and
 passes both to the handler; validate and sample take no --backend.
 """
@@ -216,25 +217,17 @@ def _cmd_validate(args, model, backend):
     return _emit(args, [row], {**row, "stationary": stationary, "ok": True}, row_json=False)
 
 
-def _cmd_entropy(args, model, backend):
-    reports = _windows(model, _int_list(args.n), backend, lower_from=1)
-    rows = [
-        {"n": rep.n, **_with_float("entropy", rep.entropy, backend),
-         **_with_float("increment", rep.increment, backend),
-         **_with_float("lower", rep.lower, backend)}
-        for rep in reports
-    ]
-    return _emit(args, rows, {"backend": backend.tag})
-
-
-def _cmd_bounds(args, model, backend):
-    reports = _windows(model, _int_list(args.n), backend, lower_from=2)
+def _cmd_windows(args, model, backend):
+    """entropy and bounds: each row's columns after n from a report of
+    _windows, through _bracket for bounds, each with its _float."""
+    bounds = args.command == "bounds"
+    reports = _windows(model, _int_list(args.n), backend, lower_from=2 if bounds else 1)
     rows = []
-    for br in (_bracket(rep, backend) for rep in reports):
-        rows.append({"n": br.n, **_with_float("lower", br.lower, backend),
-                     **_with_float("upper", br.upper, backend),
-                     **_with_float("midpoint", br.midpoint, backend),
-                     **_with_float("half_gap", br.half_gap, backend)})
+    for rep in [_bracket(r, backend) for r in reports] if bounds else reports:
+        row = {"n": rep.n}
+        for name in _COLUMNS[args.command][1::2]:
+            row.update(_with_float(name, getattr(rep, name), backend))
+        rows.append(row)
     return _emit(args, rows, {"backend": backend.tag})
 
 
@@ -335,8 +328,8 @@ def _cmd_sample(args, model, backend):
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "entropy": _cmd_entropy,
-    "bounds": _cmd_bounds,
+    "entropy": _cmd_windows,
+    "bounds": _cmd_windows,
     "expand": _cmd_expand,
     "settle": _cmd_settle,
     "radius": _cmd_radius,

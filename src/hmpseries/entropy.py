@@ -595,7 +595,7 @@ def conditional_increment(model: HmpModel, n: int, backend=EXACT):
 
     Both entropies come from one traversal.  C_1 := H_1 by convention.
     """
-    return _windows(model, [n], backend)[0].increment
+    return _execute(_Walk(model.size, ((False, n, True),), model=model), backend)[0][0]
 
 
 def lower_bound(model: HmpModel, n: int, backend=EXACT):
@@ -691,19 +691,17 @@ def entropy_report(model: HmpModel, n: int, backend=EXACT) -> EntropyReport:
     return _windows(model, [n], backend, lower_from=1)[0]
 
 
-def _window_asks(ns, lower_from=None):
-    """The asks of _windows, n by n in list order: C_n, H_n and, with
-    lower_from, c_n, but for a report's (lower_from 1) c_1, which is None; a
-    bracket's (lower_from 2) c_1 is asked for, and refused."""
+def _window_asks(ns, lower_from):
+    """The asks of _windows, n by n in list order: C_n, H_n and c_n, but for
+    a report's (lower_from 1) c_1, which is None; a bracket's (lower_from 2)
+    c_1 is asked for, and refused."""
     return tuple(ask for n in ns for ask in ((False, n, True), (False, n, False), (True, n, True))
-                 [:2 if lower_from is None or lower_from == n == 1 else 3])
+                 [:2 if lower_from == n == 1 else 3])
 
 
-def _windows(model: HmpModel, ns, backend, lower_from=None):
+def _windows(model: HmpModel, ns, backend, lower_from):
     """One EntropyReport per n of ns, in list order, from one walk
-    (_window_asks).  c_n is None at n = 1 or without lower_from."""
-    if not ns:
-        raise ValueError("need at least one window size")
+    (_window_asks).  c_n is None at n = 1 of a report (lower_from 1)."""
     asks = _window_asks(ns, lower_from)
     v = {ask: x for ask, [x] in zip(asks, _execute(_Walk(model.size, asks, model=model), backend))}
     return [EntropyReport(n, v[False, n, False], v[False, n, True], v.get((True, n, True)),

@@ -59,13 +59,14 @@ class CoefficientTable:
 
     regime: str
     values: tuple
-    n_used: tuple[int, ...]
     backend: str
     note: str = ""
 
-    def __post_init__(self):
-        if len(self.values) != len(self.n_used):
-            raise ValueError("values and n_used lengths differ")
+    @property
+    def n_used(self) -> tuple[int, ...]:
+        """Each order k's window, settling_threshold(k): by the theorem, C_n's
+        order-k coefficient is the rate's from there on."""
+        return tuple(settling_threshold(k) for k in range(len(self.values)))
 
     @property
     def order(self) -> int:
@@ -146,7 +147,6 @@ def rate_series(spec: RegimeSpec, order: int, backend=EXACT) -> CoefficientTable
     return CoefficientTable(
         regime=regime_kind(spec),
         values=jet.coeffs,
-        n_used=tuple(settling_threshold(k) for k in range(order + 1)),
         backend=backend.tag,
         note="" if isinstance(spec, AlmostMemoryless) else HIGH_SNR_NOTE,
     )
@@ -171,7 +171,9 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     backends, within a relative 1e-10 or an absolute 1e-14, as math.isclose
     compares.  The onset is the first window, short of the largest, from
     which every value is settled: a single window, or a last pair that
-    disagrees, shows none.  Every window is at least 2, under the cost cap.
+    disagrees, shows none.  The onset is later than the threshold only when
+    the tested window just below it, which disagreed, is at or past the
+    threshold.  Every window is at least 2, under the cost cap.
     """
     ns = tuple(sorted(set(index(n) for n in ns)))
     if not ns:
@@ -184,14 +186,15 @@ def settling_check(spec: RegimeSpec, k: int, ns, backend=EXACT) -> SettlingRepor
     else:
         fs = [float(v) for v in values]
         settled = tuple(math.isclose(f, fs[-1], rel_tol=1e-10, abs_tol=1e-14) for f in fs)
-    onset = next((n for i, n in enumerate(ns[:-1]) if all(settled[i:])), None)
+    i = next((i for i in range(len(ns) - 1) if all(settled[i:])), None)
+    onset = None if i is None else ns[i]
     threshold = settling_threshold(k)
-    if onset is not None and onset <= threshold:
-        verdict = f"settled at N={onset} (theorem threshold {threshold})"
-    elif onset is not None:
+    if onset is None:
+        verdict = f"not settled within the tested windows (threshold {threshold})"
+    elif i and ns[i - 1] >= threshold:
         verdict = f"settled at N={onset}, later than the threshold {threshold}"
     else:
-        verdict = f"not settled within the tested windows (threshold {threshold})"
+        verdict = f"settled at N={onset} (theorem threshold {threshold})"
     return SettlingReport(k, threshold, ns, values, settled, onset, verdict)
 
 
@@ -299,7 +302,6 @@ def am_binary_reference_series(mu, order: int = REFERENCE_MAX_ORDER) -> Coeffici
     return CoefficientTable(
         regime="almost-memoryless",
         values=tuple(values),
-        n_used=tuple(settling_threshold(k) for k in range(order + 1)),
         backend="exact",
         note="closed-form reference table",
     )

@@ -14,6 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import (
@@ -229,38 +230,28 @@ def regime_kind(spec: RegimeSpec) -> str:
     return "high-snr" if isinstance(spec, HighSnr) else "almost-memoryless"
 
 
+def _perturbed(base, t, value, in_range, message):
+    """base + value*T as a stochastic matrix, once in_range holds for every
+    entry; else OutOfRange with message for the first one, row by row."""
+    rows = tuple(tuple(b + value * x for b, x in zip(*pair)) for pair in zip(base.rows, t.rows))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not in_range(x):
+                raise OutOfRange(message.format(i=i, j=j, x=x, value=value))
+    return StochasticMatrix(rows)
+
+
 def perturbed_identity(t: PerturbationMatrix, value: Fraction) -> StochasticMatrix:
     """I + value*T as a stochastic matrix; OutOfRange if any entry leaves [0,1]."""
-    s = t.size
-    rows = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            x = (_F1 if i == j else _F0) + value * t.rows[i][j]
-            if x < 0 or x > 1:
-                raise OutOfRange(f"emission entry ({i},{j}) = {x} at parameter {value}")
-            row.append(x)
-        rows.append(tuple(row))
-    return StochasticMatrix(tuple(rows))
+    return _perturbed(StochasticMatrix.identity(t.size), t, value, lambda x: 0 <= x <= 1,
+                      "emission entry ({i},{j}) = {x} at parameter {value}")
 
 
 def perturbed_uniform(t: PerturbationMatrix, value: Fraction) -> StochasticMatrix:
     """U + value*T as a strictly positive matrix; OutOfRange on the boundary."""
-    s = t.size
-    u = Fraction(1, s)
-    rows = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            x = u + value * t.rows[i][j]
-            if x <= 0:
-                raise OutOfRange(
-                    f"transition entry ({i},{j}) = {x} loses strict positivity "
-                    f"at parameter {value}"
-                )
-            row.append(x)
-        rows.append(tuple(row))
-    return StochasticMatrix(tuple(rows))
+    return _perturbed(StochasticMatrix.uniform(t.size), t, value, lambda x: x > 0,
+                      "transition entry ({i},{j}) = {x} loses strict positivity "
+                      "at parameter {value}")
 
 
 def instantiate(spec: RegimeSpec, value) -> HmpModel:
@@ -283,12 +274,7 @@ def stationary_first_order(t: PerturbationMatrix) -> tuple[Fraction, ...]:
 
 
 def _cumulative(weights) -> list[float]:
-    total = 0.0
-    out = []
-    for w in weights:
-        total += float(w)
-        out.append(total)
-    return out
+    return list(accumulate(map(float, weights)))
 
 
 def sample_path(model: HmpModel, n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -321,8 +307,7 @@ def binary_symmetric_chain(p) -> StochasticMatrix:
 
 
 def binary_symmetric_emission(eps) -> StochasticMatrix:
-    eps = parse_rational(eps)
-    return StochasticMatrix(((1 - eps, eps), (eps, 1 - eps)))
+    return binary_symmetric_chain(eps)
 
 
 def high_snr_binary(p) -> HighSnr:
@@ -370,10 +355,15 @@ def _matrix_field(data: dict, key: str, s: int, where: str):
         raise ParseError(f"{where}: field {key!r}: {e}") from None
 
 
-def model_from_dict(data: dict, where: str = "model") -> HmpModel:
+def _size_field(data: dict, where: str) -> int:
     s = _require(data, "s", where)
     if not isinstance(s, int) or s < 2:
         raise ParseError(f"{where}: field 's' must be an integer >= 2")
+    return s
+
+
+def model_from_dict(data: dict, where: str = "model") -> HmpModel:
+    s = _size_field(data, where)
     m = StochasticMatrix(_matrix_field(data, "M", s, where))
     r = StochasticMatrix(_matrix_field(data, "R", s, where))
     return validate_model(m, r)
@@ -383,9 +373,7 @@ def regime_from_dict(data: dict, where: str = "regime") -> RegimeSpec:
     kind = _require(data, "regime", where)
     if kind not in ("high-snr", "almost-memoryless"):
         raise ParseError(f"{where}: unknown regime {kind!r}")
-    s = _require(data, "s", where)
-    if not isinstance(s, int) or s < 2:
-        raise ParseError(f"{where}: field 's' must be an integer >= 2")
+    s = _size_field(data, where)
     t = PerturbationMatrix(_matrix_field(data, "T", s, where))
     if kind == "high-snr":
         return HighSnr(StochasticMatrix(_matrix_field(data, "M", s, where)), t)
@@ -414,19 +402,15 @@ def load_regime(path) -> RegimeSpec:
     return regime_from_dict(_load_json(path), where=str(path))
 
 
+def _strings(matrix) -> list[list[str]]:
+    return [[str(x) for x in row] for row in matrix.rows]
+
+
 def model_to_dict(model: HmpModel) -> dict:
-    return {
-        "s": model.size,
-        "M": [[str(x) for x in row] for row in model.M.rows],
-        "R": [[str(x) for x in row] for row in model.R.rows],
-    }
+    return {"s": model.size, "M": _strings(model.M), "R": _strings(model.R)}
 
 
 def regime_to_dict(spec: RegimeSpec) -> dict:
-    out = {"regime": regime_kind(spec), "s": spec.T.size}
-    if isinstance(spec, HighSnr):
-        out["M"] = [[str(x) for x in row] for row in spec.M.rows]
-    else:
-        out["R"] = [[str(x) for x in row] for row in spec.R.rows]
-    out["T"] = [[str(x) for x in row] for row in spec.T.rows]
-    return out
+    key, fixed = ("M", spec.M) if isinstance(spec, HighSnr) else ("R", spec.R)
+    return {"regime": regime_kind(spec), "s": spec.T.size, key: _strings(fixed),
+            "T": _strings(spec.T)}

@@ -57,30 +57,24 @@ def _nonzero_orders(cs) -> list[int]:
     return [k for k in range(1, len(cs)) if abs(cs[k]) > _ZERO_REL * scale]
 
 
-def _gate(cs, method) -> list[int] | None:
-    """Common admission: None means 'return indeterminate'."""
+def _gate(table, method) -> tuple[list[float], list[int]]:
+    """Common admission: the table's floats and its nonzero orders beyond 0,
+    none when they all vanish (then the estimate is indeterminate)."""
+    cs = _coeff_floats(table)
     if len(cs) - 1 < _MIN_NONZERO:
         raise TooFewCoefficients(
             f"{method}: table order {len(cs) - 1} is below the minimum {_MIN_NONZERO}"
         )
     ks = _nonzero_orders(cs)
-    if not ks:
-        return None
-    if len(ks) < _MIN_NONZERO:
+    if 0 < len(ks) < _MIN_NONZERO:
         raise TooFewCoefficients(
             f"{method}: only {len(ks)} nonzero coefficients beyond order 0"
         )
-    return ks
+    return cs, ks
 
 
-def _indeterminate(method) -> RadiusEstimate:
-    return RadiusEstimate(
-        method,
-        None,
-        True,
-        (),
-        {"note": "all coefficients beyond order 0 vanish"},
-    )
+def _indeterminate(method, note="all coefficients beyond order 0 vanish") -> RadiusEstimate:
+    return RadiusEstimate(method, None, True, (), {"note": note})
 
 
 def _stride(ks) -> int:
@@ -92,9 +86,8 @@ def _stride(ks) -> int:
 
 def ratio_estimate(table) -> RadiusEstimate:
     """rho ~ |c_k / c_{k+m}|^{1/m}, averaged over the top available orders."""
-    cs = _coeff_floats(table)
-    ks = _gate(cs, "ratio")
-    if ks is None:
+    cs, ks = _gate(table, "ratio")
+    if not ks:
         return _indeterminate("ratio")
     m = _stride(ks)
     kset = set(ks)
@@ -104,7 +97,7 @@ def ratio_estimate(table) -> RadiusEstimate:
         if k + m in kset
     ]
     if not points:
-        return _indeterminate("ratio")
+        return _indeterminate("ratio", f"no two nonzero orders are a stride of {m} apart")
     used = points[-4:]
     value = sum(v for _, v in used) / len(used)
     return RadiusEstimate(
@@ -122,9 +115,8 @@ def ratio_estimate(table) -> RadiusEstimate:
 
 def cauchy_hadamard_estimate(table) -> RadiusEstimate:
     """rho ~ |c_k|^{-1/k} at the largest available orders."""
-    cs = _coeff_floats(table)
-    ks = _gate(cs, "cauchy-hadamard")
-    if ks is None:
+    cs, ks = _gate(table, "cauchy-hadamard")
+    if not ks:
         return _indeterminate("cauchy-hadamard")
     points = [(k, abs(cs[k]) ** (-1.0 / k)) for k in ks]
     used = points[-3:]
@@ -146,9 +138,8 @@ def domb_sykes_estimate(table) -> RadiusEstimate:
     the positive (all positive) or negative (all negative) axis of the
     stride variable.
     """
-    cs = _coeff_floats(table)
-    ks = _gate(cs, "domb-sykes")
-    if ks is None:
+    cs, ks = _gate(table, "domb-sykes")
+    if not ks:
         return _indeterminate("domb-sykes")
     m = _stride(ks)
     kset = set(ks)

@@ -344,6 +344,12 @@ def test_settle_verdict(capsys):
     assert rows[1][2] == "-162/625"
     assert rows[1][7] == "settled at N=3 (theorem threshold 3)"
     assert [r[4] for r in rows[1:]] == ["True", "True", "True"]
+    # window 5, the threshold, is not tested: an onset at 6 is not late
+    code, out, _ = run_cli(capsys, "settle", "--regime", "am", "--mu", "3/5",
+                           "--k", "6", "--n", "6,7")
+    assert code == 0
+    verdict = ["6", "5", "settled at N=6 (theorem threshold 5)"]
+    assert [r[5:] for r in parse_csv(out)[1:]] == [verdict, verdict]
 
 
 def test_radius_report(capsys):

@@ -394,7 +394,9 @@ _ADMISSIONS = {
     "bracket bigfloat:4096": (lambda: entropy_rate_bracket(QUICK, 8, FloatBackend(4096)),
                               3145133.52),
     "increment 4 states": (lambda: conditional_increment(FOUR, 5), 34257.600000000006),
-    "windows without c_n": (lambda: entropy._windows(QUICK, [3, 7, 5], EXACT), 5590.439999999999),
+    "windows without c_n": (lambda: entropy._execute(entropy._Walk(QUICK.size, tuple(
+        (False, n, step) for n in (3, 7, 5) for step in (True, False)), model=QUICK), EXACT),
+        5590.439999999999),
     "windows with c_n": (lambda: entropy._windows(load_model(THREE_STATE), [1, 9, 4], FLOAT64,
                                                   lower_from=1), 437780.52),
     "total_probability": (lambda: total_probability(QUICK, 10), 24541.68),

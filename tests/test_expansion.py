@@ -41,7 +41,7 @@ from hmpseries import (
     settling_threshold,
     stationary_series,
 )
-from hmpseries import entropy
+from hmpseries import entropy, expansion
 
 from util import (
     AM3,
@@ -256,6 +256,28 @@ def test_settling_needs_a_later_window_that_agrees(backend):
                                      LogLinearValue.make(F(-1392492384, 1220703125)))
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float64"])
+def test_settling_is_late_only_past_a_tested_window_that_disagrees(monkeypatch, backend):
+    # k 6, threshold 5: C_6 already reads the settled order-6 coefficient, and
+    # window 5 is not tested, so an onset at 6 does not say the theorem failed
+    spec = am_binary(F(3, 5))
+    for ns in ([6, 7], [2, 6, 7]):
+        report = settling_check(spec, 6, ns, backend)
+        assert report.observed_onset == 6
+        assert report.verdict == "settled at N=6 (theorem threshold 5)"
+    # a jets table in which window 5 reads what window 3 reads, which disagrees
+    real = expansion._increment_jets
+
+    def skewed(spec, ns, order, backend):
+        jets = real(spec, ns, order, backend)
+        return {**jets, 5: real(spec, (3,), order, backend)[3]}
+
+    monkeypatch.setattr(expansion, "_increment_jets", skewed)
+    report = settling_check(spec, 6, [5, 6, 7], backend)
+    assert report.observed_onset == 6 and report.settled == (False, True, True)
+    assert report.verdict == "settled at N=6, later than the threshold 5"
+
+
 def test_settling_float_backend():
     report = settling_check(am_binary(F(3, 5)), 2, [3, 4, 5], FLOAT64)
     assert report.observed_onset == 3
@@ -406,18 +428,17 @@ def test_negative_order_names_the_order():
     # the order is checked before the window that the order implies
     with pytest.raises(ValueError, match="order must be nonnegative"):
         rate_series(am_binary(F(3, 5)), -1)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        am_binary_reference_series(F(3, 5), -1)
 
 
 def test_coefficient_table_partial_sum():
-    table = CoefficientTable("almost-memoryless", (F(1), F(2), F(3)), (2, 2, 3),
-                             "exact")
-    assert table.order == 2
+    table = CoefficientTable("almost-memoryless", (F(1), F(2), F(3)), "exact")
+    assert table.order == 2 and table.n_used == (2, 2, 3)
     assert table.partial_sum(F(1, 2)) == pytest.approx(1 + 1 + 0.75)
     assert table.partial_sum(F(1, 2), 1) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         table.partial_sum(0.1, 5)
-    with pytest.raises(ValueError):
-        CoefficientTable("high-snr", (F(1),), (2, 2), "exact")
 
 
 @pytest.mark.parametrize("request_of", [

@@ -56,6 +56,9 @@ def test_composite_bases_are_normalised():
 def test_nonpositive_base_is_rejected():
     with pytest.raises(ValueError):
         LogLinearValue(0, ((0, 1),))
+    for q in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=f"^cannot take the log of non-positive rational {q}$"):
+            LogLinearValue.log_of(q)
 
 
 # Three primes above 2^40.  A product of two of them is out of reach of the
@@ -362,6 +365,11 @@ def test_render_examples():
     assert LogLinearValue.log_of(2).render() == "log(2)"
     v = LogLinearValue.log_of(2) * Fraction(-8, 5) + LogLinearValue.log_of(5)
     assert v.render() == "-8/5·log(2) + log(5)"
+    # a log coefficient of exactly -1, first or after another term
+    assert LogLinearValue.log_of(Fraction(1, 3)).render() == "-log(3)"
+    half = LogLinearValue.make(Fraction(1, 2)) + LogLinearValue.log_of(Fraction(1, 2))
+    assert half.render() == "1/2 - log(2)"
+    assert LogLinearValue.log_of(Fraction(2, 3)).render() == "log(2) - log(3)"
 
 
 @given(positives, positives)

@@ -60,6 +60,8 @@ def test_parse_rational_rejections():
         parse_rational("one third")
     with pytest.raises(ParseError):
         parse_rational(True)
+    with pytest.raises(ParseError, match=r"^cannot parse rational from \[1\]$"):
+        parse_rational([1])
 
 
 def test_stochastic_matrix_validation():
@@ -150,13 +152,14 @@ def test_perturbed_identity_and_uniform():
     assert perturbed_identity(t, F(1, 5)).rows == (
         (F(4, 5), F(1, 5)), (F(1, 5), F(4, 5))
     )
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"^emission entry \(0,0\) = -1/2 at parameter 3/2$"):
         perturbed_identity(t, F(3, 2))
     u = PerturbationMatrix(((1, -1), (-1, 1)))
     assert perturbed_uniform(u, F(3, 10)).rows == (
         (F(4, 5), F(1, 5)), (F(1, 5), F(4, 5))
     )
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"^transition entry \(0,1\) = 0 loses strict "
+                       r"positivity at parameter 1/2$"):
         perturbed_uniform(u, F(1, 2))  # entries hit 0 exactly
 
 
@@ -254,6 +257,8 @@ _LOAD_ERRORS = [
      "missing field 'T'"),
     ("model", json.dumps({**_MODEL, "s": 1}), "field 's' must be an integer >= 2"),
     ("regime", json.dumps({**_REGIME, "s": 1}), "field 's' must be an integer >= 2"),
+    ("model", json.dumps({**_MODEL, "M": [["x", "1"], ["1/5", "4/5"]]}),
+     "field 'M': cannot parse rational from 'x'"),
 ]
 
 
@@ -282,7 +287,12 @@ def test_load_errors_carry_context(tmp_path, capsys):
      ValidationError, "alphabet size must be at least 2"),
     (lambda: sample_path(instantiate(am_binary("3/5"), F(1, 10)), 0, seed=1), ValueError,
      "path length must be at least 1"),
-], ids=["not square", "high-snr sizes", "am sizes", "one state", "empty path"])
+    (lambda: stationary_distribution(StochasticMatrix.identity(2)), NotStrictlyPositive,
+     "stationary solve needs a strictly positive matrix"),
+    (lambda: model_from_dict({**_MODEL, "M": [["x", "1"], ["1/5", "4/5"]]}), ParseError,
+     "model: field 'M': cannot parse rational from 'x'"),
+], ids=["not square", "high-snr sizes", "am sizes", "one state", "empty path", "zero entry",
+        "unparsed entry"])
 def test_model_errors_name_the_fault(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

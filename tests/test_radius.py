@@ -67,9 +67,24 @@ def test_even_series_uses_stride_two():
 
 def test_constant_tail_indeterminate_cases():
     flat = rate_series(am_binary(0), 13)  # every coefficient past c0 is zero
-    for est in all_estimates(flat):
-        assert est.indeterminate
-        assert est.value is None
+    zero = [0.0] * 13  # c0 as well
+    for table in (flat, zero):
+        for est in all_estimates(table):
+            assert est.indeterminate
+            assert est.value is None
+            assert est.diagnostics == {"note": "all coefficients beyond order 0 vanish"}
+
+
+def test_ratio_names_why_it_gives_up():
+    # nonzero orders 2, 5, 7 and 10 beyond 0: their stride is 1, and no two
+    # are adjacent, so there is no ratio to take, though nothing vanishes
+    cs = [2.0 ** -k if k in (0, 2, 5, 7, 10) else 0.0 for k in range(11)]
+    est = ratio_estimate(cs)
+    assert est.indeterminate and est.value is None
+    assert est.diagnostics == {"note": "no two nonzero orders are a stride of 1 apart"}
+    assert cauchy_hadamard_estimate(cs).value == pytest.approx(2.0)
+    with pytest.raises(TooFewCoefficients, match="have 0$"):
+        domb_sykes_estimate(cs)
 
 
 def test_too_few_coefficients():
